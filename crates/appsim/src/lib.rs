@@ -41,4 +41,4 @@ pub mod service;
 pub mod testbed;
 
 pub use service::AppModel;
-pub use testbed::{AdmissionPolicy, Testbed, TestbedConfig, REFERENCE_ADMISSION_CAP};
+pub use testbed::{AdmissionPolicy, Testbed, TestbedConfig, TestbedEvent, REFERENCE_ADMISSION_CAP};

@@ -26,14 +26,13 @@ use governors::{Action, PStateGovernor, SleepPolicy};
 use napisim::{
     NapiContext, NapiMode, PollClass, PollVerdict, ProcContext, RunQueue, StackParams, TaskId,
 };
-use netsim::nic::PollResult;
 use netsim::{LinkModel, Nic, NicConfig, Packet, QueueId};
 use simcore::audit::{Account, AuditReport, ConservationLedger};
 use simcore::{
     AttribTracker, BusyRole, ChainMarks, CoreEnergyMeter, CoreEnergySummary, DecisionTrigger,
     EnergyBreakdown, EnergySummary, EventLog, FaultInjector, FaultKind, FaultPlan, FaultSpec,
     FlightRecorder, FlightSummary, GovDecision, ModeEnergy, RngStream, SimDuration, SimTime,
-    Simulator, SloWatchdog, Stage, WatchdogEvent,
+    Simulator, SloWatchdog, Stage, WatchdogEvent, World,
 };
 use std::collections::VecDeque;
 use workload::{ArrivalProcess, BurstyArrivals, Client, LoadSpec};
@@ -318,8 +317,113 @@ impl TestbedConfig {
     }
 }
 
-/// Event-handler kinds the testbed schedules, for the per-kind
-/// executed-event counters in the metrics snapshot.
+/// Everything the testbed schedules: one variant per event handler.
+/// The engine stores these inline (no allocation per event), and
+/// [`Testbed`]'s [`World::handle`] dispatches them, counting each
+/// executed event under its kind (`engine.ev.<kind>` in the metrics
+/// snapshot).
+///
+/// Only [`SwitchLoad`](TestbedEvent::SwitchLoad) is meant for code
+/// outside the testbed (scripted load changes, as in Fig 16); the
+/// other variants are the testbed's own continuations.
+#[derive(Debug, Clone, Copy)]
+pub enum TestbedEvent {
+    /// The client sends the next request of arrival chain `gen`
+    /// (stale chains, killed by a load switch, do nothing).
+    ClientSend {
+        /// Arrival-chain generation.
+        gen: u64,
+    },
+    /// A response reaches the client.
+    ClientRecv(Packet),
+    /// A request reaches the NIC.
+    ServerRx(Packet),
+    /// A queue's Rx IRQ fires.
+    IrqFire(QueueId),
+    /// A C-state wake transition ended: the hardirq for `q` starts.
+    WakeHardirq {
+        /// The woken core.
+        core: CoreId,
+        /// The queue whose IRQ woke it.
+        q: QueueId,
+    },
+    /// A core's execution chunk completes (stale if `seq` was
+    /// superseded by preemption or re-timing).
+    ExecDone {
+        /// The executing core.
+        core: CoreId,
+        /// The chunk's sequence number.
+        seq: u64,
+    },
+    /// cpuidle re-decides an idle core's C-state (stale once the core
+    /// woke: its idle epoch moved on).
+    SleepTick {
+        /// The idle core.
+        core: CoreId,
+        /// The idle epoch the tick belongs to.
+        epoch: u64,
+    },
+    /// The governor's sampling tick.
+    SampleTick,
+    /// A DVFS transition settles.
+    DvfsDone {
+        /// The core that requested it.
+        core: CoreId,
+        /// The transition's token.
+        token: u64,
+    },
+    /// A fault-scope edge: modal overrides are recomputed.
+    FaultBoundary,
+    /// Periodic fault injection (spurious IRQs, stale-signal replay).
+    FaultTick(FaultSpec),
+    /// An incast burst of extra requests.
+    FaultIncast {
+        /// Requests in the burst.
+        requests: u32,
+    },
+    /// The client's flow space rotates.
+    FaultChurn {
+        /// Rotation distance.
+        shift: u64,
+    },
+    /// Delayed ksoftirqd wakeup landing after a missed-wake fault.
+    FaultWake(CoreId),
+    /// The wake transition started by a delayed ksoftirqd wakeup
+    /// ended: the core dispatches.
+    WakeDispatch(CoreId),
+    /// Telemetry timeline sample (fixed cadence, read-only).
+    TimelineTick,
+    /// Switches the offered load ([`Testbed::switch_load`]).
+    SwitchLoad(LoadSpec),
+}
+
+impl TestbedEvent {
+    /// The counter this event is tallied under. Incast and churn
+    /// share the fault-tick counter with the periodic fault chain.
+    const fn kind(&self) -> EvKind {
+        match self {
+            TestbedEvent::ClientSend { .. } => EvKind::ClientSend,
+            TestbedEvent::ClientRecv(_) => EvKind::ClientRecv,
+            TestbedEvent::ServerRx(_) => EvKind::ServerRx,
+            TestbedEvent::IrqFire(_) => EvKind::IrqFire,
+            TestbedEvent::WakeHardirq { .. } => EvKind::WakeHardirq,
+            TestbedEvent::ExecDone { .. } => EvKind::ExecDone,
+            TestbedEvent::SleepTick { .. } => EvKind::SleepTick,
+            TestbedEvent::SampleTick => EvKind::SampleTick,
+            TestbedEvent::DvfsDone { .. } => EvKind::DvfsDone,
+            TestbedEvent::FaultBoundary => EvKind::FaultBoundary,
+            TestbedEvent::FaultTick(_)
+            | TestbedEvent::FaultIncast { .. }
+            | TestbedEvent::FaultChurn { .. } => EvKind::FaultTick,
+            TestbedEvent::FaultWake(_) => EvKind::FaultWake,
+            TestbedEvent::WakeDispatch(_) => EvKind::WakeDispatch,
+            TestbedEvent::TimelineTick => EvKind::TimelineTick,
+            TestbedEvent::SwitchLoad(_) => EvKind::SwitchLoad,
+        }
+    }
+}
+
+/// Executed-event counter slots, one per [`TestbedEvent`] kind.
 #[derive(Debug, Clone, Copy)]
 enum EvKind {
     ClientSend,
@@ -330,20 +434,19 @@ enum EvKind {
     SleepTick,
     SampleTick,
     DvfsDone,
-    /// Fault-scope edge: modal overrides recomputed.
     FaultBoundary,
-    /// Periodic fault injection (spurious IRQs, stale-signal replay,
-    /// incast bursts, connection churn).
     FaultTick,
-    /// Delayed ksoftirqd wakeup landing after a missed-wake fault.
     FaultWake,
-    /// Telemetry timeline sample (fixed cadence, read-only).
     TimelineTick,
+    WakeHardirq,
+    WakeDispatch,
+    SwitchLoad,
 }
 
 impl EvKind {
-    const COUNT: usize = 12;
+    const COUNT: usize = 15;
 
+    /// Metrics-snapshot counter key.
     const fn key(self) -> &'static str {
         match self {
             EvKind::ClientSend => "engine.ev.client_send",
@@ -358,6 +461,9 @@ impl EvKind {
             EvKind::FaultTick => "engine.ev.fault_tick",
             EvKind::FaultWake => "engine.ev.fault_wake",
             EvKind::TimelineTick => "engine.ev.timeline_tick",
+            EvKind::WakeHardirq => "engine.ev.wake_hardirq",
+            EvKind::WakeDispatch => "engine.ev.wake_dispatch",
+            EvKind::SwitchLoad => "engine.ev.switch_load",
         }
     }
 
@@ -374,6 +480,9 @@ impl EvKind {
         EvKind::FaultTick,
         EvKind::FaultWake,
         EvKind::TimelineTick,
+        EvKind::WakeHardirq,
+        EvKind::WakeDispatch,
+        EvKind::SwitchLoad,
     ];
 }
 
@@ -381,8 +490,9 @@ impl EvKind {
 enum RunKind {
     /// Interrupt entry + NAPI schedule.
     HardIrq { q: QueueId },
-    /// One NAPI poll batch (descriptors already claimed from the NIC).
-    Poll { ctx: ProcContext, batch: PollResult },
+    /// One NAPI poll batch (descriptors already claimed from the NIC;
+    /// the Rx packets wait in the core's [`ExecState::poll_rx`]).
+    Poll { ctx: ProcContext, tx_cleaned: usize },
     /// One application request.
     App { pkt: Packet },
 }
@@ -406,6 +516,10 @@ struct ExecState {
     /// CC6 cache-refill time owed to the next execution.
     cache_debt: SimDuration,
     seq: u64,
+    /// Rx packets claimed by the in-flight poll batch. A core runs at
+    /// most one batch at a time, so one buffer per core, reused
+    /// across polls, keeps polling allocation-free.
+    poll_rx: Vec<Packet>,
 }
 
 impl ExecState {
@@ -416,6 +530,7 @@ impl ExecState {
             quantum_started: SimTime::ZERO,
             cache_debt: SimDuration::ZERO,
             seq: 0,
+            poll_rx: Vec::new(),
         }
     }
 }
@@ -538,6 +653,9 @@ pub struct Testbed {
     /// Reusable scratch row for the timeline tick (no per-sample
     /// allocation).
     timeline_row: Vec<i64>,
+    /// Reusable scratch for the pre-transition frequencies a DVFS
+    /// completion re-times in-flight chunks against.
+    old_freqs: Vec<u64>,
     /// Integer-µJ package totals already credited to the energy
     /// ledger accounts (credits happen at sample boundaries).
     energy_credited_measured_uj: u64,
@@ -563,6 +681,33 @@ pub struct Testbed {
     measure_start_core_breakdown: Vec<EnergyBreakdown>,
     measure_start_uncore_uj: u64,
     measure_start_mode: ModeEnergy,
+}
+
+impl World for Testbed {
+    type Event = TestbedEvent;
+
+    fn handle(&mut self, ev: TestbedEvent, sim: &mut Simulator<Testbed>) {
+        self.ev_counts[ev.kind() as usize] += 1;
+        match ev {
+            TestbedEvent::ClientSend { gen } => self.ev_client_send(sim, gen),
+            TestbedEvent::ClientRecv(pkt) => self.ev_client_recv(sim, pkt),
+            TestbedEvent::ServerRx(pkt) => self.ev_server_rx(sim, pkt),
+            TestbedEvent::IrqFire(q) => self.ev_irq_fire(sim, q),
+            TestbedEvent::WakeHardirq { core, q } => self.begin_hardirq(sim, core, q),
+            TestbedEvent::ExecDone { core, seq } => self.ev_exec_done(sim, core, seq),
+            TestbedEvent::SleepTick { core, epoch } => self.ev_sleep_tick(sim, core, epoch),
+            TestbedEvent::SampleTick => self.ev_sample_tick(sim),
+            TestbedEvent::DvfsDone { core, token } => self.ev_dvfs_done(sim, core, token),
+            TestbedEvent::FaultBoundary => self.ev_fault_boundary(sim),
+            TestbedEvent::FaultTick(spec) => self.ev_fault_tick(sim, spec),
+            TestbedEvent::FaultIncast { requests } => self.ev_fault_incast(sim, requests),
+            TestbedEvent::FaultChurn { shift } => self.ev_fault_churn(sim, shift),
+            TestbedEvent::FaultWake(core) => self.ev_fault_wake(sim, core),
+            TestbedEvent::WakeDispatch(core) => self.wake_dispatch(sim, core),
+            TestbedEvent::TimelineTick => self.ev_timeline_tick(sim),
+            TestbedEvent::SwitchLoad(load) => self.switch_load(sim, load),
+        }
+    }
 }
 
 impl Testbed {
@@ -661,6 +806,7 @@ impl Testbed {
             last_util: vec![0; cores],
             timeline: simcore::TimeSeriesSampler::new(cores, config.timeline),
             timeline_row: Vec::with_capacity(cores * simcore::GAUGES),
+            old_freqs: Vec::with_capacity(cores),
             energy_credited_measured_uj: 0,
             energy_credited_attributed_uj: 0,
             mode_anchor_measured_uj: vec![0; cores],
@@ -683,18 +829,18 @@ impl Testbed {
         // First arrival.
         let mut rng = tb.rng_arrival.clone();
         if let Some(t) = tb.arrivals.next_after(SimTime::ZERO, &mut rng) {
-            sim.schedule_at(t, |w, sim| w.ev_client_send(sim, 0));
+            sim.schedule_at(t, TestbedEvent::ClientSend { gen: 0 });
         }
         tb.rng_arrival = rng;
         // Governor sampling tick.
         let interval = tb.governor.sampling_interval();
-        sim.schedule_at(SimTime::ZERO + interval, |w, sim| w.ev_sample_tick(sim));
+        sim.schedule_at(SimTime::ZERO + interval, TestbedEvent::SampleTick);
         // Telemetry timeline tick: a fixed cadence independent of the
         // governor's sampling interval, so every governor's timeline
         // is sampled at identical instants.
         if tb.timeline.is_recording() {
             let tick = tb.timeline.interval();
-            sim.schedule_at(SimTime::ZERO + tick, |w, sim| w.ev_timeline_tick(sim));
+            sim.schedule_at(SimTime::ZERO + tick, TestbedEvent::TimelineTick);
         }
         // Fault schedule: every scope edge gets a boundary event that
         // recomputes the modal overrides (ITR, ring clamp, DVFS
@@ -704,21 +850,19 @@ impl Testbed {
             let specs: Vec<FaultSpec> = tb.faults.specs().to_vec();
             for spec in specs {
                 let scope = spec.scope;
-                sim.schedule_at(scope.start, |w, sim| w.ev_fault_boundary(sim));
+                sim.schedule_at(scope.start, TestbedEvent::FaultBoundary);
                 if scope.end < SimTime::MAX {
-                    sim.schedule_at(scope.end, |w, sim| w.ev_fault_boundary(sim));
+                    sim.schedule_at(scope.end, TestbedEvent::FaultBoundary);
                 }
                 match spec.kind {
                     FaultKind::SpuriousIrq { .. } | FaultKind::NapiSignalStuck { .. } => {
-                        sim.schedule_at(scope.start, move |w, sim| w.ev_fault_tick(sim, spec));
+                        sim.schedule_at(scope.start, TestbedEvent::FaultTick(spec));
                     }
                     FaultKind::IncastBurst { requests } => {
-                        sim.schedule_at(scope.start, move |w, sim| {
-                            w.ev_fault_incast(sim, requests)
-                        });
+                        sim.schedule_at(scope.start, TestbedEvent::FaultIncast { requests });
                     }
                     FaultKind::ConnectionChurn { shift } => {
-                        sim.schedule_at(scope.start, move |w, sim| w.ev_fault_churn(sim, shift));
+                        sim.schedule_at(scope.start, TestbedEvent::FaultChurn { shift });
                     }
                     _ => {}
                 }
@@ -864,7 +1008,6 @@ impl Testbed {
     // ------------------------------------------------------------------
 
     fn ev_client_send(&mut self, sim: &mut Simulator<Testbed>, gen: u64) {
-        self.ev_counts[EvKind::ClientSend as usize] += 1;
         let now = sim.now();
         if gen != self.arrival_gen || now > self.send_horizon {
             return; // stale chain (load switched) or run winding down
@@ -873,11 +1016,11 @@ impl Testbed {
         self.ledger.credit(Account::RequestsSent, 1);
         self.wire_requests_in_flight += 1;
         let delay = self.link.delay(&pkt);
-        sim.schedule_in(delay, move |w, sim| w.ev_server_rx(sim, pkt));
+        sim.schedule_in(delay, TestbedEvent::ServerRx(pkt));
         let mut rng = self.rng_arrival.clone();
         if let Some(t) = self.arrivals.next_after(now, &mut rng) {
             if t <= self.send_horizon {
-                sim.schedule_at(t, move |w, sim| w.ev_client_send(sim, gen));
+                sim.schedule_at(t, TestbedEvent::ClientSend { gen });
             }
         }
         self.rng_arrival = rng;
@@ -894,14 +1037,13 @@ impl Testbed {
         let mut rng = self.rng_arrival.clone();
         if let Some(t) = self.arrivals.next_after(now, &mut rng) {
             if t <= self.send_horizon {
-                sim.schedule_at(t, move |w, sim| w.ev_client_send(sim, gen));
+                sim.schedule_at(t, TestbedEvent::ClientSend { gen });
             }
         }
         self.rng_arrival = rng;
     }
 
     fn ev_client_recv(&mut self, sim: &mut Simulator<Testbed>, pkt: Packet) {
-        self.ev_counts[EvKind::ClientRecv as usize] += 1;
         let now = sim.now();
         self.wire_responses_in_flight -= 1;
         let core = self.nic.rss_queue(pkt.flow).0;
@@ -920,14 +1062,11 @@ impl Testbed {
         self.ledger
             .credit(Account::LatencyNanosMeasured, latency.as_nanos());
         // Close the request's attribution: the stage sums must equal
-        // the measured latency exactly (audited), and each stage feeds
-        // its metrics histogram.
+        // the measured latency exactly (audited). The tracker keeps the
+        // per-stage histograms itself; `collect_metrics` exports them.
         if let Some(done) = self.attrib.completed(pkt.id.0, now) {
             self.ledger
                 .credit(Account::LatencyNanosAttributed, done.breakdown.total_ns());
-            for (stage, ns) in done.breakdown.iter() {
-                self.metrics.observe(stage.metric_key(), ns);
-            }
         }
         // The watchdog sees every sample, keyed to the serving core
         // (RSS pins a flow to one queue = one core).
@@ -994,7 +1133,6 @@ impl Testbed {
     // ------------------------------------------------------------------
 
     fn ev_server_rx(&mut self, sim: &mut Simulator<Testbed>, pkt: Packet) {
-        self.ev_counts[EvKind::ServerRx as usize] += 1;
         let now = sim.now();
         let q = self.nic.rss_queue(pkt.flow);
         self.wire_requests_in_flight -= 1;
@@ -1022,13 +1160,12 @@ impl Testbed {
                 }
             }
             if let Some(t) = out.irq_at {
-                sim.schedule_at(t, move |w, sim| w.ev_irq_fire(sim, q));
+                sim.schedule_at(t, TestbedEvent::IrqFire(q));
             }
         }
     }
 
     fn ev_irq_fire(&mut self, sim: &mut Simulator<Testbed>, q: QueueId) {
-        self.ev_counts[EvKind::IrqFire as usize] += 1;
         let now = sim.now();
         if !self.nic.irq_fired(q, now) {
             return; // vector masked while the IRQ was in flight
@@ -1070,7 +1207,7 @@ impl Testbed {
                 // During the wake transition the core is not executing
                 // (voltage/PLL ramp): it idles in CC0 until the
                 // hardirq can run.
-                sim.schedule_in(cost.latency, move |w, sim| w.begin_hardirq(sim, core, q));
+                sim.schedule_in(cost.latency, TestbedEvent::WakeHardirq { core, q });
                 return;
             }
             self.begin_hardirq(sim, core, q);
@@ -1155,7 +1292,7 @@ impl Testbed {
         self.exec[core.0].seq += 1;
         let seq = self.exec[core.0].seq;
         let done_at = now + dur;
-        let done_ev = sim.schedule_at(done_at, move |w, sim| w.ev_exec_done(sim, core, seq));
+        let done_ev = sim.schedule_at(done_at, TestbedEvent::ExecDone { core, seq });
         self.exec[core.0].running = Some(Running {
             kind,
             seq,
@@ -1165,7 +1302,6 @@ impl Testbed {
     }
 
     fn ev_exec_done(&mut self, sim: &mut Simulator<Testbed>, core: CoreId, seq: u64) {
-        self.ev_counts[EvKind::ExecDone as usize] += 1;
         let Some(running) = self.exec[core.0].running.take() else {
             return;
         };
@@ -1176,7 +1312,7 @@ impl Testbed {
         }
         match running.kind {
             RunKind::HardIrq { q } => self.finish_hardirq(sim, core, q),
-            RunKind::Poll { ctx, batch } => self.finish_poll(sim, core, ctx, batch),
+            RunKind::Poll { ctx, tx_cleaned } => self.finish_poll(sim, core, ctx, tx_cleaned),
             RunKind::App { pkt } => self.finish_app(sim, core, pkt),
         }
     }
@@ -1201,9 +1337,11 @@ impl Testbed {
             Some(b) => b.clamp(1, self.stack.napi_weight),
             None => self.stack.napi_weight,
         };
-        let batch = self.nic.poll(q, budget);
+        let mut rx = std::mem::take(&mut self.exec[core.0].poll_rx);
+        rx.clear();
+        let tx_cleaned = self.nic.poll_into(q, budget, &mut rx);
         if AttribTracker::ENABLED {
-            for pkt in &batch.rx {
+            for pkt in &rx {
                 if pkt.kind == netsim::PacketKind::Request {
                     self.attrib.claimed(
                         pkt.id.0,
@@ -1215,13 +1353,12 @@ impl Testbed {
                 }
             }
         }
-        let cycles = self
-            .stack
-            .poll_batch_cycles(batch.rx.len(), batch.tx_cleaned);
+        let cycles = self.stack.poll_batch_cycles(rx.len(), tx_cleaned);
+        self.exec[core.0].poll_rx = rx;
         self.start_exec(
             sim,
             core,
-            RunKind::Poll { ctx, batch },
+            RunKind::Poll { ctx, tx_cleaned },
             cycles,
             SimDuration::ZERO,
         );
@@ -1232,12 +1369,12 @@ impl Testbed {
         sim: &mut Simulator<Testbed>,
         core: CoreId,
         ctx: ProcContext,
-        batch: PollResult,
+        tx_n: usize,
     ) {
         let now = sim.now();
         let q = QueueId(core.0);
-        let rx_n = batch.rx.len();
-        let tx_n = batch.tx_cleaned;
+        let rx = std::mem::take(&mut self.exec[core.0].poll_rx);
+        let rx_n = rx.len();
         self.ledger.credit(Account::RxWirePolled, rx_n as u64);
         self.ledger
             .credit(Account::TxCompletionsCleaned, tx_n as u64);
@@ -1249,7 +1386,7 @@ impl Testbed {
         // ledger closes it under `PacketsShed` so the request identity
         // stays integer-exact.
         let mut delivered = false;
-        for pkt in batch.rx {
+        for &pkt in &rx {
             if pkt.kind == netsim::PacketKind::Request {
                 let sojourn = now.saturating_since(pkt.nic_rx_at);
                 let depth = self.backlog[core.0].len();
@@ -1266,6 +1403,8 @@ impl Testbed {
                 delivered = true;
             }
         }
+        // Hand the buffer back before anything can start the next poll.
+        self.exec[core.0].poll_rx = rx;
         if delivered {
             self.runqueues[core.0].make_runnable(TaskId::App(0));
         }
@@ -1305,7 +1444,7 @@ impl Testbed {
                     // the boundary event).
                     self.stuck_masked[q.0] = true;
                 } else if let Some(t) = self.nic.enable_irq(q, now) {
-                    sim.schedule_at(t, move |w, sim| w.ev_irq_fire(sim, q));
+                    sim.schedule_at(t, TestbedEvent::IrqFire(q));
                 }
                 if ctx == ProcContext::Ksoftirqd {
                     self.note_ksoftirqd(sim, core, false);
@@ -1334,7 +1473,7 @@ impl Testbed {
                 self.note_ksoftirqd(sim, core, true);
                 if let Some(delay) = self.faults.wake_delay(now, core.0) {
                     // The wakeup IPI is missed; a retry lands later.
-                    sim.schedule_in(delay, move |w, sim| w.ev_fault_wake(sim, core));
+                    sim.schedule_in(delay, TestbedEvent::FaultWake(core));
                 } else {
                     self.runqueues[core.0].make_runnable(TaskId::Ksoftirqd);
                 }
@@ -1398,11 +1537,11 @@ impl Testbed {
             .nic
             .enqueue_tx_with_completions(q, &resp, segments, now)
         {
-            sim.schedule_at(t, move |w, sim| w.ev_irq_fire(sim, q));
+            sim.schedule_at(t, TestbedEvent::IrqFire(q));
         }
         let delay = self.link.delay(&resp);
         self.wire_responses_in_flight += 1;
-        sim.schedule_in(delay, move |w, sim| w.ev_client_recv(sim, resp));
+        sim.schedule_in(delay, TestbedEvent::ClientRecv(resp));
 
         let more_work = !self.backlog[core.0].is_empty();
         if more_work && !self.quantum_expired(core, now) {
@@ -1490,13 +1629,10 @@ impl Testbed {
         // cpuidle re-decides at scheduler ticks: a shallow pick can be
         // promoted once the idle proves long.
         let epoch = self.idle_epoch[core.0];
-        sim.schedule_in(self.stack.jiffy, move |w, sim| {
-            w.ev_sleep_tick(sim, core, epoch)
-        });
+        sim.schedule_in(self.stack.jiffy, TestbedEvent::SleepTick { core, epoch });
     }
 
     fn ev_sleep_tick(&mut self, sim: &mut Simulator<Testbed>, core: CoreId, epoch: u64) {
-        self.ev_counts[EvKind::SleepTick as usize] += 1;
         if !self.core_idle[core.0] || self.idle_epoch[core.0] != epoch {
             return; // the core woke meanwhile
         }
@@ -1509,9 +1645,7 @@ impl Testbed {
                     .enter_sleep(state, now, &self.profile);
             }
         }
-        sim.schedule_in(self.stack.jiffy, move |w, sim| {
-            w.ev_sleep_tick(sim, core, epoch)
-        });
+        sim.schedule_in(self.stack.jiffy, TestbedEvent::SleepTick { core, epoch });
     }
 
     // ------------------------------------------------------------------
@@ -1519,7 +1653,6 @@ impl Testbed {
     // ------------------------------------------------------------------
 
     fn ev_sample_tick(&mut self, sim: &mut Simulator<Testbed>) {
-        self.ev_counts[EvKind::SampleTick as usize] += 1;
         let now = sim.now();
         let mut actions = std::mem::take(&mut self.actions);
         for i in 0..self.processor.num_cores() {
@@ -1539,7 +1672,7 @@ impl Testbed {
         self.actions = actions;
         self.account_energy(now);
         let interval = self.governor.sampling_interval();
-        sim.schedule_in(interval, |w, sim| w.ev_sample_tick(sim));
+        sim.schedule_in(interval, TestbedEvent::SampleTick);
     }
 
     /// Telemetry-bus tick: reads one row of per-core gauges into the
@@ -1550,7 +1683,6 @@ impl Testbed {
     /// Reschedules at the sampler's *current* interval, which doubles
     /// on every decimation, so the tick rate decays with the buffer.
     fn ev_timeline_tick(&mut self, sim: &mut Simulator<Testbed>) {
-        self.ev_counts[EvKind::TimelineTick as usize] += 1;
         let now = sim.now();
         let mut row = std::mem::take(&mut self.timeline_row);
         row.clear();
@@ -1591,7 +1723,7 @@ impl Testbed {
         self.apply_actions(sim, &mut actions, DecisionTrigger::Sample);
         self.actions = actions;
         let tick = self.timeline.interval();
-        sim.schedule_in(tick, |w, sim| w.ev_timeline_tick(sim));
+        sim.schedule_in(tick, TestbedEvent::TimelineTick);
     }
 
     /// True if any configured fault scope covers `core` at `now`
@@ -1731,40 +1863,50 @@ impl Testbed {
             .processor
             .request_pstate(core, p, now, &mut self.rng_dvfs)
         {
-            sim.schedule_at(completes_at, move |w, sim| w.ev_dvfs_done(sim, core, token));
+            sim.schedule_at(completes_at, TestbedEvent::DvfsDone { core, token });
         }
     }
 
     fn ev_dvfs_done(&mut self, sim: &mut Simulator<Testbed>, core: CoreId, token: u64) {
-        self.ev_counts[EvKind::DvfsDone as usize] += 1;
         let now = sim.now();
-        let affected: Vec<CoreId> = match self.scope {
-            DvfsScope::PerCore => vec![core],
-            DvfsScope::ChipWide => (0..self.processor.num_cores()).map(CoreId).collect(),
+        let affected = match self.scope {
+            DvfsScope::PerCore => core.0..core.0 + 1,
+            DvfsScope::ChipWide => 0..self.processor.num_cores(),
         };
-        let old_freqs: Vec<u64> = affected
-            .iter()
-            .map(|&c| self.processor.core(c).frequency_hz(&self.profile))
-            .collect();
+        let mut old_freqs = std::mem::take(&mut self.old_freqs);
+        old_freqs.clear();
+        old_freqs.extend(
+            affected
+                .clone()
+                .map(|c| self.processor.core(CoreId(c)).frequency_hz(&self.profile)),
+        );
         match self
             .processor
             .complete_pstate(core, token, now, &mut self.rng_dvfs)
         {
-            CompletionResult::Stale => return,
+            CompletionResult::Stale => {
+                self.old_freqs = old_freqs;
+                return;
+            }
             CompletionResult::Settled { .. } => {}
             CompletionResult::FollowUp {
                 completes_at,
                 token: next_token,
                 ..
             } => {
-                sim.schedule_at(completes_at, move |w, sim| {
-                    w.ev_dvfs_done(sim, core, next_token)
-                });
+                sim.schedule_at(
+                    completes_at,
+                    TestbedEvent::DvfsDone {
+                        core,
+                        token: next_token,
+                    },
+                );
             }
         }
-        for (&c, &old) in affected.iter().zip(&old_freqs) {
-            self.rescale_exec(sim, c, old);
+        for (c, &old) in affected.zip(&old_freqs) {
+            self.rescale_exec(sim, CoreId(c), old);
         }
+        self.old_freqs = old_freqs;
     }
 
     /// Re-times the in-flight execution chunk after a frequency change.
@@ -1789,7 +1931,7 @@ impl Testbed {
         self.exec[core.0].seq += 1;
         let seq = self.exec[core.0].seq;
         let done_at = now + new_wall;
-        let done_ev = sim.schedule_at(done_at, move |w, sim| w.ev_exec_done(sim, core, seq));
+        let done_ev = sim.schedule_at(done_at, TestbedEvent::ExecDone { core, seq });
         let running = self.exec[core.0].running.as_mut().expect("checked above");
         running.seq = seq;
         running.done_ev = done_ev;
@@ -1804,7 +1946,6 @@ impl Testbed {
     /// set of scopes covering `now`. Idempotent, so overlapping scopes
     /// can each schedule their own boundary events.
     fn ev_fault_boundary(&mut self, sim: &mut Simulator<Testbed>) {
-        self.ev_counts[EvKind::FaultBoundary as usize] += 1;
         let now = sim.now();
         self.nic.set_itr_override(self.faults.itr_override(now));
         self.nic
@@ -1838,7 +1979,7 @@ impl Testbed {
             self.stuck_masked[qi] = false;
             let q = QueueId(qi);
             if let Some(t) = self.nic.enable_irq(q, now) {
-                sim.schedule_at(t, move |w, sim| w.ev_irq_fire(sim, q));
+                sim.schedule_at(t, TestbedEvent::IrqFire(q));
             }
         }
     }
@@ -1846,7 +1987,6 @@ impl Testbed {
     /// Periodic fault chain: spurious IRQs and stale NAPI-signal
     /// replay, firing every `period` for the life of the scope.
     fn ev_fault_tick(&mut self, sim: &mut Simulator<Testbed>, spec: FaultSpec) {
-        self.ev_counts[EvKind::FaultTick as usize] += 1;
         let now = sim.now();
         let period = match spec.kind {
             FaultKind::SpuriousIrq { period } | FaultKind::NapiSignalStuck { period } => period,
@@ -1855,7 +1995,7 @@ impl Testbed {
         if now >= spec.scope.end || period.is_zero() {
             return;
         }
-        sim.schedule_in(period, move |w, sim| w.ev_fault_tick(sim, spec));
+        sim.schedule_in(period, TestbedEvent::FaultTick(spec));
         let cores: Vec<usize> = match spec.scope.core {
             Some(c) if c < self.processor.num_cores() => vec![c],
             Some(_) => return,
@@ -1915,7 +2055,6 @@ impl Testbed {
 
     /// The delayed ksoftirqd wakeup from a missed-wake fault lands.
     fn ev_fault_wake(&mut self, sim: &mut Simulator<Testbed>, core: CoreId) {
-        self.ev_counts[EvKind::FaultWake as usize] += 1;
         if !(self.napi[core.0].is_active() && self.napi[core.0].ksoftirqd_running()) {
             return; // the stint ended through another path meanwhile
         }
@@ -1934,21 +2073,25 @@ impl Testbed {
             self.idle_epoch[core.0] += 1;
             self.exec[core.0].cache_debt += cost.cache_refill;
             if !cost.latency.is_zero() {
-                sim.schedule_in(cost.latency, move |w, sim| {
-                    if w.exec[core.0].running.is_none() && !w.core_idle[core.0] {
-                        w.dispatch(sim, core);
-                    }
-                });
+                sim.schedule_in(cost.latency, TestbedEvent::WakeDispatch(core));
                 return;
             }
         }
         self.dispatch(sim, core);
     }
 
+    /// The wake transition a delayed ksoftirqd wakeup started has
+    /// ended: the core dispatches, unless something else already put
+    /// it to work (or back to sleep) meanwhile.
+    fn wake_dispatch(&mut self, sim: &mut Simulator<Testbed>, core: CoreId) {
+        if self.exec[core.0].running.is_none() && !self.core_idle[core.0] {
+            self.dispatch(sim, core);
+        }
+    }
+
     /// An incast burst: `requests` extra requests hit the wire
     /// back-to-back at the scope start.
     fn ev_fault_incast(&mut self, sim: &mut Simulator<Testbed>, requests: u32) {
-        self.ev_counts[EvKind::FaultTick as usize] += 1;
         let now = sim.now();
         if now > self.send_horizon {
             return;
@@ -1959,7 +2102,7 @@ impl Testbed {
             self.wire_requests_in_flight += 1;
             self.faults.note_incast_request(now);
             let delay = self.link.delay(&pkt);
-            sim.schedule_in(delay, move |w, sim| w.ev_server_rx(sim, pkt));
+            sim.schedule_in(delay, TestbedEvent::ServerRx(pkt));
         }
     }
 
@@ -1967,7 +2110,6 @@ impl Testbed {
     /// RSS placement. In-flight requests keep their old flow ids, as
     /// live connections would.
     fn ev_fault_churn(&mut self, sim: &mut Simulator<Testbed>, shift: u64) {
-        self.ev_counts[EvKind::FaultTick as usize] += 1;
         self.client.churn_flows(shift);
         self.faults.note_flow_churn(sim.now());
     }
@@ -2047,14 +2189,14 @@ impl Testbed {
         let mut requests = 0u64;
         let mut tx = 0u64;
         for e in &self.exec {
-            if let Some(RunKind::Poll { batch, .. }) = e.running.as_ref().map(|r| &r.kind) {
-                rx += batch.rx.len() as u64;
-                requests += batch
-                    .rx
+            if let Some(RunKind::Poll { tx_cleaned, .. }) = e.running.as_ref().map(|r| &r.kind) {
+                rx += e.poll_rx.len() as u64;
+                requests += e
+                    .poll_rx
                     .iter()
                     .filter(|p| p.kind == netsim::PacketKind::Request)
                     .count() as u64;
-                tx += batch.tx_cleaned as u64;
+                tx += *tx_cleaned as u64;
             }
         }
         (rx, requests, tx)
@@ -2455,6 +2597,7 @@ impl Testbed {
         m.set_counter("attrib.requests", self.attrib.requests());
         m.set_counter("attrib.mismatches", self.attrib.mismatches());
         m.set_counter("attrib.pending", self.attrib.pending());
+        self.attrib.record_metrics(&mut m);
         if CoreEnergyMeter::ENABLED {
             let mut package = simcore::EnergyBreakdown::default();
             let mut measured = 0u64;

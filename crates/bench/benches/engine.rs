@@ -9,46 +9,73 @@ use nmap_bench::criterion::{black_box, Criterion};
 use nmap_bench::{criterion_group, criterion_main};
 use simcore::{
     Cdf, HeapQueue, Histogram, RngStream, SchedQueue, SimDuration, SimTime, Simulator, WheelQueue,
+    World,
 };
 use workload::{AppKind, LoadLevel};
+
+/// The engine benches' world: a count of executed events.
+#[derive(Default)]
+struct Count(u64);
+
+/// Engine bench events: `Hit` is counted; `Tick` is counted and
+/// reschedules itself 125 ns later until the standing horizon.
+#[derive(Clone, Copy)]
+enum Ev {
+    Hit,
+    Tick,
+}
+
+impl<Q: SchedQueue> World<Q> for Count {
+    type Event = Ev;
+
+    fn handle(&mut self, ev: Ev, sim: &mut Simulator<Self, Q>) {
+        self.0 += 1;
+        if let Ev::Tick = ev {
+            let t = sim.now().as_nanos();
+            if t < STANDING_HORIZON_NS {
+                sim.schedule_at(SimTime::from_nanos(t + 125), Ev::Tick);
+            }
+        }
+    }
+}
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("engine/event_queue_schedule_run_10k", |b| {
         b.iter(|| {
-            let mut sim: Simulator<u64> = Simulator::new();
-            let mut world = 0u64;
+            let mut sim: Simulator<Count> = Simulator::new();
+            let mut world = Count::default();
             for i in 0..10_000u64 {
-                sim.schedule_at(SimTime::from_nanos((i * 7919) % 1_000_000), |w, _| *w += 1);
+                sim.schedule_at(SimTime::from_nanos((i * 7919) % 1_000_000), Ev::Hit);
             }
             sim.run_until(&mut world, SimTime::from_millis(10));
-            black_box(world)
+            black_box(world.0)
         })
     });
 
     c.bench_function("engine/event_queue_cancel_heavy", |b| {
         b.iter(|| {
-            let mut sim: Simulator<u64> = Simulator::new();
-            let mut world = 0u64;
+            let mut sim: Simulator<Count> = Simulator::new();
+            let mut world = Count::default();
             let ids: Vec<_> = (0..5_000u64)
-                .map(|i| sim.schedule_at(SimTime::from_nanos(i * 100), |w, _| *w += 1))
+                .map(|i| sim.schedule_at(SimTime::from_nanos(i * 100), Ev::Hit))
                 .collect();
             for id in ids.iter().step_by(2) {
                 sim.cancel(*id);
             }
             sim.run_until(&mut world, SimTime::from_millis(1));
-            black_box(world)
+            black_box(world.0)
         })
     });
 }
 
 /// A faithful replica of the event queue this repo shipped with
 /// before the timing wheel landed: one `BinaryHeap` whose entries
-/// carry the boxed action inline, plus a `HashSet` live-set consulted
+/// carry a boxed closure inline, plus a `HashSet` live-set consulted
 /// on every pop for lazy cancellation. Kept here (not in simcore) so
 /// `scheduler/seed_*` benches can report an honest before/after pair
 /// without the library carrying dead code. The in-tree `HeapQueue`
 /// oracle is already faster than this — it shares the wheel's arena
-/// and keeps actions out of the heap — so the seed numbers are the
+/// and keeps events out of the heap — so the seed numbers are the
 /// historical baseline and the `heap_*` numbers the machine proxy.
 mod seed {
     use simcore::SimTime;
@@ -154,18 +181,18 @@ mod seed {
 /// Schedules every time in `times`, cancels every `cancel_every`-th
 /// handle, then drains the queue — the scheduler-bound inner loop the
 /// `scheduler/*` benches time on both backends. Returns events run.
-fn sched_drain<Q: SchedQueue + 'static>(times: &[u64], cancel_every: usize) -> u64 {
-    let mut sim: Simulator<u64, Q> = Simulator::new();
-    let mut w = 0u64;
+fn sched_drain<Q: SchedQueue>(times: &[u64], cancel_every: usize) -> u64 {
+    let mut sim: Simulator<Count, Q> = Simulator::new();
+    let mut w = Count::default();
     let ids: Vec<_> = times
         .iter()
-        .map(|&t| sim.schedule_at(SimTime::from_nanos(t), |w, _| *w += 1))
+        .map(|&t| sim.schedule_at(SimTime::from_nanos(t), Ev::Hit))
         .collect();
     for id in ids.iter().step_by(cancel_every) {
         sim.cancel(*id);
     }
     sim.run_until(&mut w, SimTime::MAX);
-    w
+    w.0
 }
 
 /// [`sched_drain`] on the seed-engine replica.
@@ -202,24 +229,17 @@ fn standing_times(n: u64) -> Vec<u64> {
 /// standing timeout population. O(log n) heap pops pay a cache miss
 /// per sift level against the parked set; the wheel dispatches each
 /// tick from a hot level-0 bucket in O(1). Returns events dispatched.
-fn standing_ticks<Q: SchedQueue + 'static>(standing: &[u64], chains: u64) -> u64 {
-    let mut sim: Simulator<u64, Q> = Simulator::new();
-    let mut w = 0u64;
+fn standing_ticks<Q: SchedQueue>(standing: &[u64], chains: u64) -> u64 {
+    let mut sim: Simulator<Count, Q> = Simulator::new();
+    let mut w = Count::default();
     for &t in standing {
-        sim.schedule_at(SimTime::from_nanos(t), |w, _| *w += 1);
-    }
-    fn tick<Q: SchedQueue + 'static>(w: &mut u64, sim: &mut Simulator<u64, Q>) {
-        *w += 1;
-        let t = sim.now().as_nanos();
-        if t < STANDING_HORIZON_NS {
-            sim.schedule_at(SimTime::from_nanos(t + 125), tick);
-        }
+        sim.schedule_at(SimTime::from_nanos(t), Ev::Hit);
     }
     for i in 0..chains {
-        sim.schedule_at(SimTime::from_nanos(i * 17), tick);
+        sim.schedule_at(SimTime::from_nanos(i * 17), Ev::Tick);
     }
     sim.run_until(&mut w, SimTime::from_nanos(STANDING_HORIZON_NS + 1_000));
-    w
+    w.0
 }
 
 /// [`standing_ticks`] on the seed-engine replica.

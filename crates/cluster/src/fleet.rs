@@ -43,7 +43,7 @@
 //! `audit` feature is on, and a violation turns the run into
 //! [`SimError::Accounting`] instead of a silently wrong result.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::mem;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -52,8 +52,8 @@ use cpusim::ProcessorProfile;
 use governors::DegradationStats;
 use simcore::{
     Account, AuditReport, ConservationLedger, EventId, FaultInjector, FaultKind, FaultPlan,
-    FaultStats, MetricsRegistry, MetricsSnapshot, RngStream, SimDuration, SimError, SimTime,
-    Simulator, StepBudget, StreamingQuantiles, TimelineConfig,
+    FaultStats, IdHashMap, MetricsRegistry, MetricsSnapshot, RngStream, SimDuration, SimError,
+    SimTime, Simulator, StepBudget, StreamingQuantiles, TimelineConfig, World,
 };
 use workload::{AppKind, ChurnSpec, DiurnalCurve, LoadSpec, Priority};
 
@@ -641,8 +641,8 @@ struct FleetWorld {
     /// Per-flow connection incarnation; bumped on churn.
     affinity_gen: Vec<u64>,
     /// Open request table — keyed access only, never iterated, so the
-    /// map's nondeterministic iteration order can't leak into the run.
-    reqs: HashMap<u64, RequestState>,
+    /// map's iteration order can't leak into the run.
+    reqs: IdHashMap<u64, RequestState>,
     faults: FaultInjector,
     ledger: ConservationLedger,
     rng_arrival: RngStream,
@@ -673,6 +673,56 @@ struct FleetWorld {
 }
 
 type FleetSim = Simulator<FleetWorld>;
+
+/// Everything the outer (LB) simulator schedules.
+#[derive(Debug, Clone, Copy)]
+enum FleetEv {
+    /// The next request arrives at the LB.
+    Arrival,
+    /// Attempt `attempt` of request `id` answered.
+    Response { id: u64, attempt: usize },
+    /// A saturated server's admission gate rejected the attempt.
+    ShedResponse { id: u64, attempt: usize },
+    /// A request's per-attempt deadline.
+    Timeout(u64),
+    /// A request's retry backoff elapsed.
+    Retry(u64),
+    /// A request's hedge delay elapsed.
+    Hedge(u64),
+    /// A health probe of one server.
+    Probe(usize),
+    /// The epoch coupling tick.
+    EpochTick,
+    /// The measurement boundary.
+    WarmupBoundary,
+    /// A connection-churn wave.
+    ChurnWave,
+    /// A server-crash scope starts.
+    Crash(usize),
+    /// A server-crash scope ends.
+    Recover(usize),
+}
+
+impl World for FleetWorld {
+    type Event = FleetEv;
+
+    fn handle(&mut self, ev: FleetEv, sim: &mut FleetSim) {
+        match ev {
+            FleetEv::Arrival => arrival(self, sim),
+            FleetEv::Response { id, attempt } => response(self, sim, id, attempt),
+            FleetEv::ShedResponse { id, attempt } => shed_response(self, sim, id, attempt),
+            FleetEv::Timeout(id) => timeout_fired(self, sim, id),
+            FleetEv::Retry(id) => retry_fire(self, sim, id),
+            FleetEv::Hedge(id) => hedge_fired(self, sim, id),
+            FleetEv::Probe(server) => probe(self, sim, server),
+            FleetEv::EpochTick => epoch_tick(self, sim),
+            FleetEv::WarmupBoundary => warmup_boundary(self, sim),
+            FleetEv::ChurnWave => churn_wave(self, sim),
+            FleetEv::Crash(server) => crash_server(self, sim, server),
+            FleetEv::Recover(server) => self.faults.note_server_recover(sim.now(), server),
+        }
+    }
+}
 
 impl FleetWorld {
     fn offered_rate(&self, now: SimTime) -> f64 {
@@ -794,16 +844,14 @@ fn dispatch(w: &mut FleetWorld, sim: &mut FleetSim, id: u64, server: usize) {
     }
     let extra = w.faults.link_extra(now, server);
     let hop = w.cfg.lb_hop + extra;
-    let attempt_idx = w.reqs.get(&id).map_or(0, |r| r.attempts.len());
+    let attempt = w.reqs.get(&id).map_or(0, |r| r.attempts.len());
     // The server-side admission gate, seen from the LB: a server whose
     // harvested saturation pegged at 1000 ‰ rejects the attempt after
     // one round trip. The rejection lands in `attempts_failed` (with
     // `attempts_shed` as its audited sub-account) — never in
     // `suppressed`, even if the request has closed by then.
     if w.cfg.admission != AdmissionPolicy::None && w.servers[server].sat_permille >= 1000 {
-        let ev = sim.schedule_at(now + hop + hop, move |w, sim| {
-            shed_response(w, sim, id, attempt_idx);
-        });
+        let ev = sim.schedule_at(now + hop + hop, FleetEv::ShedResponse { id, attempt });
         if let Some(req) = w.reqs.get_mut(&id) {
             req.attempts.push(AttemptState {
                 server,
@@ -813,15 +861,13 @@ fn dispatch(w: &mut FleetWorld, sim: &mut FleetSim, id: u64, server: usize) {
         }
         w.counters.attempts_outstanding += 1;
         let s = &mut w.servers[server];
-        s.inflight.push((id, attempt_idx));
+        s.inflight.push((id, attempt));
         s.dispatched_epoch += 1;
         s.delivered += 1;
         return;
     }
     let service = SimDuration::from_nanos(sample_latency_ns(w, server));
-    let ev = sim.schedule_at(now + hop + service + hop, move |w, sim| {
-        response(w, sim, id, attempt_idx);
-    });
+    let ev = sim.schedule_at(now + hop + service + hop, FleetEv::Response { id, attempt });
     if let Some(req) = w.reqs.get_mut(&id) {
         req.attempts.push(AttemptState {
             server,
@@ -831,7 +877,7 @@ fn dispatch(w: &mut FleetWorld, sim: &mut FleetSim, id: u64, server: usize) {
     }
     w.counters.attempts_outstanding += 1;
     let s = &mut w.servers[server];
-    s.inflight.push((id, attempt_idx));
+    s.inflight.push((id, attempt));
     s.dispatched_epoch += 1;
     s.delivered += 1;
 }
@@ -981,7 +1027,7 @@ fn timeout_fired(w: &mut FleetWorld, sim: &mut FleetSim, id: u64) {
         }
         w.counters.retries += 1;
         let backoff = backoff_for(&w.cfg.retry, attempts_len.saturating_sub(1) as u32);
-        let ev = sim.schedule_at(now + backoff, move |w, sim| retry_fire(w, sim, id));
+        let ev = sim.schedule_at(now + backoff, FleetEv::Retry(id));
         if let Some(req) = w.reqs.get_mut(&id) {
             req.timeout_ev = Some(ev);
         }
@@ -1006,9 +1052,7 @@ fn retry_fire(w: &mut FleetWorld, sim: &mut FleetSim, id: u64) {
     }
     let server = steer(w, now, flow, last_server);
     dispatch(w, sim, id, server);
-    let ev = sim.schedule_at(now + w.cfg.retry.timeout, move |w, sim| {
-        timeout_fired(w, sim, id);
-    });
+    let ev = sim.schedule_at(now + w.cfg.retry.timeout, FleetEv::Timeout(id));
     if let Some(req) = w.reqs.get_mut(&id) {
         req.timeout_ev = Some(ev);
     }
@@ -1063,7 +1107,7 @@ fn probe(w: &mut FleetWorld, sim: &mut FleetSim, server: usize) {
     }
     let next = now + w.cfg.probe.interval;
     if next < w.end {
-        sim.schedule_at(next, move |w, sim| probe(w, sim, server));
+        sim.schedule_at(next, FleetEv::Probe(server));
     }
 }
 
@@ -1134,7 +1178,7 @@ fn epoch_tick(w: &mut FleetWorld, sim: &mut FleetSim) {
     }
     let next = now + w.cfg.epoch;
     if next < w.end {
-        sim.schedule_at(next, epoch_tick);
+        sim.schedule_at(next, FleetEv::EpochTick);
     }
 }
 
@@ -1171,7 +1215,7 @@ fn churn_wave(w: &mut FleetWorld, sim: &mut FleetSim) {
     }
     let next = now + churn.period;
     if next < w.end {
-        sim.schedule_at(next, churn_wave);
+        sim.schedule_at(next, FleetEv::ChurnWave);
     }
 }
 
@@ -1250,11 +1294,9 @@ fn arrival(w: &mut FleetWorld, sim: &mut FleetSim) {
     );
     let server = steer(w, now, flow, None);
     dispatch(w, sim, id, server);
-    let timeout_ev = sim.schedule_at(now + w.cfg.retry.timeout, move |w, sim| {
-        timeout_fired(w, sim, id);
-    });
+    let timeout_ev = sim.schedule_at(now + w.cfg.retry.timeout, FleetEv::Timeout(id));
     let hedge_ev = (w.cfg.hedge.is_some() && w.cfg.servers > 1)
-        .then(|| sim.schedule_at(now + w.hedge_delay, move |w, sim| hedge_fired(w, sim, id)));
+        .then(|| sim.schedule_at(now + w.hedge_delay, FleetEv::Hedge(id)));
     if let Some(req) = w.reqs.get_mut(&id) {
         req.timeout_ev = Some(timeout_ev);
         req.hedge_ev = hedge_ev;
@@ -1267,7 +1309,7 @@ fn schedule_next_arrival(w: &mut FleetWorld, sim: &mut FleetSim, now: SimTime) {
     let gap_ns = w.rng_arrival.exponential(mean_ns).clamp(1.0, 1e15);
     let next = now + SimDuration::from_nanos(gap_ns as u64);
     if next < w.end {
-        sim.schedule_at(next, arrival);
+        sim.schedule_at(next, FleetEv::Arrival);
     }
 }
 
@@ -1347,7 +1389,7 @@ pub fn try_run_fleet_budgeted(
         lb_view: vec![true; n],
         affinity: vec![None; cfg.flows],
         affinity_gen: vec![0u64; cfg.flows],
-        reqs: HashMap::new(),
+        reqs: IdHashMap::default(),
         faults,
         ledger: ConservationLedger::new(),
         rng_arrival: RngStream::derive(cfg.seed, "fleet-arrival", 0),
@@ -1378,20 +1420,23 @@ pub fn try_run_fleet_budgeted(
     {
         let mean_ns = 1e9 / world.offered_rate(SimTime::ZERO);
         let gap = world.rng_arrival.exponential(mean_ns).clamp(1.0, 1e15);
-        sim.schedule_at(SimTime::ZERO + SimDuration::from_nanos(gap as u64), arrival);
+        sim.schedule_at(
+            SimTime::ZERO + SimDuration::from_nanos(gap as u64),
+            FleetEv::Arrival,
+        );
     }
     // Staggered health probes.
     for server in 0..n {
         let offset = SimDuration::from_nanos(
             ((server as u64 + 1) * world.cfg.probe.interval.as_nanos()) / (n as u64 + 1),
         );
-        sim.schedule_at(SimTime::ZERO + offset, move |w, sim| probe(w, sim, server));
+        sim.schedule_at(SimTime::ZERO + offset, FleetEv::Probe(server));
     }
     // Epoch coupling, measurement boundary, churn waves.
-    sim.schedule_at(SimTime::ZERO + world.cfg.epoch, epoch_tick);
-    sim.schedule_at(SimTime::ZERO + world.cfg.warmup, warmup_boundary);
+    sim.schedule_at(SimTime::ZERO + world.cfg.epoch, FleetEv::EpochTick);
+    sim.schedule_at(SimTime::ZERO + world.cfg.warmup, FleetEv::WarmupBoundary);
     if let Some(churn) = world.cfg.churn {
-        sim.schedule_at(SimTime::ZERO + churn.period, churn_wave);
+        sim.schedule_at(SimTime::ZERO + churn.period, FleetEv::ChurnWave);
     }
     // Server-crash boundaries from the fault plan (scope.core = server
     // index; an unpinned scope crashes the whole fleet).
@@ -1404,15 +1449,9 @@ pub fn try_run_fleet_budgeted(
             None => (0..n).collect(),
         };
         for server in targets {
-            sim.schedule_at(spec.scope.start, move |w, sim| crash_server(w, sim, server));
+            sim.schedule_at(spec.scope.start, FleetEv::Crash(server));
             if spec.scope.end < end {
-                sim.schedule_at(
-                    spec.scope.end,
-                    move |w: &mut FleetWorld, sim: &mut FleetSim| {
-                        let now = sim.now();
-                        w.faults.note_server_recover(now, server);
-                    },
-                );
+                sim.schedule_at(spec.scope.end, FleetEv::Recover(server));
             }
         }
     }

@@ -7,6 +7,7 @@
 use crate::report::{self, FigureReport};
 use crate::runner::{run_with_testbed, GovernorKind, RunConfig, RunResult, Scale};
 use crate::thresholds;
+use appsim::TestbedEvent;
 use simcore::{RngStream, SimDuration};
 use workload::{AppKind, LoadLevel, LoadSpec};
 
@@ -39,9 +40,7 @@ fn varying_run(governor: GovernorKind, scale: Scale, seed: u64) -> RunResult {
                 _ => LoadLevel::High,
             };
             let spec = LoadSpec::preset(AppKind::Memcached, level);
-            sim.schedule_at(simcore::SimTime::ZERO + t, move |w, sim| {
-                w.switch_load(sim, spec);
-            });
+            sim.schedule_at(simcore::SimTime::ZERO + t, TestbedEvent::SwitchLoad(spec));
             t += SimDuration::from_millis(500);
         }
     });

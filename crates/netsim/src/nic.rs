@@ -388,11 +388,22 @@ impl Nic {
     /// One NAPI poll on `q`: cleans Tx completions first (cheap), then
     /// drains Rx packets, together bounded by `budget` descriptors.
     pub fn poll(&mut self, q: QueueId, budget: usize) -> PollResult {
-        let queue = &mut self.queues[q.0];
-        let tx_cleaned = queue.tx_clean.pop_up_to(budget).len();
-        let rx = queue.rx.pop_up_to(budget - tx_cleaned);
-        queue.rx_polled += rx.len() as u64;
+        let mut rx = Vec::new();
+        let tx_cleaned = self.poll_into(q, budget, &mut rx);
         PollResult { rx, tx_cleaned }
+    }
+
+    /// [`poll`](Nic::poll) into a caller-owned buffer: appends the
+    /// drained Rx packets to `rx` (oldest first) and returns the
+    /// number of Tx completions cleaned. Reusing `rx` across polls
+    /// keeps the per-poll path allocation-free.
+    pub fn poll_into(&mut self, q: QueueId, budget: usize, rx: &mut Vec<Packet>) -> usize {
+        let queue = &mut self.queues[q.0];
+        let tx_cleaned = queue.tx_clean.drain_up_to(budget).count();
+        let before = rx.len();
+        rx.extend(queue.rx.drain_up_to(budget - tx_cleaned));
+        queue.rx_polled += (rx.len() - before) as u64;
+        tx_cleaned
     }
 
     /// Rx descriptors waiting on `q`.
@@ -620,6 +631,31 @@ mod tests {
         let r2 = n.poll(q, 64);
         assert_eq!(r2.rx.len(), 7);
         assert!(!n.has_work(q));
+    }
+
+    #[test]
+    fn poll_into_matches_poll_and_reuses_the_buffer() {
+        let fill = |n: &mut Nic| {
+            for i in 0..10 {
+                n.enqueue_rx(QueueId(0), pkt(i), SimTime::ZERO);
+            }
+            for i in 0..5 {
+                n.enqueue_tx(QueueId(0), &pkt(100 + i), SimTime::ZERO);
+            }
+        };
+        let (mut a, mut b) = (nic(), nic());
+        fill(&mut a);
+        fill(&mut b);
+        let mut rx = Vec::with_capacity(16);
+        let cap = rx.capacity();
+        for budget in [8, 4, 64] {
+            let want = a.poll(QueueId(0), budget);
+            rx.clear();
+            let tx = b.poll_into(QueueId(0), budget, &mut rx);
+            assert_eq!((tx, &rx), (want.tx_cleaned, &want.rx));
+        }
+        assert_eq!(rx.capacity(), cap, "no regrowth within capacity");
+        assert_eq!(a.total_rx_polled(), b.total_rx_polled());
     }
 
     #[test]

@@ -85,10 +85,11 @@ impl<T> DescRing<T> {
         self.items.pop_front()
     }
 
-    /// Dequeues up to `max` items.
-    pub fn pop_up_to(&mut self, max: usize) -> Vec<T> {
+    /// Dequeues up to `max` items, oldest first. The items leave the
+    /// ring even if the iterator is dropped unconsumed.
+    pub fn drain_up_to(&mut self, max: usize) -> std::collections::vec_deque::Drain<'_, T> {
         let n = max.min(self.items.len());
-        self.items.drain(..n).collect()
+        self.items.drain(..n)
     }
 
     /// Items currently queued.
@@ -137,7 +138,7 @@ mod tests {
         for i in 0..5 {
             r.push(i).unwrap();
         }
-        assert_eq!(r.pop_up_to(3), vec![0, 1, 2]);
+        assert_eq!(r.drain_up_to(3).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(r.pop(), Some(3));
         assert_eq!(r.len(), 1);
     }
@@ -155,11 +156,11 @@ mod tests {
     }
 
     #[test]
-    fn pop_up_to_handles_short_queue() {
+    fn drain_up_to_handles_short_queue() {
         let mut r: DescRing<u8> = DescRing::new(4);
         r.push(1).unwrap();
-        assert_eq!(r.pop_up_to(10), vec![1]);
-        assert!(r.pop_up_to(10).is_empty());
+        assert_eq!(r.drain_up_to(10).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(r.drain_up_to(10).count(), 0);
         assert!(r.is_empty());
     }
 

@@ -1,10 +1,14 @@
 //! The event queue and simulation loop.
 //!
 //! [`Simulator<W>`] is generic over a user-supplied *world* type `W`
-//! holding all model state (cores, NIC, queues, governors…). Events
-//! are boxed closures receiving `(&mut W, &mut Simulator<W>)`, so an
-//! event can both mutate the world and schedule or cancel further
-//! events.
+//! holding all model state (cores, NIC, queues, governors…). The
+//! world names its own event vocabulary through the [`World`] trait:
+//! `W::Event` is a plain value (typically an enum), stored inline in a
+//! vector parallel to the engine's slot arena, and [`World::handle`]
+//! receives it together with `&mut Simulator<W>`, so an event can both
+//! mutate the world and schedule or cancel further events. Scheduling
+//! an event allocates nothing once the arena has grown to the run's
+//! peak queue depth.
 //!
 //! # Ordering invariant
 //!
@@ -89,6 +93,56 @@ pub type WheelSimulator<W> = Simulator<W, WheelQueue>;
 /// `heap-sched` feature. Used by differential tests and benches.
 pub type HeapSimulator<W> = Simulator<W, HeapQueue>;
 
+/// A simulation world: the model state events mutate, plus the type
+/// of those events.
+///
+/// The engine stores `Self::Event` values inline and hands each one
+/// back to [`handle`](World::handle) when its time comes, so dispatch
+/// is one `match` in the world, not a heap-allocated closure per
+/// event. The `Q` parameter names the scheduler backend the world
+/// runs on; a world that is only ever simulated on the default
+/// backend implements `World` and never mentions it.
+///
+/// # Examples
+///
+/// ```
+/// use simcore::{SimDuration, SimTime, Simulator, World};
+///
+/// #[derive(Default)]
+/// struct Counter {
+///     ticks: u64,
+/// }
+///
+/// enum Ev {
+///     Tick,
+/// }
+///
+/// impl World for Counter {
+///     type Event = Ev;
+///     fn handle(&mut self, ev: Ev, sim: &mut Simulator<Self>) {
+///         match ev {
+///             Ev::Tick => {
+///                 self.ticks += 1;
+///                 sim.schedule_in(SimDuration::from_micros(1), Ev::Tick);
+///             }
+///         }
+///     }
+/// }
+///
+/// let mut sim = Simulator::new();
+/// let mut world = Counter::default();
+/// sim.schedule_at(SimTime::ZERO, Ev::Tick);
+/// sim.run_until(&mut world, SimTime::from_micros(9));
+/// assert_eq!(world.ticks, 10);
+/// ```
+pub trait World<Q: SchedQueue = DefaultQueue>: Sized {
+    /// What the world schedules: one value per pending event.
+    type Event;
+
+    /// Executes `ev` at [`sim.now()`](Simulator::now).
+    fn handle(&mut self, ev: Self::Event, sim: &mut Simulator<Self, Q>);
+}
+
 /// How often [`Simulator::run_until_budgeted`] consults the host
 /// clock: every this-many executed events. Event budgets are exact;
 /// wall-clock budgets have this much slack by design, so the guard
@@ -108,18 +162,23 @@ const WALL_CHECK_INTERVAL: u64 = 8_192;
 /// # Examples
 ///
 /// ```
-/// use simcore::{Simulator, SimTime, SimDuration, StepBudget, SimError};
+/// use simcore::{Simulator, SimTime, SimDuration, StepBudget, SimError, World};
 ///
-/// let mut sim: Simulator<u64> = Simulator::new();
-/// fn tick(w: &mut u64, sim: &mut Simulator<u64>) {
-///     *w += 1;
-///     sim.schedule_in(SimDuration::from_nanos(1), tick);
+/// /// A runaway world: every tick schedules the next one.
+/// struct Spin;
+///
+/// impl World for Spin {
+///     type Event = ();
+///     fn handle(&mut self, _: (), sim: &mut Simulator<Self>) {
+///         sim.schedule_in(SimDuration::from_nanos(1), ());
+///     }
 /// }
-/// sim.schedule_in(SimDuration::from_nanos(1), tick);
-/// let mut w = 0u64;
+///
+/// let mut sim = Simulator::new();
+/// sim.schedule_in(SimDuration::from_nanos(1), ());
 /// let budget = StepBudget::unlimited().with_max_events(1_000);
 /// let err = sim
-///     .run_until_budgeted(&mut w, SimTime::MAX, &budget)
+///     .run_until_budgeted(&mut Spin, SimTime::MAX, &budget)
 ///     .unwrap_err();
 /// assert!(matches!(err, SimError::BudgetExceeded { .. }));
 /// ```
@@ -181,30 +240,41 @@ impl EventId {
     }
 }
 
-type Action<W, Q> = Box<dyn FnOnce(&mut W, &mut Simulator<W, Q>)>;
-
-/// A deterministic discrete-event simulator.
+/// A deterministic discrete-event simulator over the world `W`.
 ///
 /// # Examples
 ///
 /// ```
-/// use simcore::{Simulator, SimTime, SimDuration};
+/// use simcore::{Simulator, SimTime, World};
 ///
-/// let mut hits: Vec<u64> = Vec::new();
-/// let mut sim: Simulator<Vec<u64>> = Simulator::new();
+/// struct Hits(Vec<u64>);
+///
+/// impl World for Hits {
+///     type Event = u64;
+///     fn handle(&mut self, label: u64, _: &mut Simulator<Self>) {
+///         self.0.push(label);
+///     }
+/// }
+///
+/// let mut hits = Hits(Vec::new());
+/// let mut sim = Simulator::new();
 /// for i in 0..3 {
-///     sim.schedule_at(SimTime::from_micros(10 - i), move |w, _| w.push(i));
+///     sim.schedule_at(SimTime::from_micros(10 - i), i);
 /// }
 /// sim.run_until(&mut hits, SimTime::from_millis(1));
-/// assert_eq!(hits, vec![2, 1, 0]); // time order, not insertion order
+/// assert_eq!(hits.0, vec![2, 1, 0]); // time order, not insertion order
 /// ```
-pub struct Simulator<W, Q: SchedQueue = DefaultQueue> {
+pub struct Simulator<W, Q = DefaultQueue>
+where
+    W: World<Q>,
+    Q: SchedQueue,
+{
     now: SimTime,
     queue: Q,
     arena: Arena,
-    /// Boxed actions, parallel to the arena's slots. `None` for free
-    /// slots and cancelled husks.
-    actions: Vec<Option<Action<W, Q>>>,
+    /// Events, parallel to the arena's slots. `None` for free slots
+    /// and cancelled husks.
+    events: Vec<Option<W::Event>>,
     next_seq: u64,
     /// Events scheduled but not yet executed or cancelled.
     pending: usize,
@@ -228,7 +298,7 @@ pub struct Simulator<W, Q: SchedQueue = DefaultQueue> {
 pub struct EngineProfile {
     /// Events ever scheduled (executed + cancelled + still pending).
     pub events_scheduled: u64,
-    /// Events whose action ran.
+    /// Events that ran.
     pub events_executed: u64,
     /// Events cancelled before running.
     pub events_cancelled: u64,
@@ -236,20 +306,20 @@ pub struct EngineProfile {
     pub max_pending: usize,
 }
 
-impl<W, Q: SchedQueue> Default for Simulator<W, Q> {
+impl<W: World<Q>, Q: SchedQueue> Default for Simulator<W, Q> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W, Q: SchedQueue> Simulator<W, Q> {
+impl<W: World<Q>, Q: SchedQueue> Simulator<W, Q> {
     /// Creates an empty simulator at time zero.
     pub fn new() -> Self {
         Simulator {
             now: SimTime::ZERO,
             queue: Q::default(),
             arena: Arena::default(),
-            actions: Vec::new(),
+            events: Vec::new(),
             next_seq: 0,
             pending: 0,
             executed: 0,
@@ -284,27 +354,21 @@ impl<W, Q: SchedQueue> Simulator<W, Q> {
         }
     }
 
-    /// Schedules `action` to run at absolute time `time`.
+    /// Schedules `event` to run at absolute time `time`.
     ///
     /// Events scheduled in the past run "now": they are clamped to the
     /// current time and execute before the simulator advances, which
     /// keeps model code free of re-entrancy special cases. Among
     /// equal timestamps, events run in schedule order (see the
     /// [ordering invariant](self)).
-    pub fn schedule_at(
-        &mut self,
-        time: SimTime,
-        action: impl FnOnce(&mut W, &mut Simulator<W, Q>) + 'static,
-    ) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, event: W::Event) -> EventId {
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.arena.alloc(time, seq);
-        let boxed: Option<Action<W, Q>> = Some(Box::new(action));
-        if (slot as usize) < self.actions.len() {
-            self.actions[slot as usize] = boxed;
-        } else {
-            self.actions.push(boxed);
+        match self.events.get_mut(slot as usize) {
+            Some(cell) => *cell = Some(event),
+            None => self.events.push(Some(event)),
         }
         self.queue.insert(&mut self.arena, slot);
         self.pending += 1;
@@ -312,13 +376,9 @@ impl<W, Q: SchedQueue> Simulator<W, Q> {
         EventId::pack(slot, self.arena.gen(slot))
     }
 
-    /// Schedules `action` to run `delay` after the current time.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        action: impl FnOnce(&mut W, &mut Simulator<W, Q>) + 'static,
-    ) -> EventId {
-        self.schedule_at(self.now + delay, action)
+    /// Schedules `event` to run `delay` after the current time.
+    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) -> EventId {
+        self.schedule_at(self.now + delay, event)
     }
 
     /// Cancels a pending event. Returns `true` if the event was still
@@ -332,10 +392,10 @@ impl<W, Q: SchedQueue> Simulator<W, Q> {
         if self.arena.gen(id.slot()) != id.gen() || !self.arena.kill(id.slot()) {
             return false;
         }
-        // Drop the action eagerly; the queue releases the slot when
-        // it next touches the husk.
-        if let Some(a) = self.actions.get_mut(id.slot() as usize) {
-            *a = None;
+        // Drop the event eagerly; the queue releases the slot when it
+        // next touches the husk.
+        if let Some(ev) = self.events.get_mut(id.slot() as usize) {
+            *ev = None;
         }
         self.cancelled += 1;
         self.pending -= 1;
@@ -349,15 +409,15 @@ impl<W, Q: SchedQueue> Simulator<W, Q> {
             return false;
         };
         let time = self.arena.get(slot).map_or(self.now, |m| m.time);
-        let action = self.actions.get_mut(slot as usize).and_then(Option::take);
+        let event = self.events.get_mut(slot as usize).and_then(Option::take);
         self.arena.release(slot);
         debug_assert!(time >= self.now, "event queue went backwards");
-        debug_assert!(action.is_some(), "live slot without an action");
+        debug_assert!(event.is_some(), "live slot without an event");
         self.now = time;
         self.executed += 1;
         self.pending -= 1;
-        if let Some(action) = action {
-            action(world, self);
+        if let Some(event) = event {
+            world.handle(event, self);
         }
         true
     }
@@ -452,7 +512,7 @@ impl<W, Q: SchedQueue> Simulator<W, Q> {
     }
 }
 
-impl<W, Q: SchedQueue> std::fmt::Debug for Simulator<W, Q> {
+impl<W: World<Q>, Q: SchedQueue> std::fmt::Debug for Simulator<W, Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)
@@ -466,26 +526,76 @@ impl<W, Q: SchedQueue> std::fmt::Debug for Simulator<W, Q> {
 mod tests {
     use super::*;
 
+    /// Test world: an execution log of event labels.
+    #[derive(Debug, Default)]
+    struct Log(Vec<u64>);
+
+    /// Test events.
+    #[derive(Debug, Clone, Copy)]
+    enum Ev {
+        /// Logs the label.
+        Push(u64),
+        /// Logs the label, then schedules `Push(next)` at absolute
+        /// time `at` (clamped to now if in the past).
+        PushThen { label: u64, next: u64, at: u64 },
+        /// Logs the label and, while `links > 0`, schedules another
+        /// link 1 ns later.
+        Chain { label: u64, links: u32 },
+        /// Logs 1 and reschedules itself 1 ns later, forever.
+        Perpetual,
+    }
+
+    impl<Q: SchedQueue> World<Q> for Log {
+        type Event = Ev;
+        fn handle(&mut self, ev: Ev, sim: &mut Simulator<Self, Q>) {
+            match ev {
+                Ev::Push(label) => self.0.push(label),
+                Ev::PushThen { label, next, at } => {
+                    self.0.push(label);
+                    sim.schedule_at(SimTime::from_nanos(at), Ev::Push(next));
+                }
+                Ev::Chain { label, links } => {
+                    self.0.push(label);
+                    if links > 0 {
+                        let ev = Ev::Chain {
+                            label: label * 10,
+                            links: links - 1,
+                        };
+                        sim.schedule_in(SimDuration::from_nanos(1), ev);
+                    }
+                }
+                Ev::Perpetual => {
+                    self.0.push(1);
+                    sim.schedule_in(SimDuration::from_nanos(1), Ev::Perpetual);
+                }
+            }
+        }
+    }
+
+    fn t(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
     #[test]
     fn executes_in_time_order() {
-        let mut sim: Simulator<Vec<u32>> = Simulator::new();
-        let mut w = Vec::new();
-        sim.schedule_at(SimTime::from_nanos(30), |w: &mut Vec<u32>, _| w.push(3));
-        sim.schedule_at(SimTime::from_nanos(10), |w: &mut Vec<u32>, _| w.push(1));
-        sim.schedule_at(SimTime::from_nanos(20), |w: &mut Vec<u32>, _| w.push(2));
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        sim.schedule_at(t(30), Ev::Push(3));
+        sim.schedule_at(t(10), Ev::Push(1));
+        sim.schedule_at(t(20), Ev::Push(2));
         sim.run_until(&mut w, SimTime::from_micros(1));
-        assert_eq!(w, vec![1, 2, 3]);
+        assert_eq!(w.0, vec![1, 2, 3]);
     }
 
     #[test]
     fn fifo_ties() {
-        let mut sim: Simulator<Vec<u32>> = Simulator::new();
-        let mut w = Vec::new();
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
         for i in 0..5 {
-            sim.schedule_at(SimTime::from_nanos(7), move |w: &mut Vec<u32>, _| w.push(i));
+            sim.schedule_at(t(7), Ev::Push(i));
         }
         sim.run_until(&mut w, SimTime::from_micros(1));
-        assert_eq!(w, vec![0, 1, 2, 3, 4]);
+        assert_eq!(w.0, vec![0, 1, 2, 3, 4]);
     }
 
     /// The documented ordering invariant — `(time, seq)` with FIFO
@@ -493,27 +603,29 @@ mod tests {
     /// identically on *both* scheduler backends.
     #[test]
     fn fifo_tie_break_invariant_on_both_backends() {
-        fn ordering_on<Q: SchedQueue>() -> Vec<u32> {
-            let mut sim: Simulator<Vec<u32>, Q> = Simulator::new();
-            let mut w = Vec::new();
+        fn ordering_on<Q: SchedQueue>() -> Vec<u64> {
+            let mut sim: Simulator<Log, Q> = Simulator::new();
+            let mut w = Log::default();
             // Three timestamps, interleaved schedule order, one
             // cancellation inside a tie group.
-            let t = |n| SimTime::from_nanos(n);
-            sim.schedule_at(t(20), |w: &mut Vec<u32>, _| w.push(0));
-            sim.schedule_at(t(10), |w: &mut Vec<u32>, _| w.push(1));
-            let dead = sim.schedule_at(t(10), |w: &mut Vec<u32>, _| w.push(2));
-            sim.schedule_at(t(10), |w: &mut Vec<u32>, _| w.push(3));
-            sim.schedule_at(t(20), |w: &mut Vec<u32>, _| w.push(4));
+            sim.schedule_at(t(20), Ev::Push(0));
+            sim.schedule_at(t(10), Ev::Push(1));
+            let dead = sim.schedule_at(t(10), Ev::Push(2));
+            sim.schedule_at(t(10), Ev::Push(3));
+            sim.schedule_at(t(20), Ev::Push(4));
             assert!(sim.cancel(dead));
             // A same-timestamp event scheduled *during* the tie group
             // runs after the group's survivors (its seq is larger).
-            sim.schedule_at(t(10), |w: &mut Vec<u32>, sim| {
-                w.push(5);
-                let now = sim.now();
-                sim.schedule_at(now, |w: &mut Vec<u32>, _| w.push(6));
-            });
+            sim.schedule_at(
+                t(10),
+                Ev::PushThen {
+                    label: 5,
+                    next: 6,
+                    at: 10,
+                },
+            );
             sim.run_until(&mut w, SimTime::from_micros(1));
-            w
+            w.0
         }
         let wheel = ordering_on::<WheelQueue>();
         let heap = ordering_on::<HeapQueue>();
@@ -521,27 +633,25 @@ mod tests {
         assert_eq!(wheel, heap);
     }
 
-    /// Regression (REVIEW: high): stepping a queue whose only content
-    /// is a cancelled far event must leave the scheduler able to
-    /// accept — and run — a later schedule at an earlier virtual
-    /// time. The wheel backend used to strand its cursor at the
-    /// cancelled event's bucket base, panicking in debug builds and
-    /// livelocking in release on the second `step`.
+    /// Regression: stepping a queue whose only content is a cancelled
+    /// far event must leave the scheduler able to accept — and run —
+    /// a later schedule at an earlier virtual time. The wheel backend
+    /// used to strand its cursor at the cancelled event's bucket
+    /// base, panicking in debug builds and livelocking in release on
+    /// the second `step`.
     #[test]
     fn step_over_cancelled_event_accepts_earlier_reschedule_on_both_backends() {
         fn check<Q: SchedQueue>() {
-            let mut sim: Simulator<Vec<u64>, Q> = Simulator::new();
-            let mut w = Vec::new();
-            let dead = sim.schedule_at(SimTime::from_nanos(10_000), |w: &mut Vec<u64>, _| {
-                w.push(10_000)
-            });
+            let mut sim: Simulator<Log, Q> = Simulator::new();
+            let mut w = Log::default();
+            let dead = sim.schedule_at(t(10_000), Ev::Push(10_000));
             assert!(sim.cancel(dead));
             assert!(!sim.step(&mut w), "only a husk pending");
             assert_eq!(sim.now(), SimTime::ZERO, "nothing ran, clock stays");
-            sim.schedule_at(SimTime::from_nanos(100), |w: &mut Vec<u64>, _| w.push(100));
+            sim.schedule_at(t(100), Ev::Push(100));
             assert!(sim.step(&mut w), "earlier reschedule must run");
-            assert_eq!(w, vec![100]);
-            assert_eq!(sim.now(), SimTime::from_nanos(100));
+            assert_eq!(w.0, vec![100]);
+            assert_eq!(sim.now(), t(100));
             assert!(!sim.step(&mut w));
         }
         check::<WheelQueue>();
@@ -550,104 +660,99 @@ mod tests {
 
     #[test]
     fn nested_scheduling() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let mut w = 0;
-        sim.schedule_in(SimDuration::from_nanos(1), |w: &mut u32, sim| {
-            *w += 1;
-            sim.schedule_in(SimDuration::from_nanos(1), |w: &mut u32, sim| {
-                *w += 10;
-                sim.schedule_in(SimDuration::from_nanos(1), |w: &mut u32, _| *w += 100);
-            });
-        });
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        sim.schedule_in(SimDuration::from_nanos(1), Ev::Chain { label: 1, links: 2 });
         sim.run_until(&mut w, SimTime::from_micros(1));
-        assert_eq!(w, 111);
+        assert_eq!(w.0, vec![1, 10, 100]);
         assert_eq!(sim.events_executed(), 3);
     }
 
     #[test]
     fn cancel_prevents_execution() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let mut w = 0;
-        let id = sim.schedule_at(SimTime::from_nanos(5), |w: &mut u32, _| *w += 1);
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        let id = sim.schedule_at(t(5), Ev::Push(1));
         assert!(sim.cancel(id));
         assert!(!sim.cancel(id), "double cancel must report false");
         sim.run_until(&mut w, SimTime::from_micros(1));
-        assert_eq!(w, 0);
+        assert!(w.0.is_empty());
     }
 
     #[test]
     fn cancel_after_run_is_false() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let mut w = 0;
-        let id = sim.schedule_at(SimTime::from_nanos(5), |w: &mut u32, _| *w += 1);
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        let id = sim.schedule_at(t(5), Ev::Push(1));
         sim.run_until(&mut w, SimTime::from_micros(1));
-        assert_eq!(w, 1);
+        assert_eq!(w.0, vec![1]);
         assert!(!sim.cancel(id));
     }
 
     #[test]
     fn stale_handle_cannot_cancel_slot_reuser() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let mut w = 0;
-        let stale = sim.schedule_at(SimTime::from_nanos(5), |w: &mut u32, _| *w += 1);
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        let stale = sim.schedule_at(t(5), Ev::Push(1));
         sim.run_until(&mut w, SimTime::from_micros(1));
         // The next event reuses the released arena slot; the stale
         // handle's generation no longer matches, so it must not be
         // able to cancel it.
-        let fresh = sim.schedule_at(SimTime::from_micros(2), |w: &mut u32, _| *w += 10);
+        let fresh = sim.schedule_at(SimTime::from_micros(2), Ev::Push(10));
         assert_ne!(stale, fresh, "handles are never reused");
         assert!(!sim.cancel(stale));
         sim.run_until(&mut w, SimTime::from_micros(3));
-        assert_eq!(w, 11, "slot reuser must still run");
+        assert_eq!(w.0, vec![1, 10], "slot reuser must still run");
     }
 
     #[test]
     fn run_until_stops_at_deadline_and_clamps_clock() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let mut w = 0;
-        sim.schedule_at(SimTime::from_micros(10), |w: &mut u32, _| *w += 1);
-        sim.schedule_at(SimTime::from_micros(30), |w: &mut u32, _| *w += 1);
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        sim.schedule_at(SimTime::from_micros(10), Ev::Push(1));
+        sim.schedule_at(SimTime::from_micros(30), Ev::Push(2));
         let n = sim.run_until(&mut w, SimTime::from_micros(20));
         assert_eq!(n, 1);
-        assert_eq!(w, 1);
+        assert_eq!(w.0, vec![1]);
         assert_eq!(sim.now(), SimTime::from_micros(20));
         // The later event still runs on the next call.
         sim.run_until(&mut w, SimTime::from_micros(40));
-        assert_eq!(w, 2);
+        assert_eq!(w.0, vec![1, 2]);
     }
 
     #[test]
     fn past_events_clamp_to_now() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let mut w = 0;
-        sim.schedule_at(SimTime::from_micros(10), |_, sim| {
-            // schedule "in the past" — must run at now, not violate order
-            sim.schedule_at(SimTime::from_micros(1), |w: &mut u32, _| *w += 1);
-        });
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        // The follow-up is scheduled "in the past": it must run at
+        // now, not violate order.
+        sim.schedule_at(
+            SimTime::from_micros(10),
+            Ev::PushThen {
+                label: 0,
+                next: 1,
+                at: 1_000,
+            },
+        );
         sim.run_until(&mut w, SimTime::from_micros(20));
-        assert_eq!(w, 1);
+        assert_eq!(w.0, vec![0, 1]);
     }
 
     #[test]
     fn run_to_completion_respects_cap() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        let mut w = 0u64;
-        // Self-perpetuating event chain.
-        fn tick(w: &mut u64, sim: &mut Simulator<u64>) {
-            *w += 1;
-            sim.schedule_in(SimDuration::from_nanos(1), tick);
-        }
-        sim.schedule_in(SimDuration::from_nanos(1), tick);
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        sim.schedule_in(SimDuration::from_nanos(1), Ev::Perpetual);
         let n = sim.run_to_completion(&mut w, 100);
         assert_eq!(n, 100);
-        assert_eq!(w, 100);
+        assert_eq!(w.0.len(), 100);
     }
 
     #[test]
     fn pending_count_excludes_cancelled() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let a = sim.schedule_at(SimTime::from_nanos(1), |_, _| {});
-        let _b = sim.schedule_at(SimTime::from_nanos(2), |_, _| {});
+        let mut sim: Simulator<Log> = Simulator::new();
+        let a = sim.schedule_at(t(1), Ev::Push(1));
+        let _b = sim.schedule_at(t(2), Ev::Push(2));
         assert_eq!(sim.pending(), 2);
         sim.cancel(a);
         assert_eq!(sim.pending(), 1);
@@ -655,21 +760,16 @@ mod tests {
 
     #[test]
     fn unknown_id_cancel_is_false() {
-        let mut sim: Simulator<u32> = Simulator::new();
+        let mut sim: Simulator<Log> = Simulator::new();
         assert!(!sim.cancel(EventId(42)));
         assert!(!sim.cancel(EventId::pack(7, 3)));
     }
 
-    fn perpetual(w: &mut u64, sim: &mut Simulator<u64>) {
-        *w += 1;
-        sim.schedule_in(SimDuration::from_nanos(1), perpetual);
-    }
-
     #[test]
     fn event_budget_aborts_runaway_chain() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        let mut w = 0u64;
-        sim.schedule_in(SimDuration::from_nanos(1), perpetual);
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        sim.schedule_in(SimDuration::from_nanos(1), Ev::Perpetual);
         let budget = StepBudget::unlimited().with_max_events(250);
         let err = sim
             .run_until_budgeted(&mut w, SimTime::MAX, &budget)
@@ -686,19 +786,19 @@ mod tests {
             }
             other => panic!("expected event budget abort, got {other:?}"),
         }
-        assert_eq!(w, 250);
+        assert_eq!(w.0.len(), 250);
     }
 
     #[test]
     fn event_budget_spans_multiple_calls() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        let mut w = 0u64;
-        sim.schedule_in(SimDuration::from_nanos(1), perpetual);
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        sim.schedule_in(SimDuration::from_nanos(1), Ev::Perpetual);
         let budget = StepBudget::unlimited().with_max_events(100);
         // First call stops at a virtual-time deadline, under budget.
-        sim.run_until_budgeted(&mut w, SimTime::from_nanos(60), &budget)
+        sim.run_until_budgeted(&mut w, t(60), &budget)
             .expect("within budget");
-        assert_eq!(w, 60);
+        assert_eq!(w.0.len(), 60);
         // Second call hits the *total* ceiling, not a fresh one.
         let err = sim
             .run_until_budgeted(&mut w, SimTime::MAX, &budget)
@@ -710,14 +810,14 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(w, 100);
+        assert_eq!(w.0.len(), 100);
     }
 
     #[test]
     fn wall_budget_aborts_runaway_chain() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        let mut w = 0u64;
-        sim.schedule_in(SimDuration::from_nanos(1), perpetual);
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        sim.schedule_in(SimDuration::from_nanos(1), Ev::Perpetual);
         let budget = StepBudget::unlimited().with_max_wall(std::time::Duration::ZERO);
         let err = sim
             .run_until_budgeted(&mut w, SimTime::MAX, &budget)
@@ -733,26 +833,26 @@ mod tests {
 
     #[test]
     fn unlimited_budget_matches_run_until() {
-        let mut a: Simulator<u64> = Simulator::new();
-        let mut b: Simulator<u64> = Simulator::new();
-        let (mut wa, mut wb) = (0u64, 0u64);
-        a.schedule_in(SimDuration::from_nanos(1), perpetual);
-        b.schedule_in(SimDuration::from_nanos(1), perpetual);
-        let deadline = SimTime::from_nanos(500);
+        let mut a: Simulator<Log> = Simulator::new();
+        let mut b: Simulator<Log> = Simulator::new();
+        let (mut wa, mut wb) = (Log::default(), Log::default());
+        a.schedule_in(SimDuration::from_nanos(1), Ev::Perpetual);
+        b.schedule_in(SimDuration::from_nanos(1), Ev::Perpetual);
+        let deadline = t(500);
         let na = a.run_until(&mut wa, deadline);
         let nb = b
             .run_until_budgeted(&mut wb, deadline, &StepBudget::unlimited())
             .expect("unlimited never aborts");
         assert_eq!(na, nb);
-        assert_eq!(wa, wb);
+        assert_eq!(wa.0, wb.0);
         assert_eq!(a.now(), b.now());
     }
 
     #[test]
     fn budgeted_run_under_limit_completes() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let mut w = 0;
-        sim.schedule_at(SimTime::from_nanos(5), |w: &mut u32, _| *w += 1);
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        sim.schedule_at(t(5), Ev::Push(1));
         let budget = StepBudget::unlimited()
             .with_max_events(1_000)
             .with_max_wall(std::time::Duration::from_secs(60));
@@ -760,17 +860,17 @@ mod tests {
             .run_until_budgeted(&mut w, SimTime::from_micros(1), &budget)
             .expect("tiny run fits any sane budget");
         assert_eq!(n, 1);
-        assert_eq!(w, 1);
+        assert_eq!(w.0, vec![1]);
         assert_eq!(sim.now(), SimTime::from_micros(1));
     }
 
     #[test]
     fn profile_counts_scheduled_executed_cancelled_and_depth() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let mut w = 0;
-        let a = sim.schedule_at(SimTime::from_nanos(1), |w: &mut u32, _| *w += 1);
-        sim.schedule_at(SimTime::from_nanos(2), |w: &mut u32, _| *w += 1);
-        sim.schedule_at(SimTime::from_nanos(3), |w: &mut u32, _| *w += 1);
+        let mut sim: Simulator<Log> = Simulator::new();
+        let mut w = Log::default();
+        let a = sim.schedule_at(t(1), Ev::Push(1));
+        sim.schedule_at(t(2), Ev::Push(2));
+        sim.schedule_at(t(3), Ev::Push(3));
         sim.cancel(a);
         sim.cancel(a); // double cancel must not double count
         sim.run_until(&mut w, SimTime::from_micros(1));

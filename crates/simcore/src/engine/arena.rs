@@ -3,7 +3,7 @@
 //! Every scheduled event owns one arena slot holding its ordering
 //! metadata (`time`, `seq`), its liveness flag, a generation counter,
 //! and an intrusive `next` link the scheduler backends use to chain
-//! slots into bucket lists. The boxed action itself lives in a
+//! slots into bucket lists. The event value itself lives in a
 //! parallel `Vec` inside [`Simulator`](crate::Simulator) so the arena
 //! — and therefore both scheduler backends — stays non-generic.
 //!
@@ -58,7 +58,7 @@ impl Arena {
         }
         let slot = self.meta.len();
         // 2^32-1 simultaneously-pending events would need hundreds of
-        // gigabytes of actions; treat overflow as a hard logic error.
+        // gigabytes of events; treat overflow as a hard logic error.
         assert!(slot < NIL as usize, "event arena exhausted");
         self.meta.push(SlotMeta {
             time,

@@ -9,18 +9,36 @@
 //! # Examples
 //!
 //! ```
-//! use simcore::{Simulator, SimTime, SimDuration};
+//! use simcore::{Simulator, SimTime, SimDuration, World};
 //!
-//! // The "world" is any user state the events mutate.
-//! let mut world = 0u64;
-//! let mut sim: Simulator<u64> = Simulator::new();
-//! sim.schedule_in(SimDuration::from_micros(5), |w, sim| {
-//!     *w += 1;
-//!     // Events may schedule follow-up events.
-//!     sim.schedule_in(SimDuration::from_micros(5), |w, _| *w += 10);
-//! });
+//! // The "world" is any user state the events mutate; it names its
+//! // own event type and handles each event when its time comes.
+//! struct Counter(u64);
+//!
+//! enum Ev {
+//!     Add(u64),
+//!     AddThenLater(u64),
+//! }
+//!
+//! impl World for Counter {
+//!     type Event = Ev;
+//!     fn handle(&mut self, ev: Ev, sim: &mut Simulator<Self>) {
+//!         match ev {
+//!             Ev::Add(n) => self.0 += n,
+//!             Ev::AddThenLater(n) => {
+//!                 self.0 += n;
+//!                 // Events may schedule follow-up events.
+//!                 sim.schedule_in(SimDuration::from_micros(5), Ev::Add(10));
+//!             }
+//!         }
+//!     }
+//! }
+//!
+//! let mut world = Counter(0);
+//! let mut sim = Simulator::new();
+//! sim.schedule_in(SimDuration::from_micros(5), Ev::AddThenLater(1));
 //! sim.run_until(&mut world, SimTime::from_micros(100));
-//! assert_eq!(world, 11);
+//! assert_eq!(world.0, 11);
 //! assert_eq!(sim.now(), SimTime::from_micros(100));
 //! ```
 
@@ -33,6 +51,7 @@ pub mod check;
 pub mod engine;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod obs;
 pub mod rng;
 pub mod stats;
@@ -42,13 +61,14 @@ pub mod trace;
 pub use audit::{Account, AuditCheck, AuditReport, ConservationLedger};
 pub use engine::{
     EngineProfile, EventId, HeapQueue, HeapSimulator, SchedQueue, Simulator, StepBudget,
-    WheelQueue, WheelSimulator,
+    WheelQueue, WheelSimulator, World,
 };
 pub use error::{BudgetKind, SimError};
 pub use fault::{
     FaultInjector, FaultKind, FaultPlan, FaultScope, FaultSpec, FaultStats, RecoverySummary,
     WireFault,
 };
+pub use hash::{IdHashMap, IdHasher};
 pub use obs::attrib::{
     AttribSummary, AttribTracker, Breakdown, ChainMarks, CompletedAttrib, Stage, StageSummary,
 };

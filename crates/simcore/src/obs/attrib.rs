@@ -29,18 +29,22 @@
 //!
 //! [`AttribTracker`] carries the per-request state between pipeline
 //! events and aggregates completed breakdowns into per-stage
-//! histograms; the conservation ledger cross-checks that the
-//! attributed nanoseconds equal the measured end-to-end nanoseconds
-//! at any simulation time. Like the rest of [`crate::obs`], the
-//! tracker is a zero-sized no-op without the `obs` feature; the plain
-//! data types ([`Stage`], [`Breakdown`], [`ChainMarks`]) are always
-//! available.
+//! histograms, which it exports to a [`MetricsRegistry`] at run end
+//! ([`AttribTracker::record_metrics`]); the conservation ledger
+//! cross-checks that the attributed nanoseconds equal the measured
+//! end-to-end nanoseconds at any simulation time. Like the rest of
+//! [`crate::obs`], the tracker is a zero-sized no-op without the `obs`
+//! feature; the plain data types ([`Stage`], [`Breakdown`],
+//! [`ChainMarks`]) are always available.
 
+use super::MetricsRegistry;
+#[cfg(feature = "obs")]
+use super::ObsHistogram;
+#[cfg(feature = "obs")]
+use crate::hash::IdHashMap;
 #[cfg(feature = "obs")]
 use crate::stats::histogram::Histogram;
 use crate::time::{SimDuration, SimTime};
-#[cfg(feature = "obs")]
-use std::collections::BTreeMap;
 
 /// One stage of a request's end-to-end latency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -275,6 +279,9 @@ struct Pending {
 struct Agg {
     sums_ns: [u64; STAGES],
     hists: Vec<Histogram>,
+    /// The same samples in the metrics registry's log₂ form, exported
+    /// under [`Stage::metric_key`].
+    log2: [ObsHistogram; STAGES],
     requests: u64,
     mismatches: u64,
     attributed_total_ns: u64,
@@ -287,6 +294,7 @@ impl Default for Agg {
         Agg {
             sums_ns: [0; STAGES],
             hists: (0..STAGES).map(|_| Histogram::new()).collect(),
+            log2: std::array::from_fn(|_| ObsHistogram::default()),
             requests: 0,
             mismatches: 0,
             attributed_total_ns: 0,
@@ -358,11 +366,15 @@ impl AttribSummary {
 /// [`completed`](Self::completed) (response back at the client).
 /// Requests dropped at the NIC are never claimed and never tracked.
 ///
+/// In-flight state lives in a [`crate::IdHashMap`]: every call is a
+/// keyed lookup and nothing iterates it, so the table's layout cannot
+/// reach a result.
+///
 /// Zero-sized no-op without the `obs` feature.
 #[derive(Debug, Clone, Default)]
 pub struct AttribTracker {
     #[cfg(feature = "obs")]
-    pending: BTreeMap<u64, Pending>,
+    pending: IdHashMap<u64, Pending>,
     #[cfg(feature = "obs")]
     agg: Agg,
 }
@@ -544,6 +556,7 @@ impl AttribTracker {
                 let slot = &mut self.agg.sums_ns[stage as usize];
                 *slot = slot.saturating_add(ns);
                 self.agg.hists[stage as usize].record(ns);
+                self.agg.log2[stage as usize].observe(ns);
             }
             Some(CompletedAttrib {
                 breakdown: p.breakdown,
@@ -623,6 +636,25 @@ impl AttribTracker {
         {
             let _ = stage;
             0
+        }
+    }
+
+    /// Exports the per-stage histograms of every completed request
+    /// into `m`, one under each [`Stage::metric_key`] — the same
+    /// samples a per-response [`MetricsRegistry::observe`] of each
+    /// stage would have recorded. Exports nothing until a request has
+    /// completed. Replaces (rather than adds to) earlier exports, so
+    /// calling it twice is harmless.
+    pub fn record_metrics(&self, m: &mut MetricsRegistry) {
+        #[cfg(feature = "obs")]
+        if self.agg.requests > 0 {
+            for stage in Stage::ALL {
+                m.set_histogram(stage.metric_key(), &self.agg.log2[stage as usize]);
+            }
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            let _ = m;
         }
     }
 

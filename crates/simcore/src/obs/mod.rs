@@ -387,10 +387,13 @@ impl TraceBuffer {
     }
 }
 
-/// A log₂-bucketed histogram of `u64` samples.
+/// A log₂-bucketed histogram of `u64` samples: the registry's
+/// histogram representation, also kept by components that aggregate
+/// on their own hot path and hand the result over at export time
+/// (see [`AttribTracker::record_metrics`](attrib::AttribTracker::record_metrics)).
 #[cfg(feature = "obs")]
 #[derive(Debug, Clone, PartialEq)]
-struct ObsHistogram {
+pub(crate) struct ObsHistogram {
     /// `buckets[i]` counts samples with `bit_width == i` (bucket 0 is
     /// the value 0).
     buckets: [u64; 65],
@@ -413,7 +416,8 @@ impl Default for ObsHistogram {
 
 #[cfg(feature = "obs")]
 impl ObsHistogram {
-    fn observe(&mut self, value: u64) {
+    #[inline]
+    pub(crate) fn observe(&mut self, value: u64) {
         self.buckets[u64::BITS as usize - value.leading_zeros() as usize] += 1;
         self.count += 1;
         self.sum += value;
@@ -519,6 +523,17 @@ impl MetricsRegistry {
         #[cfg(not(feature = "obs"))]
         {
             let _ = (key, value);
+        }
+    }
+
+    /// Sets the histogram `key` to `h`, replacing any samples already
+    /// observed under that key.
+    #[cfg(feature = "obs")]
+    pub(crate) fn set_histogram(&mut self, key: &str, h: &ObsHistogram) {
+        if let Some(slot) = self.histograms.get_mut(key) {
+            slot.clone_from(h);
+        } else {
+            self.histograms.insert(key.to_string(), h.clone());
         }
     }
 

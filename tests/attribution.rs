@@ -118,3 +118,162 @@ fn slow_governors_accumulate_stall_where_fast_ones_do_not() {
         share(&results[0])
     );
 }
+
+/// Drives a tracker through one random pipeline script and, side by
+/// side, a `BTreeMap` model: one isolated single-request tracker per
+/// id. The tracker's hashed in-flight store must agree with the model
+/// on `pending()` after every call and on every completed breakdown,
+/// and its exported stage histograms must render exactly as the old
+/// per-response `MetricsRegistry::observe` of each stage did.
+fn differential_case(rng: &mut simcore::RngStream) {
+    use simcore::{AttribTracker, ChainMarks, MetricsRegistry, SimTime};
+    use std::collections::BTreeMap;
+
+    let mut tracker = AttribTracker::new();
+    let mut model: BTreeMap<u64, AttribTracker> = BTreeMap::new();
+    let mut old_path = MetricsRegistry::new();
+    // Ids shaped like real ones (sequential) and like bad cases for a
+    // weak hash (strided in low or high bits, random).
+    let id_shape = rng.below(4);
+    let mut next_id = 0u64;
+    let mut fresh_id = |rng: &mut simcore::RngStream| {
+        next_id += 1;
+        match id_shape {
+            0 => next_id,
+            1 => next_id << 10,
+            2 => next_id << 32,
+            _ => rng.next_u64(),
+        }
+    };
+    let mut live: Vec<u64> = Vec::new();
+    let mut now = SimTime::ZERO;
+    let mut completions = 0u64;
+    let steps = rng.below(400);
+    for _ in 0..steps {
+        now += SimDuration::from_nanos(rng.below(5_000));
+        let op = rng.below(8);
+        if op == 0 || live.is_empty() {
+            // Claim: a fresh request, or (rarely) a re-claim that
+            // replaces a live entry in both stores.
+            let id = if live.is_empty() || rng.below(10) > 0 {
+                let id = fresh_id(rng);
+                live.push(id);
+                id
+            } else {
+                live[rng.below(live.len() as u64) as usize]
+            };
+            let back = |rng: &mut simcore::RngStream| {
+                (rng.below(3) > 0)
+                    .then(|| SimTime::from_nanos(now.as_nanos().saturating_sub(rng.below(20_000))))
+            };
+            let marks = ChainMarks {
+                irq_at: back(rng),
+                wake_end: back(rng),
+                hardirq_end: back(rng),
+                ksoftirqd_queued: back(rng),
+                ksoftirqd_running: back(rng),
+            };
+            let enqueued = SimTime::from_nanos(now.as_nanos().saturating_sub(rng.below(30_000)));
+            let sent = SimTime::from_nanos(enqueued.as_nanos().saturating_sub(rng.below(10_000)));
+            tracker.claimed(id, sent, enqueued, now, &marks);
+            model
+                .entry(id)
+                .or_default()
+                .claimed(id, sent, enqueued, now, &marks);
+        } else {
+            let k = rng.below(live.len() as u64) as usize;
+            // Now and then poke an id neither store knows.
+            let id = if rng.below(20) == 0 {
+                fresh_id(rng)
+            } else {
+                live[k]
+            };
+            let debt = SimDuration::from_nanos(rng.below(3_000));
+            let ideal = SimDuration::from_nanos(rng.below(20_000));
+            let core = rng.below(8) as u32;
+            let apply = |t: &mut AttribTracker| match op {
+                1 => t.delivered(id, now),
+                2 => t.app_start(id, core, now, debt, ideal),
+                3 => t.app_pause(id, now),
+                4 => t.app_resume(id, now),
+                _ => t.app_finish(id, now),
+            };
+            match op {
+                1..=5 => {
+                    apply(&mut tracker);
+                    if let Some(t) = model.get_mut(&id) {
+                        apply(t);
+                    }
+                }
+                6 => {
+                    let got = tracker.completed(id, now);
+                    let want = model.remove(&id).and_then(|mut t| t.completed(id, now));
+                    assert_eq!(got, want, "breakdown of request {id}");
+                    if let Some(done) = got {
+                        completions += 1;
+                        for (stage, ns) in done.breakdown.iter() {
+                            old_path.observe(stage.metric_key(), ns);
+                        }
+                    }
+                    live.retain(|&l| l != id);
+                }
+                _ => {
+                    // Abandon: the request is shed or lost; its entry
+                    // stays pending in both stores forever.
+                    live.swap_remove(k);
+                }
+            }
+        }
+        assert_eq!(
+            tracker.pending(),
+            model.len() as u64,
+            "pending after a call"
+        );
+    }
+    assert_eq!(tracker.requests(), completions);
+    let mut exported = MetricsRegistry::new();
+    tracker.record_metrics(&mut exported);
+    let (got, want) = (exported.snapshot(), old_path.snapshot());
+    assert_eq!(got.render(), want.render());
+    assert_eq!(got, want, "log2 buckets must match too");
+    if completions == 0 {
+        assert!(
+            got.histograms.is_empty(),
+            "no histograms before a completion"
+        );
+    }
+}
+
+#[test]
+fn hashed_pending_store_matches_an_ordered_model() {
+    simcore::check::forall("attrib store vs btree model", 256, differential_case);
+}
+
+#[test]
+fn stage_histograms_export_nothing_until_a_request_completes() {
+    use simcore::{AttribTracker, ChainMarks, MetricsRegistry, SimTime};
+    let mut tracker = AttribTracker::new();
+    let mut m = MetricsRegistry::new();
+    tracker.record_metrics(&mut m);
+    assert!(m.snapshot().is_empty());
+    // Claimed but never completed: still nothing.
+    tracker.claimed(
+        1,
+        SimTime::ZERO,
+        SimTime::from_nanos(10),
+        SimTime::from_nanos(20),
+        &ChainMarks::default(),
+    );
+    tracker.record_metrics(&mut m);
+    assert!(m.snapshot().is_empty());
+    // One completion exports all stages, zero-valued ones included,
+    // and a second export replaces rather than doubles.
+    tracker.completed(1, SimTime::from_nanos(50));
+    tracker.record_metrics(&mut m);
+    tracker.record_metrics(&mut m);
+    let snap = m.snapshot();
+    assert_eq!(snap.histograms.len(), Stage::ALL.len());
+    for stage in Stage::ALL {
+        assert_eq!(snap.histogram(stage.metric_key()).map(|h| h.count), Some(1));
+    }
+}

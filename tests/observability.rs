@@ -326,3 +326,73 @@ fn overload_metrics_reconcile_when_control_engages() {
     );
     assert!(r.audit.is_balanced(), "roll-up unbalanced");
 }
+
+/// The per-kind executed-event counters (`engine.ev.*`) partition the
+/// engine's `events_executed`: every event the testbed schedules is
+/// tallied under exactly one kind.
+fn assert_event_kinds_sum_to_executed(r: &RunResult, label: &str) {
+    let m = &r.metrics;
+    let executed = m
+        .counter("engine.events_executed")
+        .expect("runner exports the engine profile");
+    let kinds: Vec<&(String, u64)> = m
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with("engine.ev."))
+        .collect();
+    assert_eq!(kinds.len(), 15, "{label}: one counter per event kind");
+    let sum: u64 = kinds.iter().map(|(_, n)| n).sum();
+    assert_eq!(
+        sum,
+        executed,
+        "{label}: engine.ev.* sum {sum} != events_executed {executed}\n{}",
+        m.render()
+    );
+}
+
+#[test]
+fn event_kinds_sum_to_events_executed_on_a_quick_cell() {
+    use appsim::TestbedEvent;
+    use simcore::SimTime;
+    assert_event_kinds_sum_to_executed(&traced_nmap_run(), "quick nmap cell");
+    // Scripted load switches are events too (Fig 16's workload).
+    let app = AppKind::Memcached;
+    let cfg = RunConfig {
+        warmup: SimDuration::from_millis(20),
+        duration: SimDuration::from_millis(100),
+        ..RunConfig::new(
+            app,
+            LoadSpec::preset(app, LoadLevel::Medium),
+            GovernorKind::Ondemand,
+            Scale::Quick,
+        )
+    }
+    .with_seed(3);
+    let (r, _) = experiments::runner::run_with_testbed(cfg, |_, sim| {
+        for (ms, level) in [(40, LoadLevel::High), (80, LoadLevel::Low)] {
+            let spec = LoadSpec::preset(app, level);
+            sim.schedule_at(SimTime::from_millis(ms), TestbedEvent::SwitchLoad(spec));
+        }
+    });
+    assert_event_kinds_sum_to_executed(&r, "load-switch cell");
+    assert_eq!(r.metrics.counter("engine.ev.switch_load"), Some(2));
+}
+
+#[test]
+fn event_kinds_sum_to_events_executed_on_the_chaos_cells() {
+    use experiments::figures::chaos::plans;
+    let app = AppKind::Memcached;
+    for (label, plan) in plans() {
+        let load = LoadSpec::custom(30_000.0, SimDuration::from_millis(100), 0.4, 0.3);
+        let cfg = RunConfig::new(
+            app,
+            load,
+            GovernorKind::Nmap(nmap::NmapConfig::new(32, 1.0)),
+            Scale::Quick,
+        )
+        .with_seed(7)
+        .with_fault_plan(plan);
+        let r = experiments::run(cfg);
+        assert_event_kinds_sum_to_executed(&r, label);
+    }
+}

@@ -16,12 +16,53 @@
 use simcore::check::forall;
 use simcore::{
     EventId, HeapQueue, HeapSimulator, RngStream, SchedQueue, SimTime, Simulator, StepBudget,
-    WheelQueue, WheelSimulator,
+    WheelQueue, WheelSimulator, World,
 };
 
 /// The observable log both backends must produce identically: one
 /// entry per executed event, labelled by schedule index.
-type Log = Vec<u64>;
+#[derive(Debug, Default, PartialEq)]
+struct Log(Vec<u64>);
+
+/// The one event kind: record `label`, then (for chains) schedule the
+/// next link at `now + gap`. Labels of chained events reuse the
+/// parent label with a distinguishing high bit so both backends log
+/// identically without sharing handle tables.
+#[derive(Debug, Clone, Copy)]
+struct Fire {
+    label: u64,
+    chain: u8,
+    gap: u64,
+}
+
+impl Fire {
+    fn once(label: u64) -> Self {
+        Fire {
+            label,
+            chain: 0,
+            gap: 0,
+        }
+    }
+}
+
+impl<Q: SchedQueue> World<Q> for Log {
+    type Event = Fire;
+
+    fn handle(&mut self, ev: Fire, sim: &mut Simulator<Self, Q>) {
+        self.0.push(ev.label);
+        if ev.chain > 0 {
+            let next = sim.now() + simcore::SimDuration::from_nanos(ev.gap);
+            sim.schedule_at(
+                next,
+                Fire {
+                    label: ev.label | 1 << 62,
+                    chain: ev.chain - 1,
+                    gap: ev.gap,
+                },
+            );
+        }
+    }
+}
 
 /// One scripted operation, derived from the RNG up front so the exact
 /// same script drives both simulators.
@@ -76,33 +117,11 @@ fn draw_script(rng: &mut RngStream, ops: usize) -> Vec<Op> {
         .collect()
 }
 
-/// The event body: record the label, then (for chains) schedule the
-/// next link at `now + gap`. Labels of chained events reuse the
-/// parent label with a distinguishing high bit so both backends log
-/// identically without sharing handle tables.
-fn fire<Q: SchedQueue + 'static>(
-    sim: &mut Simulator<Log, Q>,
-    w: &mut Log,
-    label: u64,
-    chain: u8,
-    gap: u64,
-) {
-    w.push(label);
-    if chain > 0 {
-        let next = sim.now() + simcore::SimDuration::from_nanos(gap);
-        sim.schedule_at(next, move |w, sim| {
-            fire(sim, w, label | 1 << 62, chain - 1, gap)
-        });
-    }
-}
-
 /// Replays `script` on one backend, returning the execution log, the
 /// cancel-result bitmap, and the final `(now, profile)` observation.
-fn replay<Q: SchedQueue + 'static>(
-    script: &[Op],
-) -> (Log, Vec<bool>, SimTime, simcore::EngineProfile) {
+fn replay<Q: SchedQueue>(script: &[Op]) -> (Log, Vec<bool>, SimTime, simcore::EngineProfile) {
     let mut sim: Simulator<Log, Q> = Simulator::new();
-    let mut log: Log = Vec::new();
+    let mut log = Log::default();
     let mut handles: Vec<EventId> = Vec::new();
     let mut cancels = Vec::new();
     for op in script {
@@ -114,8 +133,12 @@ fn replay<Q: SchedQueue + 'static>(
             } => {
                 let label = handles.len() as u64;
                 let at = sim.now() + simcore::SimDuration::from_nanos(delay_ns);
-                let id =
-                    sim.schedule_at(at, move |w, sim| fire(sim, w, label, chain, chain_gap_ns));
+                let ev = Fire {
+                    label,
+                    chain,
+                    gap: chain_gap_ns,
+                };
+                let id = sim.schedule_at(at, ev);
                 handles.push(id);
             }
             Op::Cancel { k } => {
@@ -161,17 +184,13 @@ fn wheel_matches_heap_on_dense_tie_groups() {
         let n = 64 + rng.below(512);
         let kills: Vec<u64> = (0..n / 7).map(|_| rng.below(n)).collect();
 
-        fn run_one<Q: SchedQueue + 'static>(
-            stamps: &[u64],
-            n: u64,
-            kills: &[u64],
-        ) -> (Log, Vec<bool>) {
+        fn run_one<Q: SchedQueue>(stamps: &[u64], n: u64, kills: &[u64]) -> (Log, Vec<bool>) {
             let mut sim: Simulator<Log, Q> = Simulator::new();
-            let mut log = Vec::new();
+            let mut log = Log::default();
             let ids: Vec<EventId> = (0..n)
                 .map(|i| {
                     let t = SimTime::from_nanos(stamps[(i % stamps.len() as u64) as usize]);
-                    sim.schedule_at(t, move |w: &mut Log, _| w.push(i))
+                    sim.schedule_at(t, Fire::once(i))
                 })
                 .collect();
             let outcomes = kills.iter().map(|&k| sim.cancel(ids[k as usize])).collect();
@@ -194,12 +213,11 @@ fn budgeted_runs_match_across_backends() {
         let cap = 1 + rng.below(n);
         let times: Vec<u64> = (0..n).map(|_| rng.below(64)).collect(); // heavy ties
 
-        fn run_one<Q: SchedQueue + 'static>(times: &[u64], cap: u64) -> (Log, SimTime, bool) {
+        fn run_one<Q: SchedQueue>(times: &[u64], cap: u64) -> (Log, SimTime, bool) {
             let mut sim: Simulator<Log, Q> = Simulator::new();
-            let mut log = Vec::new();
+            let mut log = Log::default();
             for (i, &t) in times.iter().enumerate() {
-                let label = i as u64;
-                sim.schedule_at(SimTime::from_nanos(t), move |w: &mut Log, _| w.push(label));
+                sim.schedule_at(SimTime::from_nanos(t), Fire::once(i as u64));
             }
             let budget = StepBudget::unlimited().with_max_events(cap);
             let aborted = sim
@@ -219,13 +237,13 @@ fn budgeted_runs_match_across_backends() {
 /// says under either default.
 #[test]
 fn pinned_aliases_execute() {
-    let mut w: WheelSimulator<u32> = Simulator::new();
-    let mut h: HeapSimulator<u32> = Simulator::new();
-    let mut a = 0u32;
-    let mut b = 0u32;
-    w.schedule_at(SimTime::from_nanos(3), |x: &mut u32, _| *x += 1);
-    h.schedule_at(SimTime::from_nanos(3), |x: &mut u32, _| *x += 1);
+    let mut w: WheelSimulator<Log> = Simulator::new();
+    let mut h: HeapSimulator<Log> = Simulator::new();
+    let mut a = Log::default();
+    let mut b = Log::default();
+    w.schedule_at(SimTime::from_nanos(3), Fire::once(1));
+    h.schedule_at(SimTime::from_nanos(3), Fire::once(1));
     w.run_until(&mut a, SimTime::from_micros(1));
     h.run_until(&mut b, SimTime::from_micros(1));
-    assert_eq!((a, b), (1, 1));
+    assert_eq!((a.0, b.0), (vec![1], vec![1]));
 }
