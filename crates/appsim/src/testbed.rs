@@ -553,7 +553,7 @@ pub struct Testbed {
     pub ksoftirqd_log: Vec<EventLog<bool>>,
     /// Optional per-poll-batch observer (threshold profiling).
     #[allow(clippy::type_complexity)]
-    pub poll_observer: Option<Box<dyn FnMut(CoreId, PollClass, u64, SimTime)>>,
+    pub poll_observer: Option<Box<dyn FnMut(CoreId, PollClass, u64, SimTime) + Send>>,
     /// Conservation ledger every event path credits; audited by
     /// [`audit_report`](Testbed::audit_report). Zero-sized no-op
     /// without the `audit` feature.

@@ -21,6 +21,18 @@
 //!   load answers its fleet requests slowly, trips client timeouts,
 //!   and sheds load to its neighbors.
 //!
+//! # Pipelined epochs
+//!
+//! Between two join points (epoch ticks, the measurement boundary, the
+//! end) the LB reads nothing a server is computing: only the latency
+//! tables and saturation signal harvested at the last join, and the
+//! SLO captured at construction. So each join point sends every
+//! server on to the next one on a worker thread and the LB runs its
+//! events meanwhile; the next join point waits for them, then
+//! harvests and re-targets in server order. The one-epoch coupling lag
+//! is the lookahead that makes this exact: results do not depend on
+//! the worker count, and zero workers run the same schedule inline.
+//!
 //! # Conservation
 //!
 //! Every request and every attempt is accounted for with integer
@@ -63,6 +75,10 @@ use crate::overload::{
     BreakerPolicy, Brownout, BrownoutPolicy, CircuitBreaker, RetryBudget, RetryBudgetPolicy,
 };
 use crate::ring::{flow_key, HashRing};
+
+mod pool;
+
+use pool::{ServerCore, ServerPool};
 
 /// Locks a mutex, shrugging off poisoning: a panicking worker must
 /// not cascade into every other thread that shares the sweep state.
@@ -577,14 +593,17 @@ struct RequestState {
     closed: bool,
 }
 
-/// One server: a nested simulator/testbed pair plus fleet-side state.
+/// The LB-side bookkeeping of one server. Its nested simulator and
+/// testbed live in the [`ServerPool`] as a [`ServerCore`], out of
+/// reach of LB events while a worker advances them.
 struct ServerInstance {
-    sim: Simulator<Testbed>,
-    tb: Testbed,
+    /// The app's SLO, captured at construction: the cold-start service
+    /// guess must not read the (possibly running) testbed.
+    slo: SimDuration,
     /// Recent internal latencies (ns) the fleet samples service times
     /// from; replaced wholesale each epoch that produced responses.
     latatable: Vec<u64>,
-    /// High-water mark into `tb.client.response_log()`.
+    /// High-water mark into the testbed's `client.response_log()`.
     resp_cursor: usize,
     /// Outstanding fleet attempts on this server: `(request id,
     /// attempt index)`, cancelled wholesale on crash.
@@ -632,6 +651,13 @@ struct FleetCounters {
 struct FleetWorld {
     cfg: FleetConfig,
     servers: Vec<ServerInstance>,
+    /// The servers' simulators and testbeds, advancing to the next
+    /// join point while the LB runs.
+    pool: ServerPool,
+    /// When the pending epoch tick fires; `None` after the last one.
+    next_tick: Option<SimTime>,
+    /// Whether the measurement boundary is still to come.
+    warmup_pending: bool,
     ring: HashRing,
     trackers: Vec<HealthTracker>,
     /// The LB's (possibly stale) health view.
@@ -666,9 +692,9 @@ struct FleetWorld {
     /// quantile every epoch.
     hedge_delay: SimDuration,
     end: SimTime,
-    budget: StepBudget,
-    /// First inner-simulator budget failure; aborts the run.
-    budget_err: Option<SimError>,
+    /// First inner-simulator budget failure and the server it hit;
+    /// aborts the run.
+    budget_err: Option<(usize, SimError)>,
     next_req: u64,
 }
 
@@ -806,7 +832,7 @@ fn sample_latency_ns(w: &mut FleetWorld, server: usize) -> u64 {
     let len = w.servers[server].latatable.len() as u64;
     if len == 0 {
         // No harvest yet (first epochs): a cold optimistic guess.
-        (w.servers[server].tb.app().slo.as_nanos() / 8).max(1)
+        (w.servers[server].slo.as_nanos() / 8).max(1)
     } else {
         let idx = w.rng_latency.below(len) as usize;
         w.servers[server].latatable[idx]
@@ -1113,8 +1139,8 @@ fn probe(w: &mut FleetWorld, sim: &mut FleetSim, server: usize) {
 
 /// Harvests the delta of a server's internal response log into its
 /// latency sampling table.
-fn harvest(s: &mut ServerInstance) {
-    let log = s.tb.client.response_log();
+fn harvest(s: &mut ServerInstance, core: &ServerCore) {
+    let log = core.tb.client.response_log();
     if s.resp_cursor > log.len() {
         // The log was reset under us (measurement boundary).
         s.resp_cursor = 0;
@@ -1144,40 +1170,58 @@ fn recompute_hedge_delay(w: &mut FleetWorld) {
     w.hedge_delay = SimDuration::from_nanos(q_ns).max(h.floor);
 }
 
-/// The epoch tick: advance every inner simulator to now, harvest
+/// The next point where the LB needs the servers: the pending epoch
+/// tick, the measurement boundary, or the end of the run.
+fn horizon(w: &FleetWorld) -> SimTime {
+    let mut h = w.next_tick.map_or(w.end, |t| t.min(w.end));
+    if w.warmup_pending {
+        h = h.min(SimTime::ZERO + w.cfg.warmup);
+    }
+    h
+}
+
+/// The epoch tick: collect the servers' advance to now, harvest
 /// latencies, re-target each server's arrival process at the load it
-/// actually absorbed, and refresh the hedge delay.
+/// actually absorbed, refresh the hedge delay, and send the servers on
+/// to the next join point while the LB runs the coming epoch.
 fn epoch_tick(w: &mut FleetWorld, sim: &mut FleetSim) {
     let now = sim.now();
+    let next = now + w.cfg.epoch;
+    w.next_tick = (next < w.end).then_some(next);
     if w.budget_err.is_none() {
         let epoch_secs = w.cfg.epoch.as_secs_f64();
-        for s in &mut w.servers {
-            if let Err(e) = s.sim.run_until_budgeted(&mut s.tb, now, &w.budget) {
-                w.budget_err = Some(e);
-                break;
-            }
-            harvest(s);
+        let joined = w.pool.join();
+        // Serially, the first failing server stops the loop: the ones
+        // before it are harvested and re-targeted, it and the ones
+        // after it are not.
+        let ok = joined.failed.as_ref().map_or(w.servers.len(), |&(i, _)| i);
+        for (s, core) in w.servers.iter_mut().zip(joined.cores.iter_mut()).take(ok) {
+            harvest(s, core);
             // Refresh the up-coupled saturation signal brownout and
             // the fleet-side admission gate read until the next epoch.
-            s.sat_permille = s.tb.max_saturation_permille();
+            s.sat_permille = core.tb.max_saturation_permille();
             let rate = ((s.dispatched_epoch as f64) / epoch_secs).clamp(1.0, 1e9);
             s.dispatched_epoch = 0;
             // Only re-target on a meaningful shift: switching the load
             // restarts the arrival chain, so hold small deltas steady.
             if (rate - s.current_rps).abs() > 0.05 * s.current_rps {
-                let ServerInstance { sim: inner, tb, .. } = s;
+                let ServerCore { sim: inner, tb } = &mut **core;
                 tb.switch_load(inner, LoadSpec::custom(rate, w.cfg.epoch, 1.0, 0.0));
                 s.current_rps = rate;
             }
         }
+        w.budget_err = joined.failed;
         let max_sat = w.servers.iter().map(|s| s.sat_permille).max().unwrap_or(0);
         if let Some(b) = w.brownout.as_mut() {
             b.observe(max_sat);
         }
         recompute_hedge_delay(w);
+        if w.budget_err.is_none() {
+            let h = horizon(w);
+            w.pool.launch(h);
+        }
     }
-    let next = now + w.cfg.epoch;
-    if next < w.end {
+    if let Some(next) = w.next_tick {
         sim.schedule_at(next, FleetEv::EpochTick);
     }
 }
@@ -1187,17 +1231,34 @@ fn epoch_tick(w: &mut FleetWorld, sim: &mut FleetSim) {
 fn warmup_boundary(w: &mut FleetWorld, sim: &mut FleetSim) {
     let now = sim.now();
     let window = w.cfg.quantile_window();
-    for s in &mut w.servers {
-        if w.budget_err.is_none() {
-            if let Err(e) = s.sim.run_until_budgeted(&mut s.tb, now, &w.budget) {
-                w.budget_err = Some(e);
-            }
+    w.warmup_pending = false;
+    let joined = w.pool.join();
+    if let Some(failed) = joined.failed {
+        w.budget_err.get_or_insert(failed);
+    }
+    // Serially, no server after the first failure ever advanced again,
+    // so harvesting one would be a no-op; here it may have run ahead.
+    let harvested = w
+        .budget_err
+        .as_ref()
+        .map_or(w.servers.len(), |&(i, _)| i + 1);
+    for (i, (s, core)) in w
+        .servers
+        .iter_mut()
+        .zip(joined.cores.iter_mut())
+        .enumerate()
+    {
+        if i < harvested {
+            harvest(s, core);
         }
-        harvest(s);
-        s.tb.begin_measurement(now);
+        core.tb.begin_measurement(now);
         // begin_measurement clears the response log.
         s.resp_cursor = 0;
         s.q = StreamingQuantiles::new(window);
+    }
+    if w.budget_err.is_none() {
+        let h = horizon(w);
+        w.pool.launch(h);
     }
 }
 
@@ -1345,6 +1406,17 @@ pub fn try_run_fleet_budgeted(
     cfg: FleetConfig,
     budget: &StepBudget,
 ) -> Result<FleetResult, SimError> {
+    let workers = pool::default_workers(cfg.servers);
+    run_on_pool(cfg, budget, workers)
+}
+
+/// The fleet run with its servers advanced by `workers` threads (none:
+/// inline, in server order). The result does not depend on `workers`.
+fn run_on_pool(
+    cfg: FleetConfig,
+    budget: &StepBudget,
+    workers: usize,
+) -> Result<FleetResult, SimError> {
     cfg.validate()?;
     let end = cfg.end();
     let n = cfg.servers;
@@ -1354,6 +1426,7 @@ pub fn try_run_fleet_budgeted(
     let window = cfg.quantile_window();
 
     let mut servers = Vec::with_capacity(n);
+    let mut cores = Vec::with_capacity(n);
     for i in 0..n {
         let seed = RngStream::derive(cfg.seed, "server", i as u64).next_u64();
         let tb_cfg = TestbedConfig::new(app_model, init_load)
@@ -1364,9 +1437,9 @@ pub fn try_run_fleet_budgeted(
         let (governor, sleep) = build_policies(&cfg.governor, cfg.sleep, &cfg.profile, &app_model);
         let mut inner: Simulator<Testbed> = Simulator::new();
         let tb = Testbed::try_new(tb_cfg, governor, sleep, &mut inner)?;
+        cores.push(ServerCore { sim: inner, tb });
         servers.push(ServerInstance {
-            sim: inner,
-            tb,
+            slo: app_model.slo,
             latatable: Vec::new(),
             resp_cursor: 0,
             inflight: Vec::new(),
@@ -1408,10 +1481,12 @@ pub fn try_run_fleet_budgeted(
         steer_view: Vec::with_capacity(n),
         hedge_delay: hedge_floor,
         end,
-        budget: *budget,
         budget_err: None,
         next_req: 0,
         servers,
+        pool: ServerPool::new(cores, workers, *budget),
+        next_tick: Some(SimTime::ZERO + cfg.epoch),
+        warmup_pending: true,
         cfg,
     };
 
@@ -1456,18 +1531,22 @@ pub fn try_run_fleet_budgeted(
         }
     }
 
-    sim.run_until_budgeted(&mut world, end, budget)?;
-    if let Some(e) = world.budget_err.take() {
+    // The servers run to the first join point while the LB starts.
+    let h = horizon(&world);
+    world.pool.launch(h);
+    let outer = sim.run_until_budgeted(&mut world, end, budget);
+    // Every return path joins first. When the LB finished cleanly the
+    // advance in flight is the servers' final one, to `end`.
+    let last = world.pool.join().failed;
+    outer?;
+    if let Some((_, e)) = world.budget_err.take().or(last) {
         return Err(e);
     }
     extract(world, end)
 }
 
 fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError> {
-    // Final inner advance to the common end time.
-    for s in &mut world.servers {
-        s.sim.run_until_budgeted(&mut s.tb, end, &world.budget)?;
-    }
+    let cores = world.pool.join().cores;
     let c = world.counters;
 
     // The conservation roll-up: integer-exact, counter-based (so it
@@ -1556,8 +1635,8 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
         }
     }
     // Per-server single-box audits must also balance.
-    for (i, s) in world.servers.iter_mut().enumerate() {
-        if let Some(report) = s.tb.audit_report(end) {
+    for (i, core) in cores.iter_mut().enumerate() {
+        if let Some(report) = core.tb.audit_report(end) {
             if !report.is_balanced() {
                 return Err(SimError::Accounting {
                     context: "fleet.server_audit",
@@ -1636,8 +1715,8 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
     let ejected: Vec<bool> = world.trackers.iter().map(|t| t.is_ejected()).collect();
     let mut energy_total = 0.0;
     let mut server_reports = Vec::with_capacity(world.servers.len());
-    for (i, s) in world.servers.iter_mut().enumerate() {
-        let energy_j = s.tb.measured_energy(end);
+    for (i, (s, core)) in world.servers.iter().zip(cores.iter_mut()).enumerate() {
+        let energy_j = core.tb.measured_energy(end);
         energy_total += energy_j;
         server_reports.push(ServerReport {
             dispatched: s.dispatched_total,
@@ -1645,9 +1724,9 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
             won: s.won,
             crashes: s.crashes,
             ejected_at_end: ejected[i],
-            p99_internal: s.tb.client.latencies_mut().p99(),
+            p99_internal: core.tb.client.latencies_mut().p99(),
             energy_j,
-            degradation: s.tb.governor.degradation(),
+            degradation: core.tb.governor.degradation(),
         });
     }
 
@@ -1696,9 +1775,10 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
     })
 }
 
-/// Runs many fleet configs across worker threads (testbeds are not
-/// `Send`, so each fleet is built and run entirely inside its worker),
-/// preserving input order in the output.
+/// Runs many fleet configs across worker threads, preserving input
+/// order in the output. The sweep already keeps the CPUs busy, so each
+/// fleet advances its servers inline (a zero-worker pool) rather than
+/// adding threads of its own; a single config runs like [`run_fleet`].
 pub fn run_fleet_many(configs: Vec<FleetConfig>) -> Vec<FleetResult> {
     if configs.len() <= 1 {
         return configs.into_iter().map(run_fleet).collect();
@@ -1716,7 +1796,8 @@ pub fn run_fleet_many(configs: Vec<FleetConfig>) -> Vec<FleetResult> {
             s.spawn(|| loop {
                 let job = lock(&jobs).pop_front();
                 let Some((idx, cfg)) = job else { break };
-                let result = run_fleet(cfg);
+                let result =
+                    run_on_pool(cfg, &StepBudget::unlimited(), 0).expect("invalid FleetConfig");
                 lock(&results)[idx] = Some(result);
             });
         }
@@ -1732,7 +1813,7 @@ pub fn run_fleet_many(configs: Vec<FleetConfig>) -> Vec<FleetResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::FaultScope;
+    use simcore::{BudgetKind, FaultScope};
 
     fn quick(servers: usize, governor: GovernorKind) -> FleetConfig {
         FleetConfig::new(servers, AppKind::Memcached, 6_000.0, governor)
@@ -1827,6 +1908,126 @@ mod tests {
         )
         .expect_err("a 50-event budget cannot finish a fleet run");
         assert!(err.is_budget(), "unexpected error: {err}");
+    }
+
+    /// `repro fleet`'s composed chaos plan: two staggered crashes, a
+    /// stale health view, a link spike, a partition, and hash skew.
+    fn chaos_plan() -> FaultPlan {
+        let win = |a, b| FaultScope::window(SimTime::from_millis(a), SimTime::from_millis(b));
+        FaultPlan::new()
+            .with_seed(44)
+            .inject(FaultKind::ServerCrash, win(150, 280).on_core(1))
+            .inject(FaultKind::ServerCrash, win(230, 360).on_core(3))
+            .inject(FaultKind::HealthViewStale, win(150, 220))
+            .inject(
+                FaultKind::LinkLatencySpike {
+                    extra: SimDuration::from_millis(2),
+                },
+                win(180, 330).on_core(2),
+            )
+            .inject(FaultKind::LinkPartition, win(300, 380).on_core(0))
+            .inject(FaultKind::HashSkew { factor: 3.0 }, win(150, 430))
+    }
+
+    /// The pipelined pool must not change one bit of any outcome,
+    /// budget errors included: the time a budget error reports depends
+    /// on which servers were harvested before it, so a join that finds
+    /// a failure must keep the serial order's partial harvest.
+    #[test]
+    fn threaded_pool_matches_inline_pool() {
+        let ms = SimDuration::from_millis;
+        let chaos = FleetConfig::new(4, AppKind::Memcached, 48_000.0, GovernorKind::NmapOnline)
+            .with_window(ms(100), ms(400))
+            .with_seed(9)
+            .with_retry(RetryPolicy {
+                timeout: ms(2),
+                max_attempts: 3,
+                backoff_base: SimDuration::from_micros(500),
+                backoff_cap: ms(8),
+            })
+            .with_hedge(Some(HedgePolicy {
+                quantile: 0.95,
+                floor: SimDuration::from_micros(300),
+            }))
+            .with_probe(ProbePolicy {
+                interval: ms(5),
+                timeout: ms(1),
+                fail_threshold: 3,
+                ok_threshold: 2,
+            })
+            .with_fault_plan(chaos_plan());
+        let cases = [
+            ("chaos plan, 4 servers", chaos),
+            (
+                "12 ms warm-up, 5 ms epoch",
+                quick(4, GovernorKind::Ncap(1e6)).with_window(ms(12), ms(60)),
+            ),
+            (
+                "12 ms warm-up, 7 ms epoch",
+                quick(4, GovernorKind::Ondemand)
+                    .with_window(ms(12), ms(60))
+                    .with_epoch(ms(7))
+                    .with_overload_control(),
+            ),
+            (
+                "0 ms warm-up, 5 servers",
+                quick(5, GovernorKind::Ondemand).with_window(SimDuration::ZERO, ms(60)),
+            ),
+            // At 98 events a server fails before the boundary and the
+            // LB after it, so the boundary's harvest shows in the
+            // error: harvesting the servers past the failed one (which
+            // ran ahead on their workers) moves it.
+            (
+                "2 servers at 2 000 rps, 12 ms warm-up",
+                FleetConfig::new(2, AppKind::Memcached, 2_000.0, GovernorKind::Ondemand)
+                    .with_window(ms(12), ms(60)),
+            ),
+        ];
+        // 98, 389 and 4 754 events each fail a server mid-run and the
+        // LB later, so the LB's error shows which servers a failed
+        // join still harvested and re-targeted.
+        let budgets = [
+            None,
+            Some(1),
+            Some(98),
+            Some(389),
+            Some(1_000),
+            Some(4_754),
+            Some(50_000),
+        ]
+        .map(|max_events| StepBudget {
+            max_events,
+            max_wall: None,
+        });
+        // What the fleet returned before it had a pool, so the inline
+        // and threaded schedules cannot drift from it together.
+        let serial = [
+            ("0 ms warm-up, 5 servers", 389, 33_098_020),
+            ("2 servers at 2 000 rps, 12 ms warm-up", 98, 23_748_188),
+        ];
+        for (label, cfg) in cases {
+            for budget in &budgets {
+                let inline = run_on_pool(cfg.clone(), budget, 0);
+                if budget.is_unlimited() {
+                    assert!(inline.is_ok(), "{label}: {inline:?}");
+                }
+                for &(_, limit, ns) in serial.iter().filter(|&&(l, ..)| l == label) {
+                    if budget.max_events == Some(limit) {
+                        let err = SimError::BudgetExceeded {
+                            kind: BudgetKind::Events,
+                            limit,
+                            events_executed: limit,
+                            sim_time: SimTime::from_nanos(ns),
+                        };
+                        assert_eq!(inline, Err(err), "{label}, {limit} events");
+                    }
+                }
+                for workers in [2, 3] {
+                    let threaded = run_on_pool(cfg.clone(), budget, workers);
+                    assert_eq!(threaded, inline, "{label}, {budget:?}, {workers} workers");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! [`simcore::Simulator`] carries the request-level events (arrivals,
 //! dispatches, responses, timeouts, hedges, probes), while each server
 //! holds its own nested simulator + testbed pair advanced in epoch
-//! lockstep. Each epoch the fleet feeds every server the request rate
+//! lockstep, on worker threads while the LB runs the next epoch (see
+//! [`fleet`]; results do not depend on the thread count). Each epoch the fleet feeds every server the request rate
 //! it actually absorbed (so retries and hedges visibly re-inject load
 //! onto degraded servers) and harvests the server's recent internal
 //! latencies as the sampling table for fleet response times.

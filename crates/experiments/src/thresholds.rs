@@ -15,7 +15,7 @@ use crate::runner::{GovernorKind, RunConfig, Scale};
 use nmap::{NmapConfig, ThresholdProfiler};
 use simcore::SimDuration;
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use workload::{AppKind, LoadLevel, LoadSpec};
 
 /// Profiles NMAP's thresholds for `app` (§4.2). Results are memoized
@@ -47,14 +47,21 @@ fn profile_nmap(app: AppKind) -> NmapConfig {
         ..RunConfig::new(app, load, GovernorKind::Performance, Scale::Quick)
     };
     let cores = cfg.profile.profile().cores;
-    let profiler = std::rc::Rc::new(std::cell::RefCell::new(ThresholdProfiler::new(cores)));
-    let sink = std::rc::Rc::clone(&profiler);
+    // The observer must be `Send` like the rest of the testbed; the
+    // run is single-threaded, so the mutex is never contended.
+    let profiler = Arc::new(Mutex::new(ThresholdProfiler::new(cores)));
+    let sink = Arc::clone(&profiler);
     let (_result, _tb) = crate::runner::run_with_testbed(cfg, move |tb, _sim| {
         tb.poll_observer = Some(Box::new(move |core, class, n, _now| {
-            sink.borrow_mut().record_batch(core, class, n);
+            sink.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .record_batch(core, class, n);
         }));
     });
-    let derived = profiler.borrow().derive();
+    let derived = profiler
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .derive();
     // Deployment calibration of the fallback threshold. For µs-scale
     // services (memcached) the paper's raw burst-average CU_TH is
     // safe: a mid-burst fallback that proves premature re-boosts

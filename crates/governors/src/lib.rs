@@ -50,5 +50,5 @@ pub use performance::Performance;
 pub use powersave::Powersave;
 pub use schedutil::Schedutil;
 pub use sleep::{C6OnlyPolicy, DisablePolicy, MenuPolicy};
-pub use traits::{Action, DegradationStats, PStateGovernor, SleepPolicy};
+pub use traits::{Action, DegradationStats, FleetPoolSend, PStateGovernor, SleepPolicy};
 pub use userspace::Userspace;

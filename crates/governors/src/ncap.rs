@@ -17,8 +17,8 @@ use cpusim::core::UtilSample;
 use cpusim::pstate::PStateTable;
 use cpusim::{CState, CoreId, PState};
 use simcore::{SimDuration, SimTime};
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// NCAP tunables.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +54,7 @@ pub struct Ncap {
     inner: Ondemand,
     boosted: bool,
     quiet_windows: u32,
-    burst_flag: Rc<Cell<bool>>,
+    burst_flag: Arc<AtomicBool>,
 }
 
 impl Ncap {
@@ -65,13 +65,17 @@ impl Ncap {
             inner: Ondemand::new(table, cores),
             boosted: false,
             quiet_windows: 0,
-            burst_flag: Rc::new(Cell::new(false)),
+            burst_flag: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    /// Shared burst flag for [`NcapSleepGate`].
-    pub fn burst_flag(&self) -> Rc<Cell<bool>> {
-        Rc::clone(&self.burst_flag)
+    /// Shared burst flag for [`NcapSleepGate`]. Governor and gate
+    /// live in the same testbed and touch the flag from one thread at
+    /// a time (a testbed changes threads only through a channel, which
+    /// orders every access), so `Relaxed` suffices; the atomic only
+    /// makes the pair `Send`.
+    pub fn burst_flag(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.burst_flag)
     }
 
     /// True while the chip-wide boost is held.
@@ -101,7 +105,7 @@ impl PStateGovernor for Ncap {
             if !self.boosted {
                 self.boosted = true;
                 if self.config.gate_sleep {
-                    self.burst_flag.set(true);
+                    self.burst_flag.store(true, Ordering::Relaxed);
                 }
                 actions.push(Action::SetAll(PState::P0));
             }
@@ -109,7 +113,7 @@ impl PStateGovernor for Ncap {
             self.quiet_windows += 1;
             if self.quiet_windows >= self.config.release_windows {
                 self.boosted = false;
-                self.burst_flag.set(false);
+                self.burst_flag.store(false, Ordering::Relaxed);
                 // Control returns to the utilization governor at the
                 // next sample.
             }
@@ -138,12 +142,12 @@ impl PStateGovernor for Ncap {
 /// is boosted, cores never sleep (original NCAP behaviour).
 pub struct NcapSleepGate<P> {
     inner: P,
-    burst_flag: Rc<Cell<bool>>,
+    burst_flag: Arc<AtomicBool>,
 }
 
 impl<P: SleepPolicy> NcapSleepGate<P> {
     /// Wraps `inner` with the gate driven by `burst_flag`.
-    pub fn new(inner: P, burst_flag: Rc<Cell<bool>>) -> Self {
+    pub fn new(inner: P, burst_flag: Arc<AtomicBool>) -> Self {
         NcapSleepGate { inner, burst_flag }
     }
 }
@@ -154,7 +158,7 @@ impl<P: SleepPolicy> SleepPolicy for NcapSleepGate<P> {
     }
 
     fn on_idle(&mut self, core: CoreId, now: SimTime) -> CState {
-        if self.burst_flag.get() {
+        if self.burst_flag.load(Ordering::Relaxed) {
             // Record history in the inner policy but stay awake.
             let _ = self.inner.on_idle(core, now);
             self.inner.on_wake(core, now);
@@ -170,7 +174,7 @@ impl<P: SleepPolicy> SleepPolicy for NcapSleepGate<P> {
         idle_elapsed: simcore::SimDuration,
         now: SimTime,
     ) -> Option<CState> {
-        if self.burst_flag.get() {
+        if self.burst_flag.load(Ordering::Relaxed) {
             None // sleep stays gated during the boost
         } else {
             self.inner.on_tick(core, idle_elapsed, now)
@@ -178,7 +182,7 @@ impl<P: SleepPolicy> SleepPolicy for NcapSleepGate<P> {
     }
 
     fn on_wake(&mut self, core: CoreId, now: SimTime) {
-        if !self.burst_flag.get() {
+        if !self.burst_flag.load(Ordering::Relaxed) {
             self.inner.on_wake(core, now);
         }
     }
@@ -206,7 +210,7 @@ mod tests {
         g.on_nic_window(600, SimTime::ZERO, &mut actions);
         assert_eq!(actions, vec![Action::SetAll(PState::P0)]);
         assert!(g.is_boosted());
-        assert!(g.burst_flag().get(), "sleep gate raised");
+        assert!(g.burst_flag().load(Ordering::Relaxed), "sleep gate raised");
     }
 
     #[test]
@@ -241,7 +245,10 @@ mod tests {
         assert!(g.is_boosted(), "one quiet window is not enough");
         g.on_nic_window(10, SimTime::from_millis(10), &mut actions);
         assert!(!g.is_boosted());
-        assert!(!g.burst_flag().get(), "sleep gate released");
+        assert!(
+            !g.burst_flag().load(Ordering::Relaxed),
+            "sleep gate released"
+        );
     }
 
     #[test]
@@ -264,13 +271,16 @@ mod tests {
         let mut actions = Vec::new();
         g.on_nic_window(600, SimTime::ZERO, &mut actions);
         assert!(g.is_boosted());
-        assert!(!g.burst_flag().get(), "NCAP-menu never gates sleep");
+        assert!(
+            !g.burst_flag().load(Ordering::Relaxed),
+            "NCAP-menu never gates sleep"
+        );
     }
 
     #[test]
     fn sleep_gate_blocks_sleep_during_burst() {
-        let flag = Rc::new(Cell::new(false));
-        let mut gate = NcapSleepGate::new(MenuPolicy::new(1), Rc::clone(&flag));
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut gate = NcapSleepGate::new(MenuPolicy::new(1), Arc::clone(&flag));
         // Train menu to deep sleep.
         for i in 0..8 {
             let t = SimTime::from_millis(10 * i);
@@ -279,7 +289,7 @@ mod tests {
         }
         assert_eq!(gate.on_idle(CoreId(0), SimTime::from_secs(1)), CState::C6);
         gate.on_wake(CoreId(0), SimTime::from_secs(1));
-        flag.set(true);
+        flag.store(true, Ordering::Relaxed);
         assert_eq!(gate.on_idle(CoreId(0), SimTime::from_secs(2)), CState::C0);
     }
 }

@@ -23,6 +23,14 @@ pub struct DegradationStats {
     pub degraded_cores: u64,
 }
 
+/// `Send`, under a name that says why: a fleet's server pool
+/// (`cluster::fleet`) advances each server's testbed, governor and
+/// sleep policy included, on a worker thread. A compile error for a
+/// non-`Send` policy notes that the type must implement this trait.
+pub trait FleetPoolSend: Send {}
+
+impl<T: Send + ?Sized> FleetPoolSend for T {}
+
 /// A P-state change requested by a governor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
@@ -49,7 +57,7 @@ pub enum Action {
 ///   feed);
 /// * [`on_request_latency`](PStateGovernor::on_request_latency) —
 ///   per completed request (Parties' feed).
-pub trait PStateGovernor {
+pub trait PStateGovernor: FleetPoolSend {
     /// Human-readable policy name (used in experiment reports).
     fn name(&self) -> String;
 
@@ -151,7 +159,7 @@ pub trait PStateGovernor {
 }
 
 /// A C-state (sleep) policy.
-pub trait SleepPolicy {
+pub trait SleepPolicy: FleetPoolSend {
     /// Human-readable policy name.
     fn name(&self) -> String;
 

@@ -2,8 +2,9 @@
 //! contract end to end.
 //!
 //! * determinism — every governor's fleet reproduces bit-identically
-//!   on re-run, and `run_fleet_many`'s worker pool matches serial
-//!   `run_fleet` exactly;
+//!   on re-run, and `run_fleet_many` (fleets in parallel, each one's
+//!   servers advanced inline) matches `run_fleet` (one fleet, its
+//!   servers advanced on the fleet's worker pool) exactly;
 //! * zero silent loss — under a server-crash schedule every admitted
 //!   request is completed, shed, timed out, or accounted in flight, and
 //!   every attempt is completed, crash-failed, suppressed, or
