@@ -29,10 +29,10 @@ use napisim::{
 use netsim::{LinkModel, Nic, NicConfig, Packet, QueueId};
 use simcore::audit::{Account, AuditReport, ConservationLedger};
 use simcore::{
-    AttribTracker, BusyRole, ChainMarks, CoreEnergyMeter, CoreEnergySummary, DecisionTrigger,
-    EnergyBreakdown, EnergySummary, EventLog, FaultInjector, FaultKind, FaultPlan, FaultSpec,
-    FlightRecorder, FlightSummary, GovDecision, ModeEnergy, RngStream, SimDuration, SimTime,
-    Simulator, SloWatchdog, Stage, WatchdogEvent, World,
+    AttribTracker, BusyRole, ChainMarks, CoreEnergySummary, DecisionTrigger, EnergyBreakdown,
+    EnergySummary, EventLog, FaultInjector, FaultKind, FaultPlan, FaultSpec, FlightRecorder,
+    FlightSummary, GovDecision, ModeEnergy, RngStream, SimDuration, SimTime, Simulator,
+    SloWatchdog, Stage, WatchdogEvent, World,
 };
 use std::collections::VecDeque;
 use workload::{ArrivalProcess, BurstyArrivals, Client, LoadSpec};
@@ -155,17 +155,14 @@ pub struct TestbedConfig {
     /// Master RNG seed; same seed → bit-identical run.
     pub seed: u64,
     /// Capacity of the structured trace buffer. Zero (the default)
-    /// turns trace recording off entirely; with the `obs` feature off
-    /// the buffer is a zero-sized no-op regardless.
+    /// turns trace recording off entirely.
     pub trace_capacity: usize,
     /// Deterministic fault schedule. Empty (the default) injects
-    /// nothing and draws nothing; without the `fault` feature the
-    /// injector is inert regardless of the plan.
+    /// nothing and draws nothing.
     pub fault_plan: FaultPlan,
     /// Telemetry timeline sampling (fixed sim-time interval,
     /// interval-doubling decimation). Off by default at this layer
-    /// (`cap: 0`); the experiment runner opts in. Zero-sized no-op
-    /// without the `obs` feature regardless.
+    /// (`cap: 0`); the experiment runner opts in.
     pub timeline: simcore::TimelineConfig,
     /// Overload admission control for the per-core app queues.
     /// Unbounded ([`AdmissionPolicy::None`]) by default, preserving
@@ -555,36 +552,30 @@ pub struct Testbed {
     #[allow(clippy::type_complexity)]
     pub poll_observer: Option<Box<dyn FnMut(CoreId, PollClass, u64, SimTime) + Send>>,
     /// Conservation ledger every event path credits; audited by
-    /// [`audit_report`](Testbed::audit_report). Zero-sized no-op
-    /// without the `audit` feature.
+    /// [`audit_report`](Testbed::audit_report).
     pub ledger: ConservationLedger,
     /// Structured trace events (request spans and governor instants
     /// land here live; component logs are replayed in by
-    /// [`collect_trace`](Testbed::collect_trace)). Zero-sized no-op
-    /// without the `obs` feature; recording also requires a non-zero
-    /// [`TestbedConfig::trace_capacity`].
+    /// [`collect_trace`](Testbed::collect_trace)). Recording requires
+    /// a non-zero [`TestbedConfig::trace_capacity`].
     pub trace: simcore::TraceBuffer,
     /// Deterministically ordered counters/gauges/histograms, filled by
-    /// [`collect_metrics`](Testbed::collect_metrics). Zero-sized no-op
-    /// without the `obs` feature.
+    /// [`collect_metrics`](Testbed::collect_metrics).
     pub metrics: simcore::MetricsRegistry,
     /// Per-request latency attribution: decomposes every completed
     /// request's end-to-end latency into pipeline stages that sum
-    /// exactly to the measured value (ledger-audited). Zero-sized
-    /// no-op without the `obs` feature.
+    /// exactly to the measured value (ledger-audited).
     pub attrib: AttribTracker,
     /// Online SLO watchdog: sliding-window P99 per core and globally,
     /// with violation/recovery episode detection. Always on (its
     /// report is part of every run result).
     pub watchdog: SloWatchdog,
     /// The fault injector evaluating [`TestbedConfig::fault_plan`].
-    /// Zero-sized no-op without the `fault` feature.
     pub faults: FaultInjector,
     /// The telemetry timeline bus: fixed-interval per-core gauge rows
     /// with interval-doubling decimation, polled by governors through
-    /// [`simcore::TelemetryTap`]. Zero-sized no-op without the `obs`
-    /// feature; recording also requires [`TestbedConfig::timeline`]
-    /// with a non-zero cap.
+    /// [`simcore::TelemetryTap`]. Recording requires
+    /// [`TestbedConfig::timeline`] with a non-zero cap.
     pub timeline: simcore::TimeSeriesSampler,
 
     profile: ProcessorProfile,
@@ -645,7 +636,7 @@ pub struct Testbed {
     /// clamped (negative-delta) read fails the conservation audit.
     rapl: RaplCounter,
     /// Bounded ring of every governor decision with the feature
-    /// snapshot it acted on. Zero-sized no-op without `obs`.
+    /// snapshot it acted on.
     flight: FlightRecorder,
     /// Each core's last sampled CC0 utilization, per mille (the
     /// flight recorder's utilization input).
@@ -893,26 +884,24 @@ impl Testbed {
         self.measure_start = now;
         self.measure_start_energy = self.processor.package_energy_joules(now);
         self.measure_start_samples = self.ledger.balance(Account::LatencySamples);
-        if CoreEnergyMeter::ENABLED {
-            // Close the open mode-energy windows against the warm-up
-            // buckets, then snapshot every integer cursor so the
-            // summary can report the measured window alone.
-            for i in 0..self.processor.num_cores() {
-                let mode = self.napi[i].mode();
-                self.flush_mode_energy(i, now, mode);
-            }
-            for i in 0..self.processor.num_cores() {
-                let c = self.processor.core_mut(CoreId(i));
-                self.measure_start_core_uj[i] = c.energy_uj(now, &self.profile);
-                self.measure_start_core_breakdown[i] = c.energy_breakdown(now, &self.profile);
-            }
-            self.measure_start_uncore_uj = self.processor.uncore_uj(now);
-            self.measure_start_mode = ModeEnergy {
-                interrupt_uj: self.mode_interrupt_uj,
-                polling_uj: self.mode_polling_uj,
-                transition_uj: self.mode_transition_uj,
-            };
+        // Close the open mode-energy windows against the warm-up
+        // buckets, then snapshot every integer cursor so the
+        // summary can report the measured window alone.
+        for i in 0..self.processor.num_cores() {
+            let mode = self.napi[i].mode();
+            self.flush_mode_energy(i, now, mode);
         }
+        for i in 0..self.processor.num_cores() {
+            let c = self.processor.core_mut(CoreId(i));
+            self.measure_start_core_uj[i] = c.energy_uj(now, &self.profile);
+            self.measure_start_core_breakdown[i] = c.energy_breakdown(now, &self.profile);
+        }
+        self.measure_start_uncore_uj = self.processor.uncore_uj(now);
+        self.measure_start_mode = ModeEnergy {
+            interrupt_uj: self.mode_interrupt_uj,
+            polling_uj: self.mode_polling_uj,
+            transition_uj: self.mode_transition_uj,
+        };
     }
 
     /// Folds the core's meter deltas since the last flush into the
@@ -920,9 +909,6 @@ impl Testbed {
     /// `mode` (the NAPI mode the window belonged to) and the
     /// wake-transition component to the transition bucket.
     fn flush_mode_energy(&mut self, core: usize, now: SimTime, mode: NapiMode) {
-        if !CoreEnergyMeter::ENABLED {
-            return;
-        }
         let c = self.processor.core_mut(CoreId(core));
         let measured = c.energy_uj(now, &self.profile);
         let wake = c
@@ -945,8 +931,7 @@ impl Testbed {
     /// Integer-exact energy attribution over the measured interval:
     /// per-core measured µJ with their component decompositions, the
     /// package uncore term, the same energy split by packet-processing
-    /// mode, and the RAPL clamp count. All zeros without the `obs`
-    /// feature.
+    /// mode, and the RAPL clamp count.
     pub fn energy_summary(&mut self, end: SimTime) -> EnergySummary {
         for i in 0..self.processor.num_cores() {
             let mode = self.napi[i].mode();
@@ -1095,16 +1080,14 @@ impl Testbed {
                     self.trace.counter(now, Slo, 0, "p50-online", p50_ns as i64);
                     // Refresh the cumulative stage-share counters at
                     // window cadence (per-mille of attributed time).
-                    if AttribTracker::ENABLED {
-                        for stage in Stage::ALL {
-                            self.trace.counter(
-                                now,
-                                Slo,
-                                0,
-                                stage.share_label(),
-                                self.attrib.share_permille(stage) as i64,
-                            );
-                        }
+                    for stage in Stage::ALL {
+                        self.trace.counter(
+                            now,
+                            Slo,
+                            0,
+                            stage.share_label(),
+                            self.attrib.share_permille(stage) as i64,
+                        );
                     }
                 }
                 WatchdogEvent::CoreWindow { core, p99_ns } => {
@@ -1340,17 +1323,15 @@ impl Testbed {
         let mut rx = std::mem::take(&mut self.exec[core.0].poll_rx);
         rx.clear();
         let tx_cleaned = self.nic.poll_into(q, budget, &mut rx);
-        if AttribTracker::ENABLED {
-            for pkt in &rx {
-                if pkt.kind == netsim::PacketKind::Request {
-                    self.attrib.claimed(
-                        pkt.id.0,
-                        pkt.client_sent_at,
-                        pkt.nic_rx_at,
-                        now,
-                        &self.marks[core.0],
-                    );
-                }
+        for pkt in &rx {
+            if pkt.kind == netsim::PacketKind::Request {
+                self.attrib.claimed(
+                    pkt.id.0,
+                    pkt.client_sent_at,
+                    pkt.nic_rx_at,
+                    now,
+                    &self.marks[core.0],
+                );
             }
         }
         let cycles = self.stack.poll_batch_cycles(rx.len(), tx_cleaned);
@@ -1418,7 +1399,7 @@ impl Testbed {
         // `record_poll` is the only place the packet-processing mode
         // can flip: close the energy window under the mode it
         // belonged to, so joules-per-mode stays exact.
-        if CoreEnergyMeter::ENABLED && self.napi[core.0].mode() != mode_before {
+        if self.napi[core.0].mode() != mode_before {
             self.flush_mode_energy(core.0, now, mode_before);
         }
         if let Some(observer) = self.poll_observer.as_mut() {
@@ -1503,17 +1484,15 @@ impl Testbed {
             pkt.flow.0 as i64,
         );
         let cycles = self.app.sample_service_cycles(&mut self.rng_service);
-        if AttribTracker::ENABLED {
-            // Price the ideal service time at P0: whatever the chunk
-            // takes beyond it (minus wake debt and preemption gaps) is
-            // by definition P-state slowdown.
-            let debt = self.exec[core.0].cache_debt;
-            let f_max = self.profile.pstates.fastest_frequency();
-            let ideal =
-                SimDuration::from_nanos(((cycles as u128 * 1_000_000_000) / f_max as u128) as u64);
-            self.attrib
-                .app_start(pkt.id.0, core.0 as u32, sim.now(), debt, ideal);
-        }
+        // Price the ideal service time at P0: whatever the chunk
+        // takes beyond it (minus wake debt and preemption gaps) is
+        // by definition P-state slowdown.
+        let debt = self.exec[core.0].cache_debt;
+        let f_max = self.profile.pstates.fastest_frequency();
+        let ideal =
+            SimDuration::from_nanos(((cycles as u128 * 1_000_000_000) / f_max as u128) as u64);
+        self.attrib
+            .app_start(pkt.id.0, core.0 as u32, sim.now(), debt, ideal);
         self.start_exec(sim, core, RunKind::App { pkt }, cycles, SimDuration::ZERO);
     }
 
@@ -1727,15 +1706,12 @@ impl Testbed {
     }
 
     /// True if any configured fault scope covers `core` at `now`
-    /// (the timeline's fault-active flag; always false without the
-    /// `fault` feature).
+    /// (the timeline's fault-active flag).
     fn fault_scope_active(&self, now: SimTime, core: usize) -> bool {
-        FaultInjector::ENABLED
-            && self
-                .faults
-                .specs()
-                .iter()
-                .any(|s| s.scope.covers(now, Some(core)))
+        self.faults
+            .specs()
+            .iter()
+            .any(|s| s.scope.covers(now, Some(core)))
     }
 
     /// Per-sample energy bookkeeping: one RAPL interval read (clamped
@@ -1746,9 +1722,6 @@ impl Testbed {
     /// zero-length segment — bit-exact on the energy fixtures.
     fn account_energy(&mut self, now: SimTime) {
         let _ = self.rapl.read_interval(&mut self.processor, now);
-        if !CoreEnergyMeter::ENABLED {
-            return;
-        }
         let measured = self.processor.package_energy_uj(now);
         let attributed = self.processor.attributed_package_energy_uj(now);
         self.ledger.credit(
@@ -2204,8 +2177,7 @@ impl Testbed {
 
     /// Evaluates every conservation identity the testbed maintains,
     /// valid at *any* simulation time (quantities still in flight are
-    /// counted where they currently sit). Returns `None` when the
-    /// `audit` feature is off and the ledger never counted.
+    /// counted where they currently sit). Always `Some`.
     ///
     /// The identities cross-check two independent accounting paths:
     /// the event-path [`ledger`](Testbed::ledger) against each
@@ -2213,9 +2185,6 @@ impl Testbed {
     /// per-mode totals, client statistics, and the incremental vs
     /// residency-ledger energy integrals).
     pub fn audit_report(&mut self, now: SimTime) -> Option<AuditReport> {
-        if !ConservationLedger::ENABLED {
-            return None;
-        }
         let l = &self.ledger;
         let (poll_rx, poll_requests, poll_tx) = self.in_flight_poll();
         let mut report = AuditReport::new();
@@ -2324,20 +2293,17 @@ impl Testbed {
         // Latency attribution: every completed request's stage sums
         // must equal its measured end-to-end latency, and the two
         // ledger totals (measured at the client vs attributed by the
-        // profiler) must agree to the nanosecond. Only meaningful when
-        // the obs feature actually tracks requests.
-        if AttribTracker::ENABLED {
-            report.check_exact(
-                "attrib: no per-request stage-sum mismatches",
-                self.attrib.mismatches(),
-                0,
-            );
-            report.check_exact(
-                "attrib: attributed nanoseconds == measured nanoseconds",
-                l.balance(Account::LatencyNanosAttributed),
-                l.balance(Account::LatencyNanosMeasured),
-            );
-        }
+        // profiler) must agree to the nanosecond.
+        report.check_exact(
+            "attrib: no per-request stage-sum mismatches",
+            self.attrib.mismatches(),
+            0,
+        );
+        report.check_exact(
+            "attrib: attributed nanoseconds == measured nanoseconds",
+            l.balance(Account::LatencyNanosAttributed),
+            l.balance(Account::LatencyNanosMeasured),
+        );
 
         // Fault-injected packet loss: explicitly accounted. The wire
         // itself conserves — everything sent either arrived, was
@@ -2371,10 +2337,7 @@ impl Testbed {
         // Energy: incremental integral vs the residency-ledger
         // recomputation (different summation order → tolerance).
         let direct = self.processor.package_energy_joules(now);
-        let audited = self
-            .processor
-            .audited_package_energy_joules(now)
-            .expect("audit feature is enabled");
+        let audited = self.processor.audited_package_energy_joules(now);
         report.check_close(
             "energy: incremental == residency ledger",
             direct,
@@ -2385,67 +2348,65 @@ impl Testbed {
         // Integer-exact energy attribution: every measured microjoule
         // lands in exactly one component, on every core, and the
         // packet-processing-mode split partitions the same total.
-        if CoreEnergyMeter::ENABLED {
-            for i in 0..self.processor.num_cores() {
-                let mode = self.napi[i].mode();
-                self.flush_mode_energy(i, now, mode);
-            }
-            let mut core_measured = 0u64;
-            let mut core_attributed = 0u64;
-            for i in 0..self.processor.num_cores() {
-                let c = self.processor.core_mut(CoreId(i));
-                let uj = c.energy_uj(now, &self.profile);
-                let total = c.energy_breakdown(now, &self.profile).total_uj();
-                report.check_exact(
-                    &format!("energy: core {i} measured µJ == attributed µJ"),
-                    uj,
-                    total,
-                );
-                core_measured += uj;
-                core_attributed += total;
-            }
-            let uncore = self.processor.uncore_uj(now);
-            report.check_exact(
-                "energy: package measured µJ == attributed µJ",
-                core_measured + uncore,
-                core_attributed + uncore,
-            );
-            report.check_exact(
-                "energy: interrupt + polling + transition µJ == core measured µJ",
-                self.mode_interrupt_uj + self.mode_polling_uj + self.mode_transition_uj,
-                core_measured,
-            );
-            // The ledger totals lag the live cursors by at most one
-            // sampling window; settle them before comparing.
-            self.account_energy(now);
-            report.check_exact(
-                "energy: ledger measured µJ == ledger attributed µJ",
-                self.ledger.balance(Account::EnergyMeasuredUj),
-                self.ledger.balance(Account::EnergyAttributedUj),
-            );
-            report.check_exact(
-                "energy: ledger measured µJ == package measured µJ",
-                self.ledger.balance(Account::EnergyMeasuredUj),
-                core_measured + uncore,
-            );
-            // The integer meter and the f64 integral are independent
-            // accumulations of the same power model; the meters carry
-            // their rounding remainder, so the divergence is bounded
-            // *absolutely* — half a microjoule per core plus the
-            // uncore's truncation — no matter how short the run. Fold
-            // that bound into the relative tolerance so small-energy
-            // windows (where a few µJ exceed 1e-6 relative) still
-            // audit against the real guarantee.
-            let f64_uj = direct * 1e6;
-            let slack_uj = 0.5 * self.processor.num_cores() as f64 + 1.0;
-            let tolerance = (slack_uj / f64_uj.max(1.0)).max(1e-6);
-            report.check_close(
-                "energy: integer µJ integral tracks the f64 integral",
-                (core_measured + uncore) as f64,
-                f64_uj,
-                tolerance,
-            );
+        for i in 0..self.processor.num_cores() {
+            let mode = self.napi[i].mode();
+            self.flush_mode_energy(i, now, mode);
         }
+        let mut core_measured = 0u64;
+        let mut core_attributed = 0u64;
+        for i in 0..self.processor.num_cores() {
+            let c = self.processor.core_mut(CoreId(i));
+            let uj = c.energy_uj(now, &self.profile);
+            let total = c.energy_breakdown(now, &self.profile).total_uj();
+            report.check_exact(
+                &format!("energy: core {i} measured µJ == attributed µJ"),
+                uj,
+                total,
+            );
+            core_measured += uj;
+            core_attributed += total;
+        }
+        let uncore = self.processor.uncore_uj(now);
+        report.check_exact(
+            "energy: package measured µJ == attributed µJ",
+            core_measured + uncore,
+            core_attributed + uncore,
+        );
+        report.check_exact(
+            "energy: interrupt + polling + transition µJ == core measured µJ",
+            self.mode_interrupt_uj + self.mode_polling_uj + self.mode_transition_uj,
+            core_measured,
+        );
+        // The ledger totals lag the live cursors by at most one
+        // sampling window; settle them before comparing.
+        self.account_energy(now);
+        report.check_exact(
+            "energy: ledger measured µJ == ledger attributed µJ",
+            self.ledger.balance(Account::EnergyMeasuredUj),
+            self.ledger.balance(Account::EnergyAttributedUj),
+        );
+        report.check_exact(
+            "energy: ledger measured µJ == package measured µJ",
+            self.ledger.balance(Account::EnergyMeasuredUj),
+            core_measured + uncore,
+        );
+        // The integer meter and the f64 integral are independent
+        // accumulations of the same power model; the meters carry
+        // their rounding remainder, so the divergence is bounded
+        // *absolutely* — half a microjoule per core plus the
+        // uncore's truncation — no matter how short the run. Fold
+        // that bound into the relative tolerance so small-energy
+        // windows (where a few µJ exceed 1e-6 relative) still
+        // audit against the real guarantee.
+        let f64_uj = direct * 1e6;
+        let slack_uj = 0.5 * self.processor.num_cores() as f64 + 1.0;
+        let tolerance = (slack_uj / f64_uj.max(1.0)).max(1e-6);
+        report.check_close(
+            "energy: integer µJ integral tracks the f64 integral",
+            (core_measured + uncore) as f64,
+            f64_uj,
+            tolerance,
+        );
         report.check_exact("energy: rapl clamp events", self.rapl.clamp_events(), 0);
 
         Some(report)
@@ -2460,8 +2421,7 @@ impl Testbed {
     /// per-core P-/C-state residency, ksoftirqd run intervals, and
     /// governor-internal marks. Request spans and governor actions were
     /// already emitted live during the run. Call once, at run end.
-    /// No-op unless the `obs` feature is on and the buffer is
-    /// recording.
+    /// No-op unless the buffer is recording.
     pub fn collect_trace(&mut self, end: SimTime) {
         use simcore::TraceCategory;
         if !self.trace.is_recording() {
@@ -2482,21 +2442,19 @@ impl Testbed {
         // End-of-run energy attribution totals: one counter per
         // component per core on the `energy` track (the live stream
         // already carries the cumulative per-core µJ counters).
-        if CoreEnergyMeter::ENABLED {
-            for i in 0..self.processor.num_cores() {
-                let b = self
-                    .processor
-                    .core_mut(CoreId(i))
-                    .energy_breakdown(end, &self.profile);
-                for (component, uj) in b.iter() {
-                    buf.counter(
-                        end,
-                        TraceCategory::Energy,
-                        i as u32,
-                        component.label(),
-                        uj as i64,
-                    );
-                }
+        for i in 0..self.processor.num_cores() {
+            let b = self
+                .processor
+                .core_mut(CoreId(i))
+                .energy_breakdown(end, &self.profile);
+            for (component, uj) in b.iter() {
+                buf.counter(
+                    end,
+                    TraceCategory::Energy,
+                    i as u32,
+                    component.label(),
+                    uj as i64,
+                );
             }
         }
         for &(t, label, core) in self.faults.log() {
@@ -2544,12 +2502,8 @@ impl Testbed {
 
     /// Gathers every component's totals into the testbed's metrics
     /// registry (NIC, NAPI, processor, governor, client, per-kind
-    /// event counts). Call once, at run end. No-op without the `obs`
-    /// feature.
+    /// event counts). Call once, at run end.
     pub fn collect_metrics(&mut self, now: SimTime) {
-        if !simcore::MetricsRegistry::ENABLED {
-            return;
-        }
         let mut m = std::mem::take(&mut self.metrics);
         self.nic.record_metrics(&mut m);
         for napi in &self.napi {
@@ -2573,51 +2527,47 @@ impl Testbed {
         m.set_counter("governor.degradations", d.degradations);
         m.set_counter("governor.recoveries", d.recoveries);
         m.set_counter("governor.degraded_cores", d.degraded_cores);
-        if FaultInjector::ENABLED {
-            let f = self.faults.stats();
-            m.set_counter("fault.total", f.total());
-            m.set_counter("fault.wire_requests_dropped", f.wire_requests_dropped);
-            m.set_counter("fault.wire_responses_dropped", f.wire_responses_dropped);
-            m.set_counter("fault.irqs_lost", f.irqs_lost);
-            m.set_counter("fault.spurious_irqs", f.spurious_irqs);
-            m.set_counter("fault.irq_unmasks_blocked", f.irq_unmasks_blocked);
-            m.set_counter("fault.wakes_delayed", f.wakes_delayed);
-            m.set_counter("fault.signals_suppressed", f.signals_suppressed);
-            m.set_counter("fault.signals_replayed", f.signals_replayed);
-            m.set_counter("fault.polls_clamped", f.polls_clamped);
-            m.set_counter("fault.dvfs_delays", f.dvfs_delays);
-            m.set_counter("fault.pstate_clamps", f.pstate_clamps);
-            m.set_counter("fault.exec_stalls", f.exec_stalls);
-            m.set_counter("fault.load_switches", f.load_switches);
-            m.set_counter("fault.incast_requests", f.incast_requests);
-            m.set_counter("fault.flow_churns", f.flow_churns);
-            m.set_counter("fault.admission_bypasses", f.admission_bypasses);
-        }
+        let f = self.faults.stats();
+        m.set_counter("fault.total", f.total());
+        m.set_counter("fault.wire_requests_dropped", f.wire_requests_dropped);
+        m.set_counter("fault.wire_responses_dropped", f.wire_responses_dropped);
+        m.set_counter("fault.irqs_lost", f.irqs_lost);
+        m.set_counter("fault.spurious_irqs", f.spurious_irqs);
+        m.set_counter("fault.irq_unmasks_blocked", f.irq_unmasks_blocked);
+        m.set_counter("fault.wakes_delayed", f.wakes_delayed);
+        m.set_counter("fault.signals_suppressed", f.signals_suppressed);
+        m.set_counter("fault.signals_replayed", f.signals_replayed);
+        m.set_counter("fault.polls_clamped", f.polls_clamped);
+        m.set_counter("fault.dvfs_delays", f.dvfs_delays);
+        m.set_counter("fault.pstate_clamps", f.pstate_clamps);
+        m.set_counter("fault.exec_stalls", f.exec_stalls);
+        m.set_counter("fault.load_switches", f.load_switches);
+        m.set_counter("fault.incast_requests", f.incast_requests);
+        m.set_counter("fault.flow_churns", f.flow_churns);
+        m.set_counter("fault.admission_bypasses", f.admission_bypasses);
         m.set_counter("admission.shed", self.total_shed());
         m.set_counter("attrib.requests", self.attrib.requests());
         m.set_counter("attrib.mismatches", self.attrib.mismatches());
         m.set_counter("attrib.pending", self.attrib.pending());
         self.attrib.record_metrics(&mut m);
-        if CoreEnergyMeter::ENABLED {
-            let mut package = simcore::EnergyBreakdown::default();
-            let mut measured = 0u64;
-            for i in 0..self.processor.num_cores() {
-                let c = self.processor.core_mut(CoreId(i));
-                measured += c.energy_uj(now, &self.profile);
-                package = package.merged(&c.energy_breakdown(now, &self.profile));
-            }
-            let uncore = self.processor.uncore_uj(now);
-            package.add_uj(simcore::EnergyComponent::Uncore, uncore);
-            m.set_counter("energy.measured_uj", measured + uncore);
-            for (component, uj) in package.iter() {
-                m.set_counter(component.metric_key(), uj);
-            }
-            m.set_counter("energy.mode_interrupt_uj", self.mode_interrupt_uj);
-            m.set_counter("energy.mode_polling_uj", self.mode_polling_uj);
-            m.set_counter("energy.mode_transition_uj", self.mode_transition_uj);
-            m.set_counter("gov.decisions", self.flight.total());
-            m.set_counter("gov.decisions_evicted", self.flight.evicted());
+        let mut package = simcore::EnergyBreakdown::default();
+        let mut measured = 0u64;
+        for i in 0..self.processor.num_cores() {
+            let c = self.processor.core_mut(CoreId(i));
+            measured += c.energy_uj(now, &self.profile);
+            package = package.merged(&c.energy_breakdown(now, &self.profile));
         }
+        let uncore = self.processor.uncore_uj(now);
+        package.add_uj(simcore::EnergyComponent::Uncore, uncore);
+        m.set_counter("energy.measured_uj", measured + uncore);
+        for (component, uj) in package.iter() {
+            m.set_counter(component.metric_key(), uj);
+        }
+        m.set_counter("energy.mode_interrupt_uj", self.mode_interrupt_uj);
+        m.set_counter("energy.mode_polling_uj", self.mode_polling_uj);
+        m.set_counter("energy.mode_transition_uj", self.mode_transition_uj);
+        m.set_counter("gov.decisions", self.flight.total());
+        m.set_counter("gov.decisions_evicted", self.flight.evicted());
         m.set_counter("rapl.clamp_events", self.rapl.clamp_events());
         let wd = self.watchdog.report(now);
         m.set_counter("slo.samples", wd.samples);
@@ -2771,7 +2721,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn conservation_holds_mid_run_and_after_drain() {
         let (mut sim, mut tb) = build(80_000.0, Box::new(Performance::new()));
@@ -2791,7 +2740,6 @@ mod tests {
         assert!(report.checks.len() >= 10, "audit must cover the full stack");
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn conservation_holds_under_ring_overflow() {
         // Tiny rings + heavy load force Rx tail drops; the dropped
@@ -2805,7 +2753,6 @@ mod tests {
             .assert_balanced();
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn attribution_covers_every_response_exactly() {
         let (mut sim, mut tb) = build(50_000.0, Box::new(Performance::new()));
@@ -2825,7 +2772,6 @@ mod tests {
         assert!(wire.sum_ns > 0, "wire time must be attributed");
     }
 
-    #[cfg(all(feature = "obs", feature = "audit"))]
     #[test]
     fn attribution_balances_under_ksoftirqd_overload() {
         // The slowest-pinned overload path exercises preemption,
@@ -2848,7 +2794,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn energy_attribution_is_integer_exact() {
         let (mut sim, mut tb) = build(80_000.0, Box::new(Performance::new()));
@@ -2887,7 +2832,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn flight_recorder_captures_governor_decisions() {
         let table = ProcessorProfile::xeon_gold_6134().pstates;
@@ -2931,7 +2875,6 @@ mod tests {
         assert_ne!(r.first_detect_ns, u64::MAX);
     }
 
-    #[cfg(feature = "fault")]
     fn build_faulty(rps: f64, plan: FaultPlan) -> (Simulator<Testbed>, Testbed) {
         let cfg = TestbedConfig::new(AppModel::memcached(), small_load(rps))
             .with_seed(123)
@@ -2947,7 +2890,6 @@ mod tests {
         (sim, tb)
     }
 
-    #[cfg(all(feature = "fault", feature = "audit"))]
     #[test]
     fn wire_drops_are_explicitly_accounted() {
         use simcore::FaultScope;
@@ -2971,7 +2913,6 @@ mod tests {
         assert!(tb.client.received() < tb.client.sent());
     }
 
-    #[cfg(all(feature = "fault", feature = "audit"))]
     #[test]
     fn stuck_irq_mask_wedges_then_recovers() {
         use simcore::FaultScope;
@@ -2997,7 +2938,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn fault_injection_is_deterministic() {
         use simcore::FaultScope;
@@ -3026,7 +2966,6 @@ mod tests {
         assert_eq!(run(plan()), run(plan()));
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn spurious_irqs_burn_cpu_without_breaking_flow() {
         use simcore::FaultScope;

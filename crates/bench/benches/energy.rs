@@ -1,19 +1,19 @@
 //! Energy-attribution overhead benches.
 //!
-//! The headline question: what does the per-segment microjoule meter
-//! cost the simulation? `attribution_cell` times the `repro --quick`
-//! `energy` artifact's representative cell (NMAP on memcached at high
-//! load) end to end; run it once with default features (meters are
-//! zero-sized no-ops) and once with `--features obs` (meters
-//! attribute every segment) and compare:
+//! `attribution_cell` times the `repro --quick` `energy` artifact's
+//! representative cell (NMAP on memcached at high load) end to end,
+//! with the meters attributing every power-integral segment:
 //!
 //! ```text
-//! cargo bench -p nmap-bench --bench energy                 # obs off
-//! cargo bench -p nmap-bench --bench energy --features obs  # obs on
+//! cargo bench -p nmap-bench --bench energy
 //! ```
 //!
-//! The microbenches isolate the two hot paths the feature adds — the
-//! meter's `advance` (every power-integral segment) and the flight
+//! The instrumentation used to be a build option; the last A/B of this
+//! cell with it compiled out versus in is recorded in `CHANGES.md`
+//! under the entry that made it unconditional.
+//!
+//! The microbenches isolate the two hot paths the attribution adds —
+//! the meter's `advance` (every power-integral segment) and the flight
 //! recorder's `record` (every governor decision) — so a regression in
 //! either is visible without re-deriving it from the cell delta.
 
@@ -27,17 +27,10 @@ use simcore::{
 };
 use workload::{AppKind, LoadLevel};
 
-/// The `energy` artifact's representative cell, end to end. Compare
-/// the obs-on and obs-off builds of this number for the attribution
-/// overhead on a full simulation.
+/// The `energy` artifact's representative cell, end to end.
 fn attribution_cell(c: &mut Criterion) {
     let cfg = nmap_cfg(AppKind::Memcached);
-    let label = if CoreEnergyMeter::ENABLED {
-        "energy_cell/nmap_memcached_high_obs_on"
-    } else {
-        "energy_cell/nmap_memcached_high_obs_off"
-    };
-    c.bench_function(label, |b| {
+    c.bench_function("energy_cell/nmap_memcached_high", |b| {
         b.iter(|| {
             black_box(bench_cell(
                 AppKind::Memcached,

@@ -12,14 +12,12 @@
 //!
 //! ```text
 //! cargo bench -p nmap-bench --bench overload
-//! cargo bench -p nmap-bench --bench overload --features audit,obs,fault
 //! ```
 
 use cluster::{FleetConfig, GovernorKind};
 use nmap_bench::criterion::{black_box, Criterion};
 use nmap_bench::nmap_cfg;
 use nmap_bench::{criterion_group, criterion_main};
-use simcore::fault::FaultInjector;
 use simcore::SimDuration;
 use workload::AppKind;
 
@@ -38,15 +36,10 @@ fn base_cfg() -> FleetConfig {
 /// stack) off vs on. The on/off ratio feeds the advisory overhead
 /// check in `scripts/bench_gate.py`.
 fn overload_cell(c: &mut Criterion) {
-    let suffix = if FaultInjector::ENABLED {
-        "fault_on"
-    } else {
-        "fault_off"
-    };
-    c.bench_function(format!("overload_cell/admission_off_{suffix}"), |b| {
+    c.bench_function("overload_cell/admission_off", |b| {
         b.iter(|| black_box(cluster::run_fleet(base_cfg())))
     });
-    c.bench_function(format!("overload_cell/admission_on_{suffix}"), |b| {
+    c.bench_function("overload_cell/admission_on", |b| {
         b.iter(|| black_box(cluster::run_fleet(base_cfg().with_overload_control())))
     });
 }

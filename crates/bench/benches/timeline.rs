@@ -5,11 +5,10 @@
 //! representative cell (NMAP on memcached at high load) twice in the
 //! same binary — sampler off, and sampler on at a deliberately hot
 //! 1 µs cadence (100× the default) — so the on/off ratio is one bench
-//! run, not an A/B across builds. The build-level A/B still applies:
+//! run:
 //!
 //! ```text
-//! cargo bench -p nmap-bench --bench timeline                 # obs off
-//! cargo bench -p nmap-bench --bench timeline --features obs  # obs on
+//! cargo bench -p nmap-bench --bench timeline
 //! ```
 //!
 //! The microbench isolates the sampler's only hot path — `record_row`
@@ -42,15 +41,10 @@ fn cell_cfg(timeline: TimelineConfig) -> RunConfig {
 /// off vs on at a 1 µs interval. The on/off delta bounds the sampling
 /// overhead; the gate treats it as advisory with a 3% ceiling.
 fn timeline_cell(c: &mut Criterion) {
-    let suffix = if TimeSeriesSampler::ENABLED {
-        "obs_on"
-    } else {
-        "obs_off"
-    };
-    c.bench_function(format!("timeline_cell/sampler_off_{suffix}"), |b| {
+    c.bench_function("timeline_cell/sampler_off", |b| {
         b.iter(|| black_box(experiments::run(cell_cfg(TimelineConfig::OFF))))
     });
-    c.bench_function(format!("timeline_cell/sampler_1us_{suffix}"), |b| {
+    c.bench_function("timeline_cell/sampler_1us", |b| {
         b.iter(|| {
             black_box(experiments::run(cell_cfg(TimelineConfig {
                 interval: SimDuration::from_micros(1),

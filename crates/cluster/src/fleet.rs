@@ -51,8 +51,8 @@
 //! sub-account.
 //!
 //! Both identities are evaluated in the [`FleetResult::audit`]
-//! report, cross-checked against the [`ConservationLedger`] when the
-//! `audit` feature is on, and a violation turns the run into
+//! report, cross-checked against the [`ConservationLedger`], and a
+//! violation turns the run into
 //! [`SimError::Accounting`] instead of a silently wrong result.
 
 use std::collections::VecDeque;
@@ -564,7 +564,7 @@ pub struct FleetResult {
     pub energy_j: f64,
     /// Measured window length.
     pub duration: SimDuration,
-    /// Fleet metrics snapshot (empty without the `obs` feature).
+    /// Fleet metrics snapshot.
     pub metrics: MetricsSnapshot,
     /// Cluster-scope fault injection counts.
     pub faults: FaultStats,
@@ -1549,9 +1549,8 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
     let cores = world.pool.join().cores;
     let c = world.counters;
 
-    // The conservation roll-up: integer-exact, counter-based (so it
-    // holds with or without the `audit` feature), cross-checked
-    // against the ledger when the feature is on.
+    // The conservation roll-up: integer-exact and counter-based,
+    // cross-checked against the ledger.
     let mut audit = AuditReport::new();
     audit.check_exact(
         "fleet: admitted == completed + timed_out + shed + in_flight",
@@ -1582,57 +1581,55 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
         steered_sum,
         c.dispatched,
     );
-    if ConservationLedger::ENABLED {
-        let pairs = [
-            (
-                Account::FleetRequestsAdmitted,
-                c.admitted,
-                "ledger: admitted",
-            ),
-            (
-                Account::FleetRequestsCompleted,
-                c.completed,
-                "ledger: completed",
-            ),
-            (
-                Account::FleetRequestsTimedOut,
-                c.timed_out,
-                "ledger: timed out",
-            ),
-            (
-                Account::FleetAttemptsDispatched,
-                c.dispatched,
-                "ledger: dispatched",
-            ),
-            (
-                Account::FleetAttemptsCompleted,
-                c.attempts_completed,
-                "ledger: attempts completed",
-            ),
-            (
-                Account::FleetAttemptsFailed,
-                c.attempts_failed,
-                "ledger: attempts failed",
-            ),
-            (
-                Account::FleetHedgesSuppressed,
-                c.suppressed,
-                "ledger: suppressed",
-            ),
-            (
-                Account::FleetRequestsShed,
-                c.shed_requests,
-                "ledger: requests shed",
-            ),
-            (
-                Account::FleetAttemptsShed,
-                c.attempts_shed,
-                "ledger: attempts shed",
-            ),
-        ];
-        for (account, counter, name) in pairs {
-            audit.check_exact(name, world.ledger.balance(account), counter);
-        }
+    let pairs = [
+        (
+            Account::FleetRequestsAdmitted,
+            c.admitted,
+            "ledger: admitted",
+        ),
+        (
+            Account::FleetRequestsCompleted,
+            c.completed,
+            "ledger: completed",
+        ),
+        (
+            Account::FleetRequestsTimedOut,
+            c.timed_out,
+            "ledger: timed out",
+        ),
+        (
+            Account::FleetAttemptsDispatched,
+            c.dispatched,
+            "ledger: dispatched",
+        ),
+        (
+            Account::FleetAttemptsCompleted,
+            c.attempts_completed,
+            "ledger: attempts completed",
+        ),
+        (
+            Account::FleetAttemptsFailed,
+            c.attempts_failed,
+            "ledger: attempts failed",
+        ),
+        (
+            Account::FleetHedgesSuppressed,
+            c.suppressed,
+            "ledger: suppressed",
+        ),
+        (
+            Account::FleetRequestsShed,
+            c.shed_requests,
+            "ledger: requests shed",
+        ),
+        (
+            Account::FleetAttemptsShed,
+            c.attempts_shed,
+            "ledger: attempts shed",
+        ),
+    ];
+    for (account, counter, name) in pairs {
+        audit.check_exact(name, world.ledger.balance(account), counter);
     }
     // Per-server single-box audits must also balance.
     for (i, core) in cores.iter_mut().enumerate() {
@@ -1857,11 +1854,9 @@ mod tests {
             r.dispatched,
             r.attempts_completed + r.attempts_failed + r.suppressed + r.attempts_in_flight_at_end
         );
-        if FaultInjector::ENABLED {
-            assert_eq!(r.servers[0].crashes, 1);
-            assert!(r.attempts_failed > 0, "crash lost no attempts");
-            assert!(r.faults.server_crashes >= 1);
-        }
+        assert_eq!(r.servers[0].crashes, 1);
+        assert!(r.attempts_failed > 0, "crash lost no attempts");
+        assert!(r.faults.server_crashes >= 1);
     }
 
     #[test]

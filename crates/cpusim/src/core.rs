@@ -82,11 +82,10 @@ pub struct Core {
     last_account: SimTime,
     /// Fixed-point (microjoule) energy attribution meter. Keeps its
     /// own cursor so observability-only accounting points never
-    /// perturb the `f64` integral; zero-sized without `obs`.
+    /// perturb the `f64` integral.
     obs_energy: CoreEnergyMeter,
     /// Residency per (activity, P-state) — the independent side of
-    /// the energy conservation audit (`audit` feature only).
-    #[cfg(feature = "audit")]
+    /// the energy conservation audit.
     residency: Vec<(CoreActivity, PState, SimDuration)>,
     // --- sampling window ---
     window_start: SimTime,
@@ -114,7 +113,6 @@ impl Core {
             energy_j: 0.0,
             last_account: SimTime::ZERO,
             obs_energy: CoreEnergyMeter::new(),
-            #[cfg(feature = "audit")]
             residency: Vec::new(),
             window_start: SimTime::ZERO,
             busy_in_window: SimDuration::ZERO,
@@ -198,7 +196,7 @@ impl Core {
     /// Advances only the fixed-point attribution meter to `now`,
     /// leaving the `f64` integral untouched — observability hooks
     /// (role changes, mode-boundary snapshots) use this so golden
-    /// energy fixtures cannot drift. No-op without the `obs` feature.
+    /// energy fixtures cannot drift.
     pub fn obs_account(&mut self, now: SimTime, profile: &ProcessorProfile) {
         let power = profile
             .power
@@ -222,16 +220,13 @@ impl Core {
         self.energy_j += power * dt.as_secs_f64();
         self.obs_energy
             .advance(now, power, self.meter_class(profile));
-        #[cfg(feature = "audit")]
+        match self
+            .residency
+            .iter_mut()
+            .find(|(a, p, _)| *a == activity && *p == self.pstate)
         {
-            match self
-                .residency
-                .iter_mut()
-                .find(|(a, p, _)| *a == activity && *p == self.pstate)
-            {
-                Some((_, _, total)) => *total += dt,
-                None => self.residency.push((activity, self.pstate, dt)),
-            }
+            Some((_, _, total)) => *total += dt,
+            None => self.residency.push((activity, self.pstate, dt)),
         }
         if self.busy {
             self.busy_in_window += dt;
@@ -329,7 +324,7 @@ impl Core {
 
     /// Sets the busy-attribution role (application vs interrupt-side
     /// work) for execution from `now` on, advancing the attribution
-    /// meter to the boundary first. No-op without the `obs` feature.
+    /// meter to the boundary first.
     pub fn set_busy_role(&mut self, role: BusyRole, now: SimTime, profile: &ProcessorProfile) {
         self.obs_account(now, profile);
         self.obs_energy.set_role(role);
@@ -429,14 +424,14 @@ impl Core {
     }
 
     /// Total microjoules measured by the fixed-point attribution
-    /// meter through `now` (0 without the `obs` feature).
+    /// meter through `now`.
     pub fn energy_uj(&mut self, now: SimTime, profile: &ProcessorProfile) -> u64 {
         self.obs_account(now, profile);
         self.obs_energy.measured_uj()
     }
 
-    /// The attribution meter's component decomposition through `now`
-    /// (empty without the `obs` feature). Sums to
+    /// The attribution meter's component decomposition through `now`.
+    /// Sums to
     /// [`energy_uj`](Self::energy_uj) exactly — the per-core energy
     /// conservation identity.
     pub fn energy_breakdown(
@@ -452,33 +447,18 @@ impl Core {
     /// Σ power(activity, P-state) × residency — independently of the
     /// incremental integral [`energy_joules`](Self::energy_joules)
     /// maintains. The two must agree to ~1e-6 relative error; the
-    /// conservation audit compares them. Returns `None` without the
-    /// `audit` feature.
-    pub fn audited_energy_joules(
-        &mut self,
-        now: SimTime,
-        profile: &ProcessorProfile,
-    ) -> Option<f64> {
-        #[cfg(feature = "audit")]
-        {
-            self.account(now, profile);
-            Some(
-                self.residency
-                    .iter()
-                    .map(|&(activity, pstate, dur)| {
-                        profile
-                            .power
-                            .core_power(profile.pstates.point(pstate), activity)
-                            * dur.as_secs_f64()
-                    })
-                    .sum(),
-            )
-        }
-        #[cfg(not(feature = "audit"))]
-        {
-            let _ = (now, profile);
-            None
-        }
+    /// conservation audit compares them.
+    pub fn audited_energy_joules(&mut self, now: SimTime, profile: &ProcessorProfile) -> f64 {
+        self.account(now, profile);
+        self.residency
+            .iter()
+            .map(|&(activity, pstate, dur)| {
+                profile
+                    .power
+                    .core_power(profile.pstates.point(pstate), activity)
+                    * dur.as_secs_f64()
+            })
+            .sum()
     }
 
     /// Lifetime busy time.
@@ -694,10 +674,6 @@ mod tests {
         let t = SimTime::from_millis(10);
         let uj = c.energy_uj(t, &p);
         let b = c.energy_breakdown(t, &p);
-        if !CoreEnergyMeter::ENABLED {
-            assert_eq!(uj, 0);
-            return;
-        }
         assert_eq!(uj, b.total_uj(), "per-core conservation identity");
         assert!(b.get_uj(EnergyComponent::Irq) > 0, "irq-role busy burn");
         assert!(b.get_uj(EnergyComponent::BusyPmin) > 0, "app busy at Pmin");

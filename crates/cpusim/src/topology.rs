@@ -182,9 +182,7 @@ impl Processor {
 
     /// Package energy through `now` as measured by the fixed-point
     /// attribution meters (cores + uncore), in microjoules. Advances
-    /// only the meters; the `f64` integral is untouched. 0 without
-    /// the `obs` feature (apart from the uncore term, which is a pure
-    /// function of time).
+    /// only the meters; the `f64` integral is untouched.
     pub fn package_energy_uj(&mut self, now: SimTime) -> u64 {
         let profile = self.profile.clone();
         let core_uj = self.cores.iter_mut().fold(0u64, |acc, c| {
@@ -208,15 +206,14 @@ impl Processor {
     /// Package energy recomputed from every core's residency ledger
     /// plus the uncore term — the independent cross-check the
     /// conservation audit compares against
-    /// [`package_energy_joules`](Self::package_energy_joules). Returns
-    /// `None` without the `audit` feature.
-    pub fn audited_package_energy_joules(&mut self, now: SimTime) -> Option<f64> {
+    /// [`package_energy_joules`](Self::package_energy_joules).
+    pub fn audited_package_energy_joules(&mut self, now: SimTime) -> f64 {
         let profile = self.profile.clone();
         let mut core_energy = 0.0;
         for c in &mut self.cores {
-            core_energy += c.audited_energy_joules(now, &profile)?;
+            core_energy += c.audited_energy_joules(now, &profile);
         }
-        Some(core_energy + profile.power.uncore_w * now.as_secs_f64())
+        core_energy + profile.power.uncore_w * now.as_secs_f64()
     }
 
     /// Sets extra latency added to every DVFS transition started while
@@ -238,9 +235,6 @@ impl Processor {
 
     /// Reports processor-level totals into the metrics registry.
     pub fn record_metrics(&mut self, now: SimTime, m: &mut simcore::MetricsRegistry) {
-        if !simcore::MetricsRegistry::ENABLED {
-            return;
-        }
         m.set_counter("cpu.dvfs_transitions", self.total_transitions());
         m.set_counter(
             "cpu.c6_entries",
@@ -372,7 +366,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn audited_energy_matches_incremental_integral() {
         let (mut p, mut rng) = per_core();
@@ -387,7 +380,7 @@ mod tests {
         }
         let now = SimTime::from_millis(40);
         let direct = p.package_energy_joules(now);
-        let audited = p.audited_package_energy_joules(now).expect("audit enabled");
+        let audited = p.audited_package_energy_joules(now);
         let rel = (direct - audited).abs() / direct.max(1e-12);
         assert!(
             rel < 1e-6,
@@ -412,15 +405,11 @@ mod tests {
         let measured = p.package_energy_uj(now);
         let attributed = p.attributed_package_energy_uj(now);
         assert_eq!(measured, attributed, "package conservation identity");
-        if simcore::CoreEnergyMeter::ENABLED {
-            let f64_uj = p.package_energy_joules(now) * 1e6;
-            assert!(
-                (measured as f64 - f64_uj).abs() < 64.0,
-                "integer {measured} µJ vs f64 {f64_uj} µJ"
-            );
-        } else {
-            assert_eq!(measured, p.uncore_uj(now), "only uncore without obs");
-        }
+        let f64_uj = p.package_energy_joules(now) * 1e6;
+        assert!(
+            (measured as f64 - f64_uj).abs() < 64.0,
+            "integer {measured} µJ vs f64 {f64_uj} µJ"
+        );
     }
 
     #[test]

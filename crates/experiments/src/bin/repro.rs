@@ -11,7 +11,7 @@
 //!                     crash never leaves a truncated artifact)
 //!   --trace-out DIR   also rerun each artifact's representative cell
 //!                     with tracing and write DIR/<id>.trace.json
-//!                     (Perfetto-loadable; needs `--features obs`)
+//!                     (Perfetto-loadable)
 //!   --checkpoint FILE stream finished sweep cells to FILE (append-only
 //!                     JSONL); re-running with the same FILE after a
 //!                     crash or Ctrl-C skips completed cells and

@@ -323,7 +323,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn perfetto_json_emits_metadata_and_events() {
         let r = traced_result();
@@ -342,7 +341,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn perfetto_json_records_dropped_events() {
         use simcore::{SimTime, TraceBuffer, TraceCategory};
@@ -363,7 +361,6 @@ mod tests {
         assert!(perfetto_json_with_drops(&tb, 3).contains("\"otherData\":{\"droppedEvents\":5}"));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn timeline_csv_and_openmetrics_write() {
         let r = traced_result();
@@ -377,14 +374,6 @@ mod tests {
         let om = std::fs::read_to_string(dir.join("timeline.om")).unwrap();
         assert!(om.ends_with("# EOF\n"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn perfetto_json_is_empty_when_obs_off() {
-        let r = traced_result();
-        let json = perfetto_json(&r.traces.as_ref().unwrap().trace);
-        assert!(!json.contains("\"ph\":\"B\""), "no spans without obs");
     }
 
     #[test]

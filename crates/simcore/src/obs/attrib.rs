@@ -32,17 +32,11 @@
 //! histograms, which it exports to a [`MetricsRegistry`] at run end
 //! ([`AttribTracker::record_metrics`]); the conservation ledger
 //! cross-checks that the attributed nanoseconds equal the measured
-//! end-to-end nanoseconds at any simulation time. Like the rest of
-//! [`crate::obs`], the tracker is a zero-sized no-op without the `obs`
-//! feature; the plain data types ([`Stage`], [`Breakdown`],
-//! [`ChainMarks`]) are always available.
+//! end-to-end nanoseconds at any simulation time.
 
 use super::MetricsRegistry;
-#[cfg(feature = "obs")]
 use super::ObsHistogram;
-#[cfg(feature = "obs")]
 use crate::hash::IdHashMap;
-#[cfg(feature = "obs")]
 use crate::stats::histogram::Histogram;
 use crate::time::{SimDuration, SimTime};
 
@@ -252,7 +246,6 @@ pub struct CompletedAttrib {
     pub matches: bool,
 }
 
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone)]
 struct Pending {
     breakdown: Breakdown,
@@ -274,7 +267,6 @@ struct Pending {
 }
 
 /// Per-stage aggregation over completed requests.
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone)]
 struct Agg {
     sums_ns: [u64; STAGES],
@@ -288,7 +280,6 @@ struct Agg {
     e2e_total_ns: u64,
 }
 
-#[cfg(feature = "obs")]
 impl Default for Agg {
     fn default() -> Self {
         Agg {
@@ -333,8 +324,7 @@ pub struct AttribSummary {
     pub attributed_total_ns: u64,
     /// Sum of all measured end-to-end nanoseconds.
     pub e2e_total_ns: u64,
-    /// Per-stage aggregates, in [`Stage::ALL`] order (empty without
-    /// the `obs` feature).
+    /// Per-stage aggregates, in [`Stage::ALL`] order.
     pub stages: Vec<StageSummary>,
 }
 
@@ -369,21 +359,13 @@ impl AttribSummary {
 /// In-flight state lives in a [`crate::IdHashMap`]: every call is a
 /// keyed lookup and nothing iterates it, so the table's layout cannot
 /// reach a result.
-///
-/// Zero-sized no-op without the `obs` feature.
 #[derive(Debug, Clone, Default)]
 pub struct AttribTracker {
-    #[cfg(feature = "obs")]
     pending: IdHashMap<u64, Pending>,
-    #[cfg(feature = "obs")]
     agg: Agg,
 }
 
 impl AttribTracker {
-    /// True when the crate was built with the `obs` feature and
-    /// trackers actually attribute.
-    pub const ENABLED: bool = cfg!(feature = "obs");
-
     /// Creates an empty tracker.
     pub fn new() -> Self {
         Self::default()
@@ -401,47 +383,35 @@ impl AttribTracker {
         now: SimTime,
         marks: &ChainMarks,
     ) {
-        #[cfg(feature = "obs")]
-        {
-            let mut breakdown = Breakdown::default();
-            breakdown.add(Stage::Wire, enqueued_at.saturating_since(sent_at));
-            attribute_ring(&mut breakdown, enqueued_at, now, marks);
-            self.pending.insert(
-                id,
-                Pending {
-                    breakdown,
-                    sent_at,
-                    claim_at: now,
-                    delivered_at: now,
-                    app_start: now,
-                    finished_at: now,
-                    core: 0,
-                    chunk_start: None,
-                    executed: SimDuration::ZERO,
-                    debt: SimDuration::ZERO,
-                    ideal: SimDuration::ZERO,
-                },
-            );
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (id, sent_at, enqueued_at, now, marks);
-        }
+        let mut breakdown = Breakdown::default();
+        breakdown.add(Stage::Wire, enqueued_at.saturating_since(sent_at));
+        attribute_ring(&mut breakdown, enqueued_at, now, marks);
+        self.pending.insert(
+            id,
+            Pending {
+                breakdown,
+                sent_at,
+                claim_at: now,
+                delivered_at: now,
+                app_start: now,
+                finished_at: now,
+                core: 0,
+                chunk_start: None,
+                executed: SimDuration::ZERO,
+                debt: SimDuration::ZERO,
+                ideal: SimDuration::ZERO,
+            },
+        );
     }
 
     /// The claiming poll batch retired and handed request `id` to the
     /// socket backlog.
     #[inline]
     pub fn delivered(&mut self, id: u64, now: SimTime) {
-        #[cfg(feature = "obs")]
         if let Some(p) = self.pending.get_mut(&id) {
             p.breakdown
                 .add(Stage::PollBatch, now.saturating_since(p.claim_at));
             p.delivered_at = now;
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (id, now);
         }
     }
 
@@ -457,7 +427,6 @@ impl AttribTracker {
         debt: SimDuration,
         ideal: SimDuration,
     ) {
-        #[cfg(feature = "obs")]
         if let Some(p) = self.pending.get_mut(&id) {
             p.breakdown
                 .add(Stage::AppQueue, now.saturating_since(p.delivered_at));
@@ -467,37 +436,23 @@ impl AttribTracker {
             p.debt = debt;
             p.ideal = ideal;
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (id, core, now, debt, ideal);
-        }
     }
 
     /// Request `id`'s service chunk was preempted.
     #[inline]
     pub fn app_pause(&mut self, id: u64, now: SimTime) {
-        #[cfg(feature = "obs")]
         if let Some(p) = self.pending.get_mut(&id) {
             if let Some(start) = p.chunk_start.take() {
                 p.executed += now.saturating_since(start);
             }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (id, now);
         }
     }
 
     /// Request `id` resumed execution after preemption.
     #[inline]
     pub fn app_resume(&mut self, id: u64, now: SimTime) {
-        #[cfg(feature = "obs")]
         if let Some(p) = self.pending.get_mut(&id) {
             p.chunk_start = Some(now);
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (id, now);
         }
     }
 
@@ -507,7 +462,6 @@ impl AttribTracker {
     /// to `now − app_start`.
     #[inline]
     pub fn app_finish(&mut self, id: u64, now: SimTime) {
-        #[cfg(feature = "obs")]
         if let Some(p) = self.pending.get_mut(&id) {
             if let Some(start) = p.chunk_start.take() {
                 p.executed += now.saturating_since(start);
@@ -527,116 +481,68 @@ impl AttribTracker {
             p.breakdown.add(Stage::PstateStall, stall);
             p.finished_at = now;
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (id, now);
-        }
     }
 
     /// The response for request `id` arrived back at the client:
     /// closes the breakdown (return-path wire time), verifies the
     /// conservation identity against the measured latency, folds the
     /// request into the aggregates, and returns the result. `None`
-    /// when the request was never tracked (or the feature is off).
+    /// when the request was never tracked.
     #[inline]
     pub fn completed(&mut self, id: u64, now: SimTime) -> Option<CompletedAttrib> {
-        #[cfg(feature = "obs")]
-        {
-            let mut p = self.pending.remove(&id)?;
-            p.breakdown
-                .add(Stage::Wire, now.saturating_since(p.finished_at));
-            let e2e_ns = now.saturating_since(p.sent_at).as_nanos();
-            let total = p.breakdown.total_ns();
-            let matches = total == e2e_ns;
-            self.agg.requests += 1;
-            self.agg.mismatches += (!matches) as u64;
-            self.agg.attributed_total_ns = self.agg.attributed_total_ns.saturating_add(total);
-            self.agg.e2e_total_ns = self.agg.e2e_total_ns.saturating_add(e2e_ns);
-            for (stage, ns) in p.breakdown.iter() {
-                let slot = &mut self.agg.sums_ns[stage as usize];
-                *slot = slot.saturating_add(ns);
-                self.agg.hists[stage as usize].record(ns);
-                self.agg.log2[stage as usize].observe(ns);
-            }
-            Some(CompletedAttrib {
-                breakdown: p.breakdown,
-                core: p.core,
-                e2e_ns,
-                matches,
-            })
+        let mut p = self.pending.remove(&id)?;
+        p.breakdown
+            .add(Stage::Wire, now.saturating_since(p.finished_at));
+        let e2e_ns = now.saturating_since(p.sent_at).as_nanos();
+        let total = p.breakdown.total_ns();
+        let matches = total == e2e_ns;
+        self.agg.requests += 1;
+        self.agg.mismatches += (!matches) as u64;
+        self.agg.attributed_total_ns = self.agg.attributed_total_ns.saturating_add(total);
+        self.agg.e2e_total_ns = self.agg.e2e_total_ns.saturating_add(e2e_ns);
+        for (stage, ns) in p.breakdown.iter() {
+            let slot = &mut self.agg.sums_ns[stage as usize];
+            *slot = slot.saturating_add(ns);
+            self.agg.hists[stage as usize].record(ns);
+            self.agg.log2[stage as usize].observe(ns);
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (id, now);
-            None
-        }
+        Some(CompletedAttrib {
+            breakdown: p.breakdown,
+            core: p.core,
+            e2e_ns,
+            matches,
+        })
     }
 
     /// Completed requests attributed so far.
     pub fn requests(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.agg.requests
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.agg.requests
     }
 
     /// Requests whose stage sums failed the conservation identity
     /// (audited to be 0).
     pub fn mismatches(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.agg.mismatches
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.agg.mismatches
     }
 
     /// Total attributed nanoseconds across completed requests (the
     /// ledger cross-checks this against measured latency).
     pub fn attributed_total_ns(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.agg.attributed_total_ns
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.agg.attributed_total_ns
     }
 
     /// Requests currently tracked but not yet completed.
     pub fn pending(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.pending.len() as u64
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.pending.len() as u64
     }
 
     /// Cumulative per-mille share of `stage` over all completed
     /// requests (0 with no data) — trace-counter material.
     pub fn share_permille(&self, stage: Stage) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            if self.agg.attributed_total_ns == 0 {
-                return 0;
-            }
-            self.agg.sums_ns[stage as usize] * 1_000 / self.agg.attributed_total_ns
+        if self.agg.attributed_total_ns == 0 {
+            return 0;
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = stage;
-            0
-        }
+        self.agg.sums_ns[stage as usize] * 1_000 / self.agg.attributed_total_ns
     }
 
     /// Exports the per-stage histograms of every completed request
@@ -646,47 +552,34 @@ impl AttribTracker {
     /// completed. Replaces (rather than adds to) earlier exports, so
     /// calling it twice is harmless.
     pub fn record_metrics(&self, m: &mut MetricsRegistry) {
-        #[cfg(feature = "obs")]
         if self.agg.requests > 0 {
             for stage in Stage::ALL {
                 m.set_histogram(stage.metric_key(), &self.agg.log2[stage as usize]);
             }
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = m;
-        }
     }
 
-    /// Freezes the aggregates into an [`AttribSummary`] (empty
-    /// without the `obs` feature).
+    /// Freezes the aggregates into an [`AttribSummary`].
     pub fn summary(&self) -> AttribSummary {
-        #[cfg(feature = "obs")]
-        {
-            AttribSummary {
-                requests: self.agg.requests,
-                pending: self.pending.len() as u64,
-                mismatches: self.agg.mismatches,
-                attributed_total_ns: self.agg.attributed_total_ns,
-                e2e_total_ns: self.agg.e2e_total_ns,
-                stages: Stage::ALL
-                    .iter()
-                    .map(|&stage| {
-                        let h = &self.agg.hists[stage as usize];
-                        StageSummary {
-                            stage,
-                            sum_ns: self.agg.sums_ns[stage as usize],
-                            p50_ns: h.value_at_quantile(0.50),
-                            p99_ns: h.value_at_quantile(0.99),
-                            max_ns: h.max(),
-                        }
-                    })
-                    .collect(),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            AttribSummary::default()
+        AttribSummary {
+            requests: self.agg.requests,
+            pending: self.pending.len() as u64,
+            mismatches: self.agg.mismatches,
+            attributed_total_ns: self.agg.attributed_total_ns,
+            e2e_total_ns: self.agg.e2e_total_ns,
+            stages: Stage::ALL
+                .iter()
+                .map(|&stage| {
+                    let h = &self.agg.hists[stage as usize];
+                    StageSummary {
+                        stage,
+                        sum_ns: self.agg.sums_ns[stage as usize],
+                        p50_ns: h.value_at_quantile(0.50),
+                        p99_ns: h.value_at_quantile(0.99),
+                        max_ns: h.max(),
+                    }
+                })
+                .collect(),
         }
     }
 }
@@ -778,10 +671,6 @@ mod tests {
         tr.app_resume(7, t(150));
         tr.app_finish(7, t(170));
         let done = tr.completed(7, t(200));
-        if !AttribTracker::ENABLED {
-            assert!(done.is_none());
-            return;
-        }
         let done = done.expect("tracked request completes");
         assert!(done.matches, "stage sums must equal e2e");
         assert_eq!(done.e2e_ns, d(200).as_nanos());
@@ -847,12 +736,8 @@ mod tests {
         tr.app_start(1, 0, t(10), SimDuration::ZERO, d(10));
         tr.app_finish(1, t(20));
         tr.completed(1, t(30));
-        if AttribTracker::ENABLED {
-            // wire 10 + 10, service 10 → service is one third.
-            assert_eq!(tr.share_permille(Stage::AppService), 333);
-            assert_eq!(tr.share_permille(Stage::Wire), 666);
-        } else {
-            assert_eq!(tr.share_permille(Stage::AppService), 0);
-        }
+        // wire 10 + 10, service 10 → service is one third.
+        assert_eq!(tr.share_permille(Stage::AppService), 333);
+        assert_eq!(tr.share_permille(Stage::Wire), 666);
     }
 }

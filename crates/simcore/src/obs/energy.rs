@@ -29,14 +29,8 @@
 //! and the resulting operating-point change — the black-box recorder
 //! you replay after a bad tail-latency episode to see what the
 //! governor was looking at when it acted.
-//!
-//! Like the rest of [`crate::obs`], the stateful types
-//! ([`CoreEnergyMeter`], [`FlightRecorder`]) are zero-sized no-ops
-//! without the `obs` feature; the plain data types stay available so
-//! call sites need no `cfg` noise.
 
 use crate::time::{SimDuration, SimTime};
-#[cfg(feature = "obs")]
 use std::collections::VecDeque;
 
 /// One typed destination for a core's (or the package's) energy.
@@ -245,22 +239,13 @@ impl EnergyBreakdown {
 /// accounting segment calls [`advance`](Self::advance) with the
 /// segment's instantaneous power and activity class. The meter keeps
 /// its own cursor, so observability-only advancement points (role
-/// changes, mode-boundary snapshots) never perturb the `f64` path —
-/// golden energy fixtures stay bit-identical with the feature on or
-/// off.
-///
-/// Zero-sized no-op without the `obs` feature.
+/// changes, mode-boundary snapshots) never perturb the `f64` path.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreEnergyMeter {
-    #[cfg(feature = "obs")]
     last: SimTime,
-    #[cfg(feature = "obs")]
     wake_until: SimTime,
-    #[cfg(feature = "obs")]
     role: BusyRole,
-    #[cfg(feature = "obs")]
     measured_uj: u64,
-    #[cfg(feature = "obs")]
     breakdown: EnergyBreakdown,
     /// Sub-microjoule remainder carried between segments. Many
     /// segments repeat the exact same power×duration product (fixed
@@ -268,21 +253,15 @@ pub struct CoreEnergyMeter {
     /// rounding would bias in one direction and drift linearly from
     /// the `f64` integral; carrying the remainder bounds the
     /// cumulative error at half a microjoule.
-    #[cfg(feature = "obs")]
     carry: f64,
 }
 
 impl CoreEnergyMeter {
-    /// True when the crate was built with the `obs` feature and
-    /// meters actually attribute.
-    pub const ENABLED: bool = cfg!(feature = "obs");
-
     /// Creates a meter anchored at time zero.
     pub fn new() -> Self {
         Self::default()
     }
 
-    #[cfg(feature = "obs")]
     fn add(&mut self, component: EnergyComponent, power_w: f64, dt: SimDuration) {
         let exact = (power_w * dt.as_nanos() as f64 / 1000.0).max(0.0);
         let acc = exact + self.carry;
@@ -299,74 +278,53 @@ impl CoreEnergyMeter {
     /// lands in [`EnergyComponent::WakeC0`].
     #[inline]
     pub fn advance(&mut self, now: SimTime, power_w: f64, class: MeterClass) {
-        #[cfg(feature = "obs")]
-        {
-            if now <= self.last {
-                return;
+        if now <= self.last {
+            return;
+        }
+        let dt = now.saturating_since(self.last);
+        match class {
+            MeterClass::Busy { index, len } => {
+                let component = match self.role {
+                    BusyRole::App => busy_bucket(index, len),
+                    BusyRole::Irq => EnergyComponent::Irq,
+                };
+                self.add(component, power_w, dt);
             }
-            let dt = now.saturating_since(self.last);
-            match class {
-                MeterClass::Busy { index, len } => {
-                    let component = match self.role {
-                        BusyRole::App => busy_bucket(index, len),
-                        BusyRole::Irq => EnergyComponent::Irq,
-                    };
-                    self.add(component, power_w, dt);
-                }
-                MeterClass::IdleC0 => {
-                    if self.last < self.wake_until {
-                        let split = self.wake_until.min(now);
+            MeterClass::IdleC0 => {
+                if self.last < self.wake_until {
+                    let split = self.wake_until.min(now);
+                    self.add(
+                        EnergyComponent::WakeC0,
+                        power_w,
+                        split.saturating_since(self.last),
+                    );
+                    if now > split {
                         self.add(
-                            EnergyComponent::WakeC0,
+                            EnergyComponent::IdleC0,
                             power_w,
-                            split.saturating_since(self.last),
+                            now.saturating_since(split),
                         );
-                        if now > split {
-                            self.add(
-                                EnergyComponent::IdleC0,
-                                power_w,
-                                now.saturating_since(split),
-                            );
-                        }
-                    } else {
-                        self.add(EnergyComponent::IdleC0, power_w, dt);
                     }
+                } else {
+                    self.add(EnergyComponent::IdleC0, power_w, dt);
                 }
-                MeterClass::SleepC1 => self.add(EnergyComponent::SleepC1, power_w, dt),
-                MeterClass::SleepC6 => self.add(EnergyComponent::SleepC6, power_w, dt),
             }
-            self.last = now;
+            MeterClass::SleepC1 => self.add(EnergyComponent::SleepC1, power_w, dt),
+            MeterClass::SleepC6 => self.add(EnergyComponent::SleepC6, power_w, dt),
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (now, power_w, class);
-        }
+        self.last = now;
     }
 
     /// Sets the busy-attribution role for segments from here on.
     /// Callers must advance the meter to the role-change time first.
     #[inline]
     pub fn set_role(&mut self, role: BusyRole) {
-        #[cfg(feature = "obs")]
-        {
-            self.role = role;
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = role;
-        }
+        self.role = role;
     }
 
     /// The current busy-attribution role.
     pub fn role(&self) -> BusyRole {
-        #[cfg(feature = "obs")]
-        {
-            self.role
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            BusyRole::App
-        }
+        self.role
     }
 
     /// Declares a C-state exit in progress until `until`: CC0 idle
@@ -374,39 +332,17 @@ impl CoreEnergyMeter {
     /// (never shortens) any open window.
     #[inline]
     pub fn note_wake(&mut self, until: SimTime) {
-        #[cfg(feature = "obs")]
-        {
-            self.wake_until = self.wake_until.max(until);
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = until;
-        }
+        self.wake_until = self.wake_until.max(until);
     }
 
-    /// Total microjoules measured so far (0 without the feature).
+    /// Total microjoules measured so far.
     pub fn measured_uj(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.measured_uj
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.measured_uj
     }
 
-    /// The component decomposition so far (empty without the
-    /// feature).
+    /// The component decomposition so far.
     pub fn breakdown(&self) -> EnergyBreakdown {
-        #[cfg(feature = "obs")]
-        {
-            self.breakdown
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            EnergyBreakdown::default()
-        }
+        self.breakdown
     }
 }
 
@@ -478,45 +414,24 @@ pub struct GovDecision {
 /// A bounded ring of [`GovDecision`]s with drop accounting — the
 /// governor's flight recorder. When full, the *oldest* decision is
 /// evicted (a flight recorder keeps the most recent history).
-///
-/// Zero-sized no-op without the `obs` feature.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlightRecorder {
-    #[cfg(feature = "obs")]
     ring: VecDeque<GovDecision>,
-    #[cfg(feature = "obs")]
     capacity: usize,
-    #[cfg(feature = "obs")]
     evicted: u64,
-    #[cfg(feature = "obs")]
     total: u64,
-    #[cfg(feature = "obs")]
     raises: u64,
-    #[cfg(feature = "obs")]
     lowers: u64,
-    #[cfg(feature = "obs")]
     by_trigger: [u64; TRIGGERS],
 }
 
 impl FlightRecorder {
-    /// True when the crate was built with the `obs` feature and
-    /// recorders actually record.
-    pub const ENABLED: bool = cfg!(feature = "obs");
-
     /// A recorder retaining up to `capacity` most-recent decisions.
     pub fn with_capacity(capacity: usize) -> Self {
-        #[cfg(feature = "obs")]
-        {
-            FlightRecorder {
-                ring: VecDeque::new(),
-                capacity,
-                ..Self::default()
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = capacity;
-            FlightRecorder {}
+        FlightRecorder {
+            ring: VecDeque::new(),
+            capacity,
+            ..Self::default()
         }
     }
 
@@ -524,74 +439,45 @@ impl FlightRecorder {
     /// full.
     #[inline]
     pub fn record(&mut self, decision: GovDecision) {
-        #[cfg(feature = "obs")]
-        {
-            self.total += 1;
-            self.by_trigger[decision.trigger as usize] += 1;
-            // P0 is index 0: a smaller target index raises the
-            // operating point.
-            if decision.to_pstate < decision.from_pstate {
-                self.raises += 1;
-            } else if decision.to_pstate > decision.from_pstate {
-                self.lowers += 1;
-            }
-            if self.capacity == 0 {
-                self.evicted += 1;
-                return;
-            }
-            if self.ring.len() >= self.capacity {
-                self.ring.pop_front();
-                self.evicted += 1;
-            }
-            self.ring.push_back(decision);
+        self.total += 1;
+        self.by_trigger[decision.trigger as usize] += 1;
+        // P0 is index 0: a smaller target index raises the
+        // operating point.
+        if decision.to_pstate < decision.from_pstate {
+            self.raises += 1;
+        } else if decision.to_pstate > decision.from_pstate {
+            self.lowers += 1;
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = decision;
+        if self.capacity == 0 {
+            self.evicted += 1;
+            return;
         }
+        if self.ring.len() >= self.capacity {
+            self.ring.pop_front();
+            self.evicted += 1;
+        }
+        self.ring.push_back(decision);
     }
 
     /// Decisions ever recorded (including evicted ones).
     pub fn total(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.total
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.total
     }
 
     /// Decisions evicted from the ring to make room.
     pub fn evicted(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.evicted
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.evicted
     }
 
-    /// Freezes the recorder into a [`FlightSummary`] (empty without
-    /// the `obs` feature).
+    /// Freezes the recorder into a [`FlightSummary`].
     pub fn summary(&self) -> FlightSummary {
-        #[cfg(feature = "obs")]
-        {
-            FlightSummary {
-                total: self.total,
-                evicted: self.evicted,
-                raises: self.raises,
-                lowers: self.lowers,
-                by_trigger: self.by_trigger.to_vec(),
-                decisions: self.ring.iter().copied().collect(),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            FlightSummary::default()
+        FlightSummary {
+            total: self.total,
+            evicted: self.evicted,
+            raises: self.raises,
+            lowers: self.lowers,
+            by_trigger: self.by_trigger.to_vec(),
+            decisions: self.ring.iter().copied().collect(),
         }
     }
 }
@@ -611,15 +497,14 @@ pub struct FlightSummary {
     /// Decisions that lowered the operating point.
     pub lowers: u64,
     /// Decision counts per [`DecisionTrigger`], in
-    /// [`DecisionTrigger::ALL`] order (empty without the `obs`
-    /// feature).
+    /// [`DecisionTrigger::ALL`] order.
     pub by_trigger: Vec<u64>,
     /// The retained most-recent decisions, oldest first.
     pub decisions: Vec<GovDecision>,
 }
 
 impl FlightSummary {
-    /// Decision count for one trigger (0 if the feature is off).
+    /// Decision count for one trigger.
     pub fn trigger_count(&self, trigger: DecisionTrigger) -> u64 {
         self.by_trigger.get(trigger as usize).copied().unwrap_or(0)
     }
@@ -758,10 +643,6 @@ mod tests {
         m.advance(t(50), 8.0, MeterClass::Busy { index: 15, len: 16 });
         // 50–60: plain idle (wake window long past).
         m.advance(t(60), 5.0, MeterClass::IdleC0);
-        if !CoreEnergyMeter::ENABLED {
-            assert_eq!(m.measured_uj(), 0);
-            return;
-        }
         let b = m.breakdown();
         assert_eq!(b.get_uj(EnergyComponent::SleepC6), 1); // 0.12 W × 10 µs
         assert_eq!(b.get_uj(EnergyComponent::WakeC0), 20); // 5 W × 4 µs
@@ -781,12 +662,10 @@ mod tests {
         // the two separately rounded halves still sum to the
         // measured total by construction.
         m.advance(t(10), 3.3, MeterClass::IdleC0);
-        if CoreEnergyMeter::ENABLED {
-            let b = m.breakdown();
-            assert_eq!(b.get_uj(EnergyComponent::WakeC0), 20); // 19.8 → 20
-            assert_eq!(b.get_uj(EnergyComponent::IdleC0), 13); // 13.2 → 13
-            assert_eq!(m.measured_uj(), b.total_uj());
-        }
+        let b = m.breakdown();
+        assert_eq!(b.get_uj(EnergyComponent::WakeC0), 20); // 19.8 → 20
+        assert_eq!(b.get_uj(EnergyComponent::IdleC0), 13); // 13.2 → 13
+        assert_eq!(m.measured_uj(), b.total_uj());
     }
 
     #[test]
@@ -813,18 +692,13 @@ mod tests {
             });
         }
         let s = r.summary();
-        if FlightRecorder::ENABLED {
-            assert_eq!(s.total, 5);
-            assert_eq!(s.evicted, 3);
-            assert_eq!(s.raises, 3);
-            assert_eq!(s.lowers, 2);
-            assert_eq!(s.trigger_count(DecisionTrigger::Sample), 5);
-            let cores: Vec<_> = s.decisions.iter().map(|d| d.core).collect();
-            assert_eq!(cores, vec![3, 4], "ring keeps the most recent");
-        } else {
-            assert_eq!(s.total, 0);
-            assert!(s.decisions.is_empty());
-        }
+        assert_eq!(s.total, 5);
+        assert_eq!(s.evicted, 3);
+        assert_eq!(s.raises, 3);
+        assert_eq!(s.lowers, 2);
+        assert_eq!(s.trigger_count(DecisionTrigger::Sample), 5);
+        let cores: Vec<_> = s.decisions.iter().map(|d| d.core).collect();
+        assert_eq!(cores, vec![3, 4], "ring keeps the most recent");
     }
 
     #[test]
@@ -879,13 +753,5 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), COMPONENTS);
-    }
-
-    #[test]
-    fn zero_cost_shapes_when_disabled() {
-        if !CoreEnergyMeter::ENABLED {
-            assert_eq!(std::mem::size_of::<CoreEnergyMeter>(), 0);
-            assert_eq!(std::mem::size_of::<FlightRecorder>(), 0);
-        }
     }
 }

@@ -18,14 +18,8 @@
 //!   [`MetricsSnapshot`] that two same-seed runs must reproduce
 //!   bit-identically.
 //!
-//! # Zero cost when disabled
-//!
-//! Everything is gated on the `obs` cargo feature, following the
-//! [`crate::audit`] pattern: with the feature off, [`TraceBuffer`]
-//! and [`MetricsRegistry`] carry no fields and every recording method
-//! is an empty `#[inline]` body, so instrumented call sites compile
-//! to nothing. [`TraceBuffer::ENABLED`] tells collection passes
-//! whether recorded data is meaningful.
+//! A [`TraceBuffer`] with capacity zero records nothing, so runs that
+//! never export a timeline pay one branch per call site.
 //!
 //! # Examples
 //!
@@ -36,9 +30,7 @@
 //! let mut trace = TraceBuffer::with_capacity(1024);
 //! trace.begin(SimTime::from_micros(5), TraceCategory::Request, 0, "request", 7);
 //! trace.end(SimTime::from_micros(9), TraceCategory::Request, 0, "request", 7);
-//! if TraceBuffer::ENABLED {
-//!     assert_eq!(trace.len(), 2);
-//! }
+//! assert_eq!(trace.len(), 2);
 //!
 //! let mut metrics = MetricsRegistry::new();
 //! metrics.bump("nic.rx_enqueued", 3);
@@ -48,7 +40,6 @@
 //! ```
 
 use crate::time::SimTime;
-#[cfg(feature = "obs")]
 use std::collections::BTreeMap;
 
 pub mod attrib;
@@ -173,23 +164,15 @@ pub struct TraceEvent {
 /// A capacity of zero means recording is off entirely (the cheap
 /// steady state for runs that never export a timeline); overflow of a
 /// non-zero capacity is counted in [`dropped`](TraceBuffer::dropped)
-/// so truncation is never silent. Without the `obs` feature this is a
-/// zero-sized no-op.
+/// so truncation is never silent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceBuffer {
-    #[cfg(feature = "obs")]
     events: Vec<TraceEvent>,
-    #[cfg(feature = "obs")]
     capacity: usize,
-    #[cfg(feature = "obs")]
     dropped: u64,
 }
 
 impl TraceBuffer {
-    /// True when the crate was built with the `obs` feature and
-    /// buffers actually record.
-    pub const ENABLED: bool = cfg!(feature = "obs");
-
     /// A disabled buffer (capacity zero): every record is skipped.
     pub fn disabled() -> Self {
         Self::default()
@@ -198,58 +181,35 @@ impl TraceBuffer {
     /// A buffer that records up to `capacity` events, then counts
     /// drops.
     pub fn with_capacity(capacity: usize) -> Self {
-        #[cfg(feature = "obs")]
-        {
-            TraceBuffer {
-                events: Vec::new(),
-                capacity,
-                dropped: 0,
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = capacity;
-            TraceBuffer {}
+        TraceBuffer {
+            events: Vec::new(),
+            capacity,
+            dropped: 0,
         }
     }
 
-    /// The configured capacity (0 without the feature or when
-    /// disabled).
+    /// The configured capacity (0 when disabled).
     pub fn capacity(&self) -> usize {
-        #[cfg(feature = "obs")]
-        {
-            self.capacity
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.capacity
     }
 
     /// True if this buffer can record anything at all.
     #[inline]
     pub fn is_recording(&self) -> bool {
-        Self::ENABLED && self.capacity() > 0
+        self.capacity > 0
     }
 
     /// Records one event; counts a drop if the buffer is full.
     #[inline]
     pub fn record(&mut self, event: TraceEvent) {
-        #[cfg(feature = "obs")]
-        {
-            if self.capacity == 0 {
-                return; // recording off, not an overflow
-            }
-            if self.events.len() >= self.capacity {
-                self.dropped += 1;
-                return;
-            }
-            self.events.push(event);
+        if self.capacity == 0 {
+            return; // recording off, not an overflow
         }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = event;
+        if self.events.len() >= self.capacity {
+            self.dropped += 1;
+            return;
         }
+        self.events.push(event);
     }
 
     /// Records a span-begin event.
@@ -338,29 +298,15 @@ impl TraceBuffer {
     /// absorb the high-volume live stream so overflow falls on the
     /// latter.
     pub fn absorb(&mut self, other: TraceBuffer) {
-        #[cfg(feature = "obs")]
-        {
-            self.dropped += other.dropped;
-            for event in other.events {
-                self.record(event);
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = other;
+        self.dropped += other.dropped;
+        for event in other.events {
+            self.record(event);
         }
     }
 
     /// Events recorded so far, in insertion order.
     pub fn events(&self) -> &[TraceEvent] {
-        #[cfg(feature = "obs")]
-        {
-            &self.events
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            &[]
-        }
+        &self.events
     }
 
     /// Number of events recorded.
@@ -376,14 +322,7 @@ impl TraceBuffer {
     /// Events refused because the buffer was full (never counts while
     /// the capacity is zero, i.e. recording off).
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.dropped
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
+        self.dropped
     }
 }
 
@@ -391,7 +330,6 @@ impl TraceBuffer {
 /// histogram representation, also kept by components that aggregate
 /// on their own hot path and hand the result over at export time
 /// (see [`AttribTracker::record_metrics`](attrib::AttribTracker::record_metrics)).
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ObsHistogram {
     /// `buckets[i]` counts samples with `bit_width == i` (bucket 0 is
@@ -402,7 +340,6 @@ pub(crate) struct ObsHistogram {
     max: u64,
 }
 
-#[cfg(feature = "obs")]
 impl Default for ObsHistogram {
     fn default() -> Self {
         ObsHistogram {
@@ -414,7 +351,6 @@ impl Default for ObsHistogram {
     }
 }
 
-#[cfg(feature = "obs")]
 impl ObsHistogram {
     #[inline]
     pub(crate) fn observe(&mut self, value: u64) {
@@ -441,23 +377,15 @@ pub struct HistogramSnapshot {
 /// Deterministically ordered counters, gauges, and histograms.
 ///
 /// Keys iterate in lexicographic order, so a snapshot taken at the
-/// same simulation point of two same-seed runs compares equal. A
-/// zero-sized no-op without the `obs` feature.
+/// same simulation point of two same-seed runs compares equal.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    #[cfg(feature = "obs")]
     counters: BTreeMap<String, u64>,
-    #[cfg(feature = "obs")]
     gauges: BTreeMap<String, f64>,
-    #[cfg(feature = "obs")]
     histograms: BTreeMap<String, ObsHistogram>,
 }
 
 impl MetricsRegistry {
-    /// True when the crate was built with the `obs` feature and
-    /// registries actually record.
-    pub const ENABLED: bool = cfg!(feature = "obs");
-
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
@@ -466,17 +394,10 @@ impl MetricsRegistry {
     /// Adds `n` to the counter `key`.
     #[inline]
     pub fn bump(&mut self, key: &str, n: u64) {
-        #[cfg(feature = "obs")]
-        {
-            if let Some(v) = self.counters.get_mut(key) {
-                *v += n;
-            } else {
-                self.counters.insert(key.to_string(), n);
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (key, n);
+        if let Some(v) = self.counters.get_mut(key) {
+            *v += n;
+        } else {
+            self.counters.insert(key.to_string(), n);
         }
     }
 
@@ -484,51 +405,29 @@ impl MetricsRegistry {
     /// copied from component bookkeeping).
     #[inline]
     pub fn set_counter(&mut self, key: &str, value: u64) {
-        #[cfg(feature = "obs")]
-        {
-            self.counters.insert(key.to_string(), value);
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (key, value);
-        }
+        self.counters.insert(key.to_string(), value);
     }
 
     /// Sets the gauge `key`.
     #[inline]
     pub fn set_gauge(&mut self, key: &str, value: f64) {
-        #[cfg(feature = "obs")]
-        {
-            self.gauges.insert(key.to_string(), value);
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (key, value);
-        }
+        self.gauges.insert(key.to_string(), value);
     }
 
     /// Adds one sample to the histogram `key`.
     #[inline]
     pub fn observe(&mut self, key: &str, value: u64) {
-        #[cfg(feature = "obs")]
-        {
-            if let Some(h) = self.histograms.get_mut(key) {
-                h.observe(value);
-            } else {
-                let mut h = ObsHistogram::default();
-                h.observe(value);
-                self.histograms.insert(key.to_string(), h);
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (key, value);
+        if let Some(h) = self.histograms.get_mut(key) {
+            h.observe(value);
+        } else {
+            let mut h = ObsHistogram::default();
+            h.observe(value);
+            self.histograms.insert(key.to_string(), h);
         }
     }
 
     /// Sets the histogram `key` to `h`, replacing any samples already
     /// observed under that key.
-    #[cfg(feature = "obs")]
     pub(crate) fn set_histogram(&mut self, key: &str, h: &ObsHistogram) {
         if let Some(slot) = self.histograms.get_mut(key) {
             slot.clone_from(h);
@@ -537,53 +436,37 @@ impl MetricsRegistry {
         }
     }
 
-    /// The current value of a counter (0 if absent or feature off).
+    /// The current value of a counter (0 if absent).
     pub fn counter(&self, key: &str) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.counters.get(key).copied().unwrap_or(0)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = key;
-            0
-        }
+        self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// Freezes the registry into a deterministic snapshot (empty
-    /// without the feature).
+    /// Freezes the registry into a deterministic snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        #[cfg(feature = "obs")]
-        {
-            MetricsSnapshot {
-                counters: self.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-                gauges: self.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-                histograms: self
-                    .histograms
-                    .iter()
-                    .map(|(k, h)| {
-                        (
-                            k.clone(),
-                            HistogramSnapshot {
-                                count: h.count,
-                                sum: h.sum,
-                                max: h.max,
-                                buckets: h
-                                    .buckets
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|&(_, &c)| c > 0)
-                                    .map(|(i, &c)| (i as u32, c))
-                                    .collect(),
-                            },
-                        )
-                    })
-                    .collect(),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            MetricsSnapshot::default()
+        MetricsSnapshot {
+            counters: self.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
+            gauges: self.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),
+            histograms: self
+                .histograms
+                .iter()
+                .map(|(k, h)| {
+                    (
+                        k.clone(),
+                        HistogramSnapshot {
+                            count: h.count,
+                            sum: h.sum,
+                            max: h.max,
+                            buckets: h
+                                .buckets
+                                .iter()
+                                .enumerate()
+                                .filter(|&(_, &c)| c > 0)
+                                .map(|(i, &c)| (i as u32, c))
+                                .collect(),
+                        },
+                    )
+                })
+                .collect(),
         }
     }
 }
@@ -604,8 +487,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// True if the snapshot carries no data (feature off, or nothing
-    /// recorded).
+    /// True if the snapshot carries no data (nothing recorded).
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
@@ -670,15 +552,10 @@ mod tests {
         buf.record(ev(2, "b"));
         buf.record(ev(3, "c"));
         buf.record(ev(4, "d"));
-        if TraceBuffer::ENABLED {
-            assert_eq!(buf.len(), 2);
-            assert_eq!(buf.dropped(), 2);
-            let names: Vec<_> = buf.events().iter().map(|e| e.name).collect();
-            assert_eq!(names, vec!["a", "b"], "retained events keep order");
-        } else {
-            assert_eq!(buf.len(), 0);
-            assert_eq!(buf.dropped(), 0);
-        }
+        assert_eq!(buf.len(), 2);
+        assert_eq!(buf.dropped(), 2);
+        let names: Vec<_> = buf.events().iter().map(|e| e.name).collect();
+        assert_eq!(names, vec!["a", "b"], "retained events keep order");
     }
 
     #[test]
@@ -691,16 +568,11 @@ mod tests {
         dst.record(ev(0, "x"));
         dst.record(ev(0, "y"));
         dst.absorb(src);
-        if TraceBuffer::ENABLED {
-            assert_eq!(dst.len(), 3, "absorb respects dst capacity");
-            let names: Vec<_> = dst.events().iter().map(|e| e.name).collect();
-            assert_eq!(names, vec!["x", "y", "a"]);
-            // 1 carried over from src + 1 refused by dst's capacity.
-            assert_eq!(dst.dropped(), 2);
-        } else {
-            assert_eq!(dst.len(), 0);
-            assert_eq!(dst.dropped(), 0);
-        }
+        assert_eq!(dst.len(), 3, "absorb respects dst capacity");
+        let names: Vec<_> = dst.events().iter().map(|e| e.name).collect();
+        assert_eq!(names, vec!["x", "y", "a"]);
+        // 1 carried over from src + 1 refused by dst's capacity.
+        assert_eq!(dst.dropped(), 2);
     }
 
     #[test]
@@ -737,18 +609,16 @@ mod tests {
             "occupancy",
             3,
         );
-        if TraceBuffer::ENABLED {
-            let kinds: Vec<_> = buf.events().iter().map(|e| e.kind).collect();
-            assert_eq!(
-                kinds,
-                vec![
-                    TraceKind::SpanBegin,
-                    TraceKind::SpanEnd,
-                    TraceKind::Instant,
-                    TraceKind::Counter,
-                ]
-            );
-        }
+        let kinds: Vec<_> = buf.events().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                TraceKind::SpanBegin,
+                TraceKind::SpanEnd,
+                TraceKind::Instant,
+                TraceKind::Counter,
+            ]
+        );
     }
 
     #[test]
@@ -771,28 +641,16 @@ mod tests {
         m.observe("batch", 64);
         let snap = m.snapshot();
         assert_eq!(snap, m.snapshot());
-        if MetricsRegistry::ENABLED {
-            assert_eq!(
-                snap.counters,
-                vec![("a.first".to_string(), 5), ("z.last".to_string(), 1)]
-            );
-            assert_eq!(snap.counter("a.first"), Some(5));
-            let (_, h) = &snap.histograms[0];
-            assert_eq!(h.count, 3);
-            assert_eq!(h.sum, 128);
-            assert_eq!(h.max, 64);
-            assert_eq!(h.buckets, vec![(0, 1), (7, 2)]);
-            assert!(snap.render().contains("counter a.first=5"));
-        } else {
-            assert!(snap.is_empty());
-        }
-    }
-
-    #[test]
-    fn zero_cost_shapes_when_disabled() {
-        if !TraceBuffer::ENABLED {
-            assert_eq!(std::mem::size_of::<TraceBuffer>(), 0);
-            assert_eq!(std::mem::size_of::<MetricsRegistry>(), 0);
-        }
+        assert_eq!(
+            snap.counters,
+            vec![("a.first".to_string(), 5), ("z.last".to_string(), 1)]
+        );
+        assert_eq!(snap.counter("a.first"), Some(5));
+        let (_, h) = &snap.histograms[0];
+        assert_eq!(h.count, 3);
+        assert_eq!(h.sum, 128);
+        assert_eq!(h.max, 64);
+        assert_eq!(h.buckets, vec![(0, 1), (7, 2)]);
+        assert!(snap.render().contains("counter a.first=5"));
     }
 }

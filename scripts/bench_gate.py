@@ -121,40 +121,36 @@ def main():
     # Advisory: telemetry-sampler overhead on the timeline cell, same
     # run so machine speed cancels. Skipped when the timeline bench
     # did not run in this lane.
-    for suffix in ("obs_on", "obs_off"):
-        on = current.get(f"timeline_cell/sampler_1us_{suffix}")
-        off = current.get(f"timeline_cell/sampler_off_{suffix}")
-        if not on or not off:
-            continue
+    on = current.get("timeline_cell/sampler_1us")
+    off = current.get("timeline_cell/sampler_off")
+    if on and off:
         overhead = on / off - 1.0
         status = "ok" if overhead <= TIMELINE_OVERHEAD else "WARN: over budget"
         print(
             f"timeline_cell  1us-sampler overhead {overhead * 100:+5.2f}% "
-            f"({suffix}, advisory ceiling {TIMELINE_OVERHEAD * 100:.0f}%) {status}"
+            f"(advisory ceiling {TIMELINE_OVERHEAD * 100:.0f}%) {status}"
         )
         if overhead > TIMELINE_OVERHEAD:
             warnings.append(
-                f"timeline_cell ({suffix}): sampling overhead "
+                "timeline_cell: sampling overhead "
                 f"{overhead * 100:.2f}% exceeds {TIMELINE_OVERHEAD * 100:.0f}%"
             )
 
     # Advisory: chaos-schedule overhead on the fleet cell, same run
     # so machine speed cancels. Skipped when the fleet bench did not
     # run in this lane.
-    for suffix in ("fault_on", "fault_off"):
-        chaos = current.get(f"fleet_cell/chaos_{suffix}")
-        calm = current.get(f"fleet_cell/calm_{suffix}")
-        if not chaos or not calm:
-            continue
+    chaos = current.get("fleet_cell/chaos")
+    calm = current.get("fleet_cell/calm")
+    if chaos and calm:
         overhead = chaos / calm - 1.0
         status = "ok" if overhead <= FLEET_OVERHEAD else "WARN: over budget"
         print(
             f"fleet_cell     chaos overhead {overhead * 100:+6.2f}% "
-            f"({suffix}, advisory ceiling {FLEET_OVERHEAD * 100:.0f}%) {status}"
+            f"(advisory ceiling {FLEET_OVERHEAD * 100:.0f}%) {status}"
         )
         if overhead > FLEET_OVERHEAD:
             warnings.append(
-                f"fleet_cell ({suffix}): chaos overhead "
+                "fleet_cell: chaos overhead "
                 f"{overhead * 100:.2f}% exceeds {FLEET_OVERHEAD * 100:.0f}% — "
                 "retry/hedge/probe machinery may be storming"
             )
@@ -162,20 +158,18 @@ def main():
     # Advisory: admission-gate overhead on the calm overload cell,
     # same run so machine speed cancels. Skipped when the overload
     # bench did not run in this lane.
-    for suffix in ("fault_on", "fault_off"):
-        on = current.get(f"overload_cell/admission_on_{suffix}")
-        off = current.get(f"overload_cell/admission_off_{suffix}")
-        if not on or not off:
-            continue
+    on = current.get("overload_cell/admission_on")
+    off = current.get("overload_cell/admission_off")
+    if on and off:
         overhead = on / off - 1.0
         status = "ok" if overhead <= OVERLOAD_OVERHEAD else "WARN: over budget"
         print(
             f"overload_cell  admission overhead {overhead * 100:+5.2f}% "
-            f"({suffix}, advisory ceiling {OVERLOAD_OVERHEAD * 100:.0f}%) {status}"
+            f"(advisory ceiling {OVERLOAD_OVERHEAD * 100:.0f}%) {status}"
         )
         if overhead > OVERLOAD_OVERHEAD:
             warnings.append(
-                f"overload_cell ({suffix}): admission overhead "
+                "overload_cell: admission overhead "
                 f"{overhead * 100:.2f}% exceeds {OVERLOAD_OVERHEAD * 100:.0f}%"
             )
 

@@ -4,8 +4,6 @@
 //! every single request (no residuals, no double counting), and the
 //! streaming watchdog must see every sample the client measured.
 
-#![cfg(feature = "obs")]
-
 use experiments::{run_many, GovernorKind, RunConfig, RunResult, Scale};
 use nmap::NmapConfig;
 use simcore::{SimDuration, Stage};

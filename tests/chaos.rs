@@ -3,7 +3,7 @@
 //! robustness contract end to end:
 //!
 //! * every run's conservation audit balances (asserted inside
-//!   [`experiments::run`] with the `audit` feature), with wire drops
+//!   [`experiments::run`]), with wire drops
 //!   explicitly accounted in the `PacketsFaultDropped` ledger;
 //! * no governor wedges into silent request loss — everything sent is
 //!   delivered, explicitly dropped, or still in flight at the cut;
@@ -16,7 +16,8 @@
 //!
 //! The rendered artifact is pinned as `tests/golden/quick_chaos.txt`
 //! (regenerate with `UPDATE_GOLDEN=1 cargo test --test chaos`).
-#![cfg(feature = "fault")]
+
+mod common;
 
 use experiments::figures::chaos::{all_governors, plans, render, sweep};
 use experiments::{run, RunResult, Scale, Supervisor};
@@ -173,24 +174,5 @@ fn chaos_runs_are_deterministic_serial_and_parallel() {
 #[test]
 fn chaos_artifact_matches_golden_fixture() {
     let rendered = render(soak()).to_string();
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_chaos.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --test chaos",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered,
-        expected,
-        "chaos artifact drifted against {}",
-        path.display()
-    );
+    common::assert_golden("chaos", &rendered, "cargo test --test chaos");
 }

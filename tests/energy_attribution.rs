@@ -11,7 +11,7 @@
 //! `tests/golden/quick_energy.txt` (regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test energy_attribution`).
 
-#![cfg(feature = "obs")]
+mod common;
 
 use experiments::{run_many, GovernorKind, RunConfig, RunResult, Scale};
 use nmap::NmapConfig;
@@ -197,7 +197,6 @@ fn flight_recorder_is_consistent_for_every_governor() {
 /// Conservation must survive fault injection: the chaos schedules
 /// perturb IRQ delivery, wake timing, and DVFS latency, but every
 /// joule still lands in exactly one bucket.
-#[cfg(feature = "fault")]
 #[test]
 fn attribution_stays_exact_under_chaos_schedules() {
     use experiments::figures::chaos::plans;
@@ -241,24 +240,5 @@ fn energy_artifact_matches_golden_fixture() {
     let reports = experiments::figures::generate("energy", Scale::Quick);
     assert_eq!(reports.len(), 1);
     let rendered = reports[0].to_string();
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_energy.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --test energy_attribution",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered,
-        expected,
-        "energy artifact drifted against {}",
-        path.display()
-    );
+    common::assert_golden("energy", &rendered, "cargo test --test energy_attribution");
 }

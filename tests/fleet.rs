@@ -14,6 +14,8 @@
 //!   LB view, surviving servers absorb the failed-over flows, and
 //!   the crashed server is readmitted and serving again by the end.
 
+mod common;
+
 use cluster::{run_fleet, run_fleet_many, FleetConfig, GovernorKind};
 use experiments::figures::chaos::all_governors;
 use simcore::SimDuration;
@@ -64,7 +66,6 @@ fn all_governors_fleet_serial_matches_parallel() {
     }
 }
 
-#[cfg(feature = "fault")]
 mod crashes {
     use super::*;
     use cluster::HedgePolicy;
@@ -173,30 +174,10 @@ mod crashes {
 /// delays, health transitions, or the conservation roll-up shows up
 /// here immediately. Regenerate with
 /// `UPDATE_GOLDEN=1 cargo test --test fleet`.
-#[cfg(feature = "fault")]
 #[test]
 fn fleet_artifact_matches_golden_fixture() {
     use experiments::figures::fleet::{render, sweep};
     use experiments::Scale;
     let rendered = render(&sweep(Scale::Quick)).to_string();
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_fleet.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --test fleet",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered,
-        expected,
-        "fleet artifact drifted against {}",
-        path.display()
-    );
+    common::assert_golden("fleet", &rendered, "cargo test --test fleet");
 }

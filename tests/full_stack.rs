@@ -115,8 +115,7 @@ fn conservation_ledger_balances_for_every_governor_and_sleep_policy() {
     // full stack and require every conservation identity — packets,
     // energy (within 1e-6 relative), latency samples — to balance,
     // both mid-flight and with the ledgers still carrying in-flight
-    // work. With the `audit` feature off, audit_report returns None
-    // and the loop degenerates to an end-to-end smoke pass.
+    // work.
     let sleeps: [fn() -> Box<dyn SleepPolicy>; 3] = [
         || Box::new(MenuPolicy::new(8)),
         || Box::new(DisablePolicy::new()),
@@ -130,12 +129,9 @@ fn conservation_ledger_balances_for_every_governor_and_sleep_policy() {
             sim.run_until(&mut tb, SimTime::from_millis(150));
             tb.begin_measurement(sim.now());
             sim.run_until(&mut tb, SimTime::from_millis(400));
-            if let Some(report) = tb.audit_report(sim.now()) {
-                let violations = report.violations();
-                assert!(violations.is_empty(), "{gname}/{sname}: {violations:?}");
-            } else {
-                assert!(tb.client.received() > 0, "{gname}/{sname}: no traffic");
-            }
+            let report = tb.audit_report(sim.now()).expect("audit report");
+            let violations = report.violations();
+            assert!(violations.is_empty(), "{gname}/{sname}: {violations:?}");
         }
     }
 }

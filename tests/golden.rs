@@ -13,6 +13,8 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden
 //! ```
 
+mod common;
+
 use experiments::{GovernorKind, RunConfig, RunResult, Scale};
 use nmap::NmapConfig;
 use simcore::SimDuration;
@@ -72,12 +74,6 @@ fn render(r: &RunResult) -> String {
     )
 }
 
-fn fixture_path(slug: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("quick_{slug}.txt"))
-}
-
 #[test]
 fn quick_scale_metrics_match_golden_fixtures() {
     let governors = every_governor();
@@ -93,7 +89,7 @@ fn quick_scale_metrics_match_golden_fixtures() {
     let mut failures = Vec::new();
     for ((slug, _), result) in governors.iter().zip(&results) {
         let rendered = render(result);
-        let path = fixture_path(slug);
+        let path = common::fixture_path(slug);
         if update {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &rendered).unwrap();
@@ -122,64 +118,57 @@ fn quick_scale_metrics_match_golden_fixtures() {
     );
 }
 
-/// The `breakdown` artifact (latency attribution + SLO watchdog) is
-/// pinned byte-for-byte: stage shares are derived from every request's
-/// exact integer decomposition, so any drift in event ordering or the
-/// attribution cursor logic shows up here immediately.
 /// The `timeline` artifact (telemetry sparklines) is pinned
 /// byte-for-byte: the sparkline columns are a pure function of the
 /// sampled gauge series, so any drift in the sampler's cadence,
 /// decimation, or the gauges' integer encodings shows up here.
-#[cfg(feature = "obs")]
 #[test]
 fn timeline_artifact_matches_golden_fixture() {
-    let reports = experiments::figures::generate("timeline", Scale::Quick);
-    assert_eq!(reports.len(), 1);
-    let rendered = reports[0].to_string();
-    let path = fixture_path("timeline");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --test golden",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered,
-        expected,
-        "timeline artifact drifted against {}",
-        path.display()
-    );
+    assert_artifact_matches_golden("timeline");
 }
 
-#[cfg(feature = "obs")]
+/// The `breakdown` artifact (latency attribution + SLO watchdog) is
+/// pinned byte-for-byte: stage shares are derived from every request's
+/// exact integer decomposition, so any drift in event ordering or the
+/// attribution cursor logic shows up here immediately.
 #[test]
 fn breakdown_artifact_matches_golden_fixture() {
-    let reports = experiments::figures::generate("breakdown", Scale::Quick);
+    assert_artifact_matches_golden("breakdown");
+}
+
+fn assert_artifact_matches_golden(id: &str) {
+    let reports = experiments::figures::generate(id, Scale::Quick);
     assert_eq!(reports.len(), 1);
-    let rendered = reports[0].to_string();
-    let path = fixture_path("breakdown");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --test golden",
-            path.display()
+    common::assert_golden(id, &reports[0].to_string(), "cargo test --test golden");
+}
+
+/// Every fixture under `tests/golden/` is pinned by some suite: the 13
+/// per-governor snapshots above plus the six rendered artifacts. An
+/// orphaned or misnamed fixture would otherwise go stale unnoticed.
+#[test]
+fn golden_directory_holds_exactly_the_pinned_fixtures() {
+    let mut expected: Vec<String> = every_governor()
+        .iter()
+        .map(|(slug, _)| slug.to_string())
+        .chain(
+            [
+                "breakdown",
+                "chaos",
+                "energy",
+                "fleet",
+                "overload",
+                "timeline",
+            ]
+            .map(String::from),
         )
-    });
-    assert_eq!(
-        rendered,
-        expected,
-        "breakdown artifact drifted against {}",
-        path.display()
-    );
+        .map(|name| format!("quick_{name}.txt"))
+        .collect();
+    expected.sort();
+    let dir = common::golden_dir();
+    let mut found: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    found.sort();
+    assert_eq!(found, expected, "fixtures in {}", dir.display());
 }

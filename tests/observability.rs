@@ -3,8 +3,6 @@
 //! requests) in the Perfetto export, and its metrics snapshot must be
 //! populated and deterministic.
 
-#![cfg(feature = "obs")]
-
 use experiments::{perfetto_json, thresholds, GovernorKind, RunConfig, RunResult, Scale};
 use simcore::SimDuration;
 use workload::{AppKind, LoadLevel, LoadSpec};
@@ -212,7 +210,9 @@ fn attribution_metrics_cross_check_the_summary() {
 #[test]
 fn fleet_metrics_snapshot_matches_summary() {
     use cluster::{run_fleet, FleetConfig, HedgePolicy};
+    use simcore::{FaultKind, FaultPlan, FaultScope, SimTime};
 
+    let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
     let cfg = FleetConfig::new(4, AppKind::Memcached, 32_000.0, GovernorKind::Ondemand)
         .with_window(SimDuration::from_millis(30), SimDuration::from_millis(120))
         .with_seed(17)
@@ -221,18 +221,13 @@ fn fleet_metrics_snapshot_matches_summary() {
         .with_hedge(Some(HedgePolicy {
             quantile: 0.5,
             floor: SimDuration::from_nanos(1),
-        }));
-    // With fault injection compiled in, drop a crash window on server
-    // 1 so ejection/readmission and crash-failure counters go live.
-    #[cfg(feature = "fault")]
-    let cfg = {
-        use simcore::{FaultKind, FaultPlan, FaultScope, SimTime};
-        let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
-        cfg.with_fault_plan(FaultPlan::new().with_seed(9).inject(
+        }))
+        // A crash window on server 1 so ejection/readmission and
+        // crash-failure counters go live.
+        .with_fault_plan(FaultPlan::new().with_seed(9).inject(
             FaultKind::ServerCrash,
             FaultScope::window(ms(50), ms(100)).on_core(1),
-        ))
-    };
+        ));
     let r = run_fleet(cfg);
     let c = |key: &str| {
         r.metrics
@@ -262,11 +257,8 @@ fn fleet_metrics_snapshot_matches_summary() {
     // The eager hedge must actually race real responses.
     assert!(r.hedges > 0, "median-delay hedging produced no hedges");
     assert!(r.suppressed > 0, "winning duplicates must be suppressed");
-    #[cfg(feature = "fault")]
-    {
-        assert!(r.ejections >= 1 && r.readmissions >= 1);
-        assert_eq!(crashes, 1);
-    }
+    assert!(r.ejections >= 1 && r.readmissions >= 1);
+    assert_eq!(crashes, 1);
 }
 
 /// Every `fleet.shed.*` / `fleet.breaker.*` / `retry_budget.*`
@@ -291,7 +283,6 @@ fn assert_overload_counters_reconcile(r: &cluster::FleetResult) {
 /// shed/breaker/budget counters go live and still reconcile exactly
 /// with the run summary — the dashboard view of an overloaded fleet
 /// can never drift from the audited one.
-#[cfg(feature = "fault")]
 #[test]
 fn overload_metrics_reconcile_when_control_engages() {
     use cluster::{run_fleet, FleetConfig, RetryPolicy};

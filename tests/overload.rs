@@ -19,7 +19,7 @@
 //!   `tests/golden/quick_overload.txt`). Regenerate the fixture with
 //!   `UPDATE_GOLDEN=1 cargo test --release --test overload -- --ignored`.
 
-#![cfg(feature = "fault")]
+mod common;
 
 use appsim::AdmissionPolicy;
 use cluster::{run_fleet, run_fleet_many, FleetConfig, GovernorKind, RetryPolicy};
@@ -142,24 +142,9 @@ fn metastable_dichotomy_holds_and_matches_golden() {
         .check()
         .expect("overload control must recover inside the bound and its absence must not");
     let rendered = render(&outcome).to_string();
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_overload.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --release --test overload -- --ignored",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered,
-        expected,
-        "overload artifact drifted against {}",
-        path.display()
+    common::assert_golden(
+        "overload",
+        &rendered,
+        "cargo test --release --test overload -- --ignored",
     );
 }

@@ -3,8 +3,6 @@
 //! reproduce the serial one exactly — the CSV rendering is the
 //! comparison surface because it is what artifacts and CI diff.
 
-#![cfg(feature = "obs")]
-
 use experiments::{GovernorKind, RunConfig, RunResult, Scale};
 use nmap::NmapConfig;
 use simcore::{Gauge, SimDuration, TimelineConfig};
