@@ -7,29 +7,37 @@
 //!
 //! One JSON object per line (JSONL):
 //!
-//! * `{"kind":"header","version":1}` — first line of a fresh file;
-//! * `{"kind":"cell","key":"<16-hex>","result":{...}}` — one
-//!   completed cell, floats as IEEE-754 bit patterns for exact
-//!   round-trips;
-//! * `{"kind":"quarantine","key":"<16-hex>","governor":...,
-//!   "error":...,"attempts":N}` — a cell the supervisor gave up on.
+//! * `{"kind":"header","version":5}` — first line of a fresh file;
+//! * `{"kind":"cell","key":<u64>,"result":{...}}` — one completed
+//!   cell, floats as IEEE-754 bit patterns for exact round-trips;
+//! * `{"kind":"quarantine","record":{"key":<u64>,"governor":...,
+//!   "error":...,"attempts":N}}` — a cell the supervisor gave up on.
 //!
-//! Loading tolerates torn tails and corrupt lines: anything that
-//! fails to parse or decode is skipped (and counted), because a
-//! crash mid-append must not invalidate the finished prefix. Cells
-//! that collect traces are never checkpointed — traces are too large
-//! to persist and re-run deterministically anyway.
+//! Every encoded type has one schema, written once: its field names
+//! are the JSON keys, and the same field list drives both encoding
+//! and decoding.
+//!
+//! A header gates the lines after it: cell and quarantine lines count
+//! only under a header of the current [`CHECKPOINT_VERSION`]. Lines
+//! after a stale header are skipped, so an older file re-runs its
+//! cells, and opening a file whose last header is stale appends a
+//! fresh one.
+//!
+//! Loading tolerates torn tails and corrupt lines: anything that is
+//! not UTF-8 or fails to parse or decode is skipped (and counted),
+//! because a crash mid-append must not invalidate the finished
+//! prefix. Cells that collect traces are never checkpointed — traces
+//! are too large to persist and re-run deterministically anyway.
 
 use crate::json::{self, Value};
 use crate::runner::{RunConfig, RunResult};
+use governors::DegradationStats;
 use simcore::{
-    AttribSummary, FaultStats, RecoverySummary, SimDuration, Stage, StageSummary, WatchdogReport,
+    AttribSummary, CoreEnergySummary, DecisionTrigger, EnergyBreakdown, EnergyComponent,
+    EnergySummary, FaultStats, FlightSummary, GovDecision, HistogramSnapshot, MetricsSnapshot,
+    ModeEnergy, RecoverySummary, SimDuration, SimTime, Stage, StageSummary, Timeline,
+    WatchdogReport,
 };
-use simcore::{
-    CoreEnergySummary, DecisionTrigger, EnergyBreakdown, EnergyComponent, EnergySummary,
-    FlightSummary, GovDecision, ModeEnergy, SimTime,
-};
-use simcore::{HistogramSnapshot, MetricsSnapshot};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -39,9 +47,10 @@ use std::path::{Path, PathBuf};
 /// attribution and flight-recorder summaries to each cell; version 3
 /// added the telemetry timeline (per-core gauge samples); version 4
 /// widened the timeline stride with the saturation gauge and added
-/// admission-bypass fault stats. Older files simply re-run their
-/// cells.
-pub const CHECKPOINT_VERSION: u64 = 4;
+/// admission-bypass fault stats; version 5 made every struct field's
+/// name its JSON key (one schema per type) and stored cell keys as
+/// integers. Older files simply re-run their cells.
+pub const CHECKPOINT_VERSION: u64 = 5;
 
 /// Stable content key for a sweep cell: FNV-1a 64 over the config's
 /// `Debug` rendering. Any field change — seed, load, governor,
@@ -103,564 +112,229 @@ impl std::fmt::Display for DecodeError {
 }
 
 // ---------------------------------------------------------------------
-// Encoding
+// The codec
 // ---------------------------------------------------------------------
 
-fn enc_metrics(m: &MetricsSnapshot) -> Value {
-    Value::obj(vec![
-        (
-            "counters",
-            Value::Arr(
-                m.counters
-                    .iter()
-                    .map(|(k, v)| Value::Arr(vec![Value::Str(k.clone()), Value::UInt(*v)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges",
-            Value::Arr(
-                m.gauges
-                    .iter()
-                    .map(|(k, v)| Value::Arr(vec![Value::Str(k.clone()), Value::bits(*v)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Value::Arr(
-                m.histograms
-                    .iter()
-                    .map(|(k, h)| Value::Arr(vec![Value::Str(k.clone()), enc_histogram(h)]))
-                    .collect(),
-            ),
-        ),
-    ])
+/// How one type travels in a checkpoint line. Decoding checks every
+/// shape and range, because the input comes from disk.
+trait Codec: Sized {
+    fn enc(&self) -> Value;
+    fn dec(v: &Value) -> Result<Self, DecodeError>;
 }
 
-fn enc_histogram(h: &HistogramSnapshot) -> Value {
-    Value::obj(vec![
-        ("count", Value::UInt(h.count)),
-        ("sum", Value::UInt(h.sum)),
-        ("max", Value::UInt(h.max)),
-        (
-            "buckets",
-            Value::Arr(
-                h.buckets
-                    .iter()
-                    .map(|&(w, c)| Value::Arr(vec![Value::UInt(u64::from(w)), Value::UInt(c)]))
-                    .collect(),
-            ),
-        ),
-    ])
+/// Decodes the field `key` of the object `v`.
+fn field<T: Codec>(v: &Value, key: &'static str) -> Result<T, DecodeError> {
+    T::dec(v.get(key).ok_or(DecodeError(key))?)
 }
 
-fn enc_attrib(a: &AttribSummary) -> Value {
-    Value::obj(vec![
-        ("requests", Value::UInt(a.requests)),
-        ("pending", Value::UInt(a.pending)),
-        ("mismatches", Value::UInt(a.mismatches)),
-        ("attributed_total_ns", Value::UInt(a.attributed_total_ns)),
-        ("e2e_total_ns", Value::UInt(a.e2e_total_ns)),
-        (
-            "stages",
-            Value::Arr(
-                a.stages
-                    .iter()
-                    .map(|s| {
-                        Value::obj(vec![
-                            ("stage", Value::UInt(stage_index(s.stage))),
-                            ("sum_ns", Value::UInt(s.sum_ns)),
-                            ("p50_ns", Value::UInt(s.p50_ns)),
-                            ("p99_ns", Value::UInt(s.p99_ns)),
-                            ("max_ns", Value::UInt(s.max_ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+impl Codec for u64 {
+    fn enc(&self) -> Value {
+        Value::UInt(*self)
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        v.as_u64().ok_or(DecodeError("u64"))
+    }
 }
 
-fn stage_index(stage: Stage) -> u64 {
-    Stage::ALL.iter().position(|&s| s == stage).unwrap_or(0) as u64
+impl Codec for u32 {
+    fn enc(&self) -> Value {
+        Value::UInt(u64::from(*self))
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        u32::try_from(u64::dec(v)?).map_err(|_| DecodeError("u32"))
+    }
 }
 
-fn enc_watchdog(w: &WatchdogReport) -> Value {
-    Value::obj(vec![
-        ("samples", Value::UInt(w.samples)),
-        ("episodes", Value::UInt(u64::from(w.episodes))),
-        ("open_episode", Value::Bool(w.open_episode)),
-        ("first_detect_ns", Value::UInt(w.first_detect_ns)),
-        ("total_violation_ns", Value::UInt(w.total_violation_ns)),
-        ("mean_detect_ns", Value::UInt(w.mean_detect_ns)),
-        ("mean_recover_ns", Value::UInt(w.mean_recover_ns)),
-    ])
+/// The two's-complement bit pattern in a `u64`: lossless, like the
+/// floats.
+impl Codec for i64 {
+    fn enc(&self) -> Value {
+        Value::UInt(*self as u64)
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        Ok(u64::dec(v)? as i64)
+    }
 }
 
-fn enc_faults(s: &FaultStats) -> Value {
-    Value::obj(vec![
-        (
-            "wire_requests_dropped",
-            Value::UInt(s.wire_requests_dropped),
-        ),
-        (
-            "wire_responses_dropped",
-            Value::UInt(s.wire_responses_dropped),
-        ),
-        ("irqs_lost", Value::UInt(s.irqs_lost)),
-        ("spurious_irqs", Value::UInt(s.spurious_irqs)),
-        ("irq_unmasks_blocked", Value::UInt(s.irq_unmasks_blocked)),
-        ("wakes_delayed", Value::UInt(s.wakes_delayed)),
-        ("signals_suppressed", Value::UInt(s.signals_suppressed)),
-        ("signals_replayed", Value::UInt(s.signals_replayed)),
-        ("polls_clamped", Value::UInt(s.polls_clamped)),
-        ("dvfs_delays", Value::UInt(s.dvfs_delays)),
-        ("pstate_clamps", Value::UInt(s.pstate_clamps)),
-        ("exec_stalls", Value::UInt(s.exec_stalls)),
-        ("load_switches", Value::UInt(s.load_switches)),
-        ("incast_requests", Value::UInt(s.incast_requests)),
-        ("flow_churns", Value::UInt(s.flow_churns)),
-        ("server_crashes", Value::UInt(s.server_crashes)),
-        ("server_recoveries", Value::UInt(s.server_recoveries)),
-        ("link_delays", Value::UInt(s.link_delays)),
-        ("partition_drops", Value::UInt(s.partition_drops)),
-        ("skewed_steers", Value::UInt(s.skewed_steers)),
-        ("stale_probes", Value::UInt(s.stale_probes)),
-        ("admission_bypasses", Value::UInt(s.admission_bypasses)),
-    ])
+/// The IEEE-754 bit pattern, so a resumed sweep's artifacts stay
+/// byte-identical.
+impl Codec for f64 {
+    fn enc(&self) -> Value {
+        Value::bits(*self)
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        v.as_bits_f64().ok_or(DecodeError("f64"))
+    }
 }
 
-fn enc_breakdown(b: &EnergyBreakdown) -> Value {
-    Value::Arr(b.iter().map(|(_, uj)| Value::UInt(uj)).collect())
+impl Codec for bool {
+    fn enc(&self) -> Value {
+        Value::Bool(*self)
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        v.as_bool().ok_or(DecodeError("bool"))
+    }
 }
 
-fn enc_energy(e: &EnergySummary) -> Value {
-    Value::obj(vec![
-        (
-            "cores",
-            Value::Arr(
-                e.cores
-                    .iter()
-                    .map(|c| {
-                        Value::obj(vec![
-                            ("core", Value::UInt(u64::from(c.core))),
-                            ("measured_uj", Value::UInt(c.measured_uj)),
-                            ("breakdown", enc_breakdown(&c.breakdown)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("uncore_uj", Value::UInt(e.uncore_uj)),
-        ("interrupt_uj", Value::UInt(e.modes.interrupt_uj)),
-        ("polling_uj", Value::UInt(e.modes.polling_uj)),
-        ("transition_uj", Value::UInt(e.modes.transition_uj)),
-        ("rapl_clamps", Value::UInt(e.rapl_clamps)),
-    ])
+impl Codec for String {
+    fn enc(&self) -> Value {
+        Value::Str(self.clone())
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        v.as_str().map(str::to_string).ok_or(DecodeError("string"))
+    }
 }
 
-fn enc_flight(f: &FlightSummary) -> Value {
-    Value::obj(vec![
-        ("total", Value::UInt(f.total)),
-        ("evicted", Value::UInt(f.evicted)),
-        ("raises", Value::UInt(f.raises)),
-        ("lowers", Value::UInt(f.lowers)),
-        (
-            "by_trigger",
-            Value::Arr(f.by_trigger.iter().map(|&n| Value::UInt(n)).collect()),
-        ),
-        (
-            "decisions",
-            Value::Arr(
-                f.decisions
-                    .iter()
-                    .map(|d| {
-                        Value::obj(vec![
-                            ("at_ns", Value::UInt(d.at.as_nanos())),
-                            ("core", Value::UInt(u64::from(d.core))),
-                            ("trigger", Value::UInt(d.trigger as u64)),
-                            ("util_permille", Value::UInt(u64::from(d.util_permille))),
-                            ("polling", Value::Bool(d.polling)),
-                            ("queue_depth", Value::UInt(u64::from(d.queue_depth))),
-                            ("from_pstate", Value::UInt(u64::from(d.from_pstate))),
-                            ("to_pstate", Value::UInt(u64::from(d.to_pstate))),
-                            ("chip_wide", Value::Bool(d.chip_wide)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+impl Codec for SimDuration {
+    fn enc(&self) -> Value {
+        self.as_nanos().enc()
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        u64::dec(v).map(SimDuration::from_nanos)
+    }
 }
 
-fn enc_timeline(t: &simcore::Timeline) -> Value {
-    // Gauge values are i64; they travel as their two's-complement
-    // bit pattern in a u64 (the same lossless trick floats use), so
-    // a resumed sweep's timeline CSV stays byte-identical.
-    Value::obj(vec![
-        ("cores", Value::UInt(u64::from(t.cores))),
-        ("base_interval_ns", Value::UInt(t.base_interval_ns)),
-        ("interval_ns", Value::UInt(t.interval_ns)),
-        ("decimations", Value::UInt(t.decimations)),
-        ("dropped", Value::UInt(t.dropped)),
-        (
-            "times_ns",
-            Value::Arr(t.times_ns.iter().map(|&n| Value::UInt(n)).collect()),
-        ),
-        (
-            "values",
-            Value::Arr(t.values.iter().map(|&v| Value::UInt(v as u64)).collect()),
-        ),
-    ])
+impl Codec for SimTime {
+    fn enc(&self) -> Value {
+        self.as_nanos().enc()
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        u64::dec(v).map(SimTime::from_nanos)
+    }
 }
 
-fn enc_recovery(r: &RecoverySummary) -> Value {
-    Value::obj(vec![
-        ("attributed", Value::UInt(r.attributed)),
-        ("recovered", Value::UInt(r.recovered)),
-        ("unrecovered", Value::UInt(r.unrecovered)),
-        ("unattributed", Value::UInt(r.unattributed)),
-        ("mean_recovery_ns", Value::UInt(r.mean_recovery_ns)),
-        ("max_recovery_ns", Value::UInt(r.max_recovery_ns)),
-    ])
+impl<T: Codec> Codec for Vec<T> {
+    fn enc(&self) -> Value {
+        Value::Arr(self.iter().map(T::enc).collect())
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        v.as_arr()
+            .ok_or(DecodeError("array"))?
+            .iter()
+            .map(T::dec)
+            .collect()
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn enc(&self) -> Value {
+        Value::Arr(vec![self.0.enc(), self.1.enc()])
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((A::dec(a)?, B::dec(b)?)),
+            _ => Err(DecodeError("pair")),
+        }
+    }
+}
+
+/// One slot per [`EnergyComponent`], in `ALL` order; decoding demands
+/// exactly that many.
+impl Codec for EnergyBreakdown {
+    fn enc(&self) -> Value {
+        Value::Arr(self.iter().map(|(_, uj)| uj.enc()).collect())
+    }
+    fn dec(v: &Value) -> Result<Self, DecodeError> {
+        let slots = Vec::<u64>::dec(v)?;
+        if slots.len() != EnergyComponent::ALL.len() {
+            return Err(DecodeError("breakdown length"));
+        }
+        let mut out = EnergyBreakdown::default();
+        for (&component, uj) in EnergyComponent::ALL.iter().zip(slots) {
+            out.add_uj(component, uj);
+        }
+        Ok(out)
+    }
+}
+
+/// Field-less enums travel as their index into `ALL`, bounds-checked
+/// on decode.
+macro_rules! codec_index {
+    ($($ty:ident),*) => {$(
+        impl Codec for $ty {
+            fn enc(&self) -> Value {
+                let index = $ty::ALL.iter().position(|x| x == self).unwrap_or(0);
+                Value::UInt(index as u64)
+            }
+            fn dec(v: &Value) -> Result<Self, DecodeError> {
+                usize::try_from(u64::dec(v)?)
+                    .ok()
+                    .and_then(|i| $ty::ALL.get(i).copied())
+                    .ok_or(DecodeError(stringify!($ty)))
+            }
+        }
+    )*};
+}
+
+codec_index!(Stage, DecisionTrigger);
+
+/// Both directions of each struct's schema from its field list,
+/// written once. Encoding destructures without `..` and decoding
+/// builds the struct literal, so a field added to any of these types
+/// is a compile error here until it is listed. Fields after `skip`
+/// are not stored and decode to their `Default`.
+macro_rules! codec {
+    ($($ty:ident { $($field:ident),* $(,)? $(; skip $($skip:ident),*)? })*) => {$(
+        impl Codec for $ty {
+            fn enc(&self) -> Value {
+                let $ty { $($field,)* $($($skip: _,)*)? } = self;
+                Value::obj(vec![$((stringify!($field), $field.enc()),)*])
+            }
+            fn dec(v: &Value) -> Result<Self, DecodeError> {
+                Ok($ty {
+                    $($field: field(v, stringify!($field))?,)*
+                    $($($skip: Default::default(),)*)?
+                })
+            }
+        }
+    )*};
+}
+
+codec! {
+    RunResult {
+        governor, sleep, sent, received, p99, p50, frac_above_slo, slo, energy_j, duration,
+        avg_power_w, rx_dropped, dvfs_transitions, c6_entries, metrics, attrib, energy,
+        gov_flight, watchdog, faults, degradation, fault_recovery, timeline;
+        skip traces
+    }
+    MetricsSnapshot { counters, gauges, histograms }
+    HistogramSnapshot { count, sum, max, buckets }
+    AttribSummary { requests, pending, mismatches, attributed_total_ns, e2e_total_ns, stages }
+    StageSummary { stage, sum_ns, p50_ns, p99_ns, max_ns }
+    WatchdogReport {
+        samples, episodes, open_episode, first_detect_ns, total_violation_ns, mean_detect_ns,
+        mean_recover_ns,
+    }
+    FaultStats {
+        wire_requests_dropped, wire_responses_dropped, irqs_lost, spurious_irqs,
+        irq_unmasks_blocked, wakes_delayed, signals_suppressed, signals_replayed, polls_clamped,
+        dvfs_delays, pstate_clamps, exec_stalls, load_switches, incast_requests, flow_churns,
+        server_crashes, server_recoveries, link_delays, partition_drops, skewed_steers,
+        stale_probes, admission_bypasses,
+    }
+    EnergySummary { cores, uncore_uj, modes, rapl_clamps }
+    CoreEnergySummary { core, measured_uj, breakdown }
+    ModeEnergy { interrupt_uj, polling_uj, transition_uj }
+    FlightSummary { total, evicted, raises, lowers, by_trigger, decisions }
+    GovDecision {
+        at, core, trigger, util_permille, polling, queue_depth, from_pstate, to_pstate, chip_wide,
+    }
+    Timeline { cores, base_interval_ns, interval_ns, decimations, dropped, times_ns, values }
+    RecoverySummary {
+        attributed, recovered, unrecovered, unattributed, mean_recovery_ns, max_recovery_ns,
+    }
+    DegradationStats { degradations, recoveries, degraded_cores }
+    QuarantineRecord { key, governor, error, attempts }
 }
 
 /// Encodes a trace-free [`RunResult`] for a checkpoint line.
 pub fn encode_result(r: &RunResult) -> Value {
-    let d = &r.degradation;
-    Value::obj(vec![
-        ("governor", Value::Str(r.governor.clone())),
-        ("sleep", Value::Str(r.sleep.clone())),
-        ("sent", Value::UInt(r.sent)),
-        ("received", Value::UInt(r.received)),
-        ("p99_ns", Value::UInt(r.p99.as_nanos())),
-        ("p50_ns", Value::UInt(r.p50.as_nanos())),
-        ("frac_above_slo", Value::bits(r.frac_above_slo)),
-        ("slo_ns", Value::UInt(r.slo.as_nanos())),
-        ("energy_j", Value::bits(r.energy_j)),
-        ("duration_ns", Value::UInt(r.duration.as_nanos())),
-        ("avg_power_w", Value::bits(r.avg_power_w)),
-        ("rx_dropped", Value::UInt(r.rx_dropped)),
-        ("dvfs_transitions", Value::UInt(r.dvfs_transitions)),
-        ("c6_entries", Value::UInt(r.c6_entries)),
-        ("metrics", enc_metrics(&r.metrics)),
-        ("attrib", enc_attrib(&r.attrib)),
-        ("energy", enc_energy(&r.energy)),
-        ("gov_flight", enc_flight(&r.gov_flight)),
-        ("watchdog", enc_watchdog(&r.watchdog)),
-        ("faults", enc_faults(&r.faults)),
-        (
-            "degradation",
-            Value::obj(vec![
-                ("degradations", Value::UInt(d.degradations)),
-                ("recoveries", Value::UInt(d.recoveries)),
-                ("degraded_cores", Value::UInt(d.degraded_cores)),
-            ]),
-        ),
-        ("fault_recovery", enc_recovery(&r.fault_recovery)),
-        ("timeline", enc_timeline(&r.timeline)),
-    ])
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-fn need<'v>(v: &'v Value, key: &'static str) -> Result<&'v Value, DecodeError> {
-    v.get(key).ok_or(DecodeError(key))
-}
-
-fn need_u64(v: &Value, key: &'static str) -> Result<u64, DecodeError> {
-    need(v, key)?.as_u64().ok_or(DecodeError(key))
-}
-
-fn need_f64(v: &Value, key: &'static str) -> Result<f64, DecodeError> {
-    need(v, key)?.as_bits_f64().ok_or(DecodeError(key))
-}
-
-fn need_str(v: &Value, key: &'static str) -> Result<String, DecodeError> {
-    Ok(need(v, key)?.as_str().ok_or(DecodeError(key))?.to_string())
-}
-
-fn need_dur(v: &Value, key: &'static str) -> Result<SimDuration, DecodeError> {
-    Ok(SimDuration::from_nanos(need_u64(v, key)?))
-}
-
-fn dec_pairs<T>(
-    v: &Value,
-    key: &'static str,
-    dec: impl Fn(&Value) -> Result<T, DecodeError>,
-) -> Result<Vec<(String, T)>, DecodeError> {
-    need(v, key)?
-        .as_arr()
-        .ok_or(DecodeError(key))?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_arr().ok_or(DecodeError(key))?;
-            match items {
-                [k, payload] => Ok((
-                    k.as_str().ok_or(DecodeError(key))?.to_string(),
-                    dec(payload)?,
-                )),
-                _ => Err(DecodeError(key)),
-            }
-        })
-        .collect()
-}
-
-fn dec_histogram(v: &Value) -> Result<HistogramSnapshot, DecodeError> {
-    let buckets = need(v, "buckets")?
-        .as_arr()
-        .ok_or(DecodeError("buckets"))?
-        .iter()
-        .map(|pair| {
-            let items = pair.as_arr().ok_or(DecodeError("buckets"))?;
-            match items {
-                [w, c] => {
-                    let w = w.as_u64().ok_or(DecodeError("buckets"))?;
-                    let w = u32::try_from(w).map_err(|_| DecodeError("buckets"))?;
-                    Ok((w, c.as_u64().ok_or(DecodeError("buckets"))?))
-                }
-                _ => Err(DecodeError("buckets")),
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(HistogramSnapshot {
-        count: need_u64(v, "count")?,
-        sum: need_u64(v, "sum")?,
-        max: need_u64(v, "max")?,
-        buckets,
-    })
-}
-
-fn dec_metrics(v: &Value) -> Result<MetricsSnapshot, DecodeError> {
-    Ok(MetricsSnapshot {
-        counters: dec_pairs(v, "counters", |p| p.as_u64().ok_or(DecodeError("counters")))?,
-        gauges: dec_pairs(v, "gauges", |p| {
-            p.as_bits_f64().ok_or(DecodeError("gauges"))
-        })?,
-        histograms: dec_pairs(v, "histograms", dec_histogram)?,
-    })
-}
-
-fn dec_attrib(v: &Value) -> Result<AttribSummary, DecodeError> {
-    let stages = need(v, "stages")?
-        .as_arr()
-        .ok_or(DecodeError("stages"))?
-        .iter()
-        .map(|s| {
-            let idx = need_u64(s, "stage")? as usize;
-            let stage = *Stage::ALL.get(idx).ok_or(DecodeError("stage"))?;
-            Ok(StageSummary {
-                stage,
-                sum_ns: need_u64(s, "sum_ns")?,
-                p50_ns: need_u64(s, "p50_ns")?,
-                p99_ns: need_u64(s, "p99_ns")?,
-                max_ns: need_u64(s, "max_ns")?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    Ok(AttribSummary {
-        requests: need_u64(v, "requests")?,
-        pending: need_u64(v, "pending")?,
-        mismatches: need_u64(v, "mismatches")?,
-        attributed_total_ns: need_u64(v, "attributed_total_ns")?,
-        e2e_total_ns: need_u64(v, "e2e_total_ns")?,
-        stages,
-    })
-}
-
-fn dec_watchdog(v: &Value) -> Result<WatchdogReport, DecodeError> {
-    Ok(WatchdogReport {
-        samples: need_u64(v, "samples")?,
-        episodes: u32::try_from(need_u64(v, "episodes")?).map_err(|_| DecodeError("episodes"))?,
-        open_episode: need(v, "open_episode")?
-            .as_bool()
-            .ok_or(DecodeError("open_episode"))?,
-        first_detect_ns: need_u64(v, "first_detect_ns")?,
-        total_violation_ns: need_u64(v, "total_violation_ns")?,
-        mean_detect_ns: need_u64(v, "mean_detect_ns")?,
-        mean_recover_ns: need_u64(v, "mean_recover_ns")?,
-    })
-}
-
-fn dec_faults(v: &Value) -> Result<FaultStats, DecodeError> {
-    Ok(FaultStats {
-        wire_requests_dropped: need_u64(v, "wire_requests_dropped")?,
-        wire_responses_dropped: need_u64(v, "wire_responses_dropped")?,
-        irqs_lost: need_u64(v, "irqs_lost")?,
-        spurious_irqs: need_u64(v, "spurious_irqs")?,
-        irq_unmasks_blocked: need_u64(v, "irq_unmasks_blocked")?,
-        wakes_delayed: need_u64(v, "wakes_delayed")?,
-        signals_suppressed: need_u64(v, "signals_suppressed")?,
-        signals_replayed: need_u64(v, "signals_replayed")?,
-        polls_clamped: need_u64(v, "polls_clamped")?,
-        dvfs_delays: need_u64(v, "dvfs_delays")?,
-        pstate_clamps: need_u64(v, "pstate_clamps")?,
-        exec_stalls: need_u64(v, "exec_stalls")?,
-        load_switches: need_u64(v, "load_switches")?,
-        incast_requests: need_u64(v, "incast_requests")?,
-        flow_churns: need_u64(v, "flow_churns")?,
-        server_crashes: need_u64(v, "server_crashes")?,
-        server_recoveries: need_u64(v, "server_recoveries")?,
-        link_delays: need_u64(v, "link_delays")?,
-        partition_drops: need_u64(v, "partition_drops")?,
-        skewed_steers: need_u64(v, "skewed_steers")?,
-        stale_probes: need_u64(v, "stale_probes")?,
-        admission_bypasses: need_u64(v, "admission_bypasses")?,
-    })
-}
-
-fn need_u32(v: &Value, key: &'static str) -> Result<u32, DecodeError> {
-    u32::try_from(need_u64(v, key)?).map_err(|_| DecodeError(key))
-}
-
-fn need_bool(v: &Value, key: &'static str) -> Result<bool, DecodeError> {
-    need(v, key)?.as_bool().ok_or(DecodeError(key))
-}
-
-fn dec_breakdown(v: &Value) -> Result<EnergyBreakdown, DecodeError> {
-    let slots = v.as_arr().ok_or(DecodeError("breakdown"))?;
-    if slots.len() != EnergyComponent::ALL.len() {
-        return Err(DecodeError("breakdown"));
-    }
-    let mut out = EnergyBreakdown::default();
-    for (component, slot) in EnergyComponent::ALL.iter().zip(slots) {
-        out.add_uj(*component, slot.as_u64().ok_or(DecodeError("breakdown"))?);
-    }
-    Ok(out)
-}
-
-fn dec_energy(v: &Value) -> Result<EnergySummary, DecodeError> {
-    let cores = need(v, "cores")?
-        .as_arr()
-        .ok_or(DecodeError("cores"))?
-        .iter()
-        .map(|c| {
-            Ok(CoreEnergySummary {
-                core: need_u32(c, "core")?,
-                measured_uj: need_u64(c, "measured_uj")?,
-                breakdown: dec_breakdown(need(c, "breakdown")?)?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    Ok(EnergySummary {
-        cores,
-        uncore_uj: need_u64(v, "uncore_uj")?,
-        modes: ModeEnergy {
-            interrupt_uj: need_u64(v, "interrupt_uj")?,
-            polling_uj: need_u64(v, "polling_uj")?,
-            transition_uj: need_u64(v, "transition_uj")?,
-        },
-        rapl_clamps: need_u64(v, "rapl_clamps")?,
-    })
-}
-
-fn dec_timeline(v: &Value) -> Result<simcore::Timeline, DecodeError> {
-    let times_ns = need(v, "times_ns")?
-        .as_arr()
-        .ok_or(DecodeError("times_ns"))?
-        .iter()
-        .map(|n| n.as_u64().ok_or(DecodeError("times_ns")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let values = need(v, "values")?
-        .as_arr()
-        .ok_or(DecodeError("values"))?
-        .iter()
-        .map(|n| n.as_u64().map(|u| u as i64).ok_or(DecodeError("values")))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(simcore::Timeline {
-        cores: need_u32(v, "cores")?,
-        base_interval_ns: need_u64(v, "base_interval_ns")?,
-        interval_ns: need_u64(v, "interval_ns")?,
-        decimations: need_u64(v, "decimations")?,
-        dropped: need_u64(v, "dropped")?,
-        times_ns,
-        values,
-    })
-}
-
-fn dec_flight(v: &Value) -> Result<FlightSummary, DecodeError> {
-    let by_trigger = need(v, "by_trigger")?
-        .as_arr()
-        .ok_or(DecodeError("by_trigger"))?
-        .iter()
-        .map(|n| n.as_u64().ok_or(DecodeError("by_trigger")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let decisions = need(v, "decisions")?
-        .as_arr()
-        .ok_or(DecodeError("decisions"))?
-        .iter()
-        .map(|d| {
-            let idx = need_u64(d, "trigger")? as usize;
-            let trigger = *DecisionTrigger::ALL
-                .get(idx)
-                .ok_or(DecodeError("trigger"))?;
-            Ok(GovDecision {
-                at: SimTime::from_nanos(need_u64(d, "at_ns")?),
-                core: need_u32(d, "core")?,
-                trigger,
-                util_permille: need_u32(d, "util_permille")?,
-                polling: need_bool(d, "polling")?,
-                queue_depth: need_u32(d, "queue_depth")?,
-                from_pstate: need_u32(d, "from_pstate")?,
-                to_pstate: need_u32(d, "to_pstate")?,
-                chip_wide: need_bool(d, "chip_wide")?,
-            })
-        })
-        .collect::<Result<Vec<_>, DecodeError>>()?;
-    Ok(FlightSummary {
-        total: need_u64(v, "total")?,
-        evicted: need_u64(v, "evicted")?,
-        raises: need_u64(v, "raises")?,
-        lowers: need_u64(v, "lowers")?,
-        by_trigger,
-        decisions,
-    })
+    r.enc()
 }
 
 /// Decodes a checkpointed [`RunResult`] (always trace-free).
 pub fn decode_result(v: &Value) -> Result<RunResult, DecodeError> {
-    let deg = need(v, "degradation")?;
-    let rec = need(v, "fault_recovery")?;
-    Ok(RunResult {
-        governor: need_str(v, "governor")?,
-        sleep: need_str(v, "sleep")?,
-        sent: need_u64(v, "sent")?,
-        received: need_u64(v, "received")?,
-        p99: need_dur(v, "p99_ns")?,
-        p50: need_dur(v, "p50_ns")?,
-        frac_above_slo: need_f64(v, "frac_above_slo")?,
-        slo: need_dur(v, "slo_ns")?,
-        energy_j: need_f64(v, "energy_j")?,
-        duration: need_dur(v, "duration_ns")?,
-        avg_power_w: need_f64(v, "avg_power_w")?,
-        rx_dropped: need_u64(v, "rx_dropped")?,
-        dvfs_transitions: need_u64(v, "dvfs_transitions")?,
-        c6_entries: need_u64(v, "c6_entries")?,
-        metrics: dec_metrics(need(v, "metrics")?)?,
-        attrib: dec_attrib(need(v, "attrib")?)?,
-        energy: dec_energy(need(v, "energy")?)?,
-        gov_flight: dec_flight(need(v, "gov_flight")?)?,
-        watchdog: dec_watchdog(need(v, "watchdog")?)?,
-        faults: dec_faults(need(v, "faults")?)?,
-        degradation: governors::DegradationStats {
-            degradations: need_u64(deg, "degradations")?,
-            recoveries: need_u64(deg, "recoveries")?,
-            degraded_cores: need_u64(deg, "degraded_cores")?,
-        },
-        fault_recovery: RecoverySummary {
-            attributed: need_u64(rec, "attributed")?,
-            recovered: need_u64(rec, "recovered")?,
-            unrecovered: need_u64(rec, "unrecovered")?,
-            unattributed: need_u64(rec, "unattributed")?,
-            mean_recovery_ns: need_u64(rec, "mean_recovery_ns")?,
-            max_recovery_ns: need_u64(rec, "max_recovery_ns")?,
-        },
-        timeline: dec_timeline(need(v, "timeline")?)?,
-        traces: None,
-    })
+    RunResult::dec(v)
 }
 
 // ---------------------------------------------------------------------
@@ -683,29 +357,40 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Opens (or creates) the checkpoint at `path`, loading every
-    /// decodable line already present. Corrupt or torn lines are
-    /// skipped and counted in [`skipped_lines`](Self::skipped_lines).
+    /// decodable line already present under a current header.
+    /// Corrupt, torn and stale lines are skipped and counted in
+    /// [`skipped_lines`](Self::skipped_lines).
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Checkpoint> {
         let path = path.as_ref().to_path_buf();
         let mut cells = HashMap::new();
         let mut quarantined = HashMap::new();
         let mut skipped = 0usize;
-        let mut has_header = false;
+        // Whether the most recent header carries this version: it
+        // gates every cell and quarantine line that follows it.
+        let mut current = false;
         if let Ok(existing) = File::open(&path) {
-            for line in BufReader::new(existing).lines() {
+            for line in BufReader::new(existing).split(b'\n') {
                 let line = line?;
+                let Ok(line) = std::str::from_utf8(&line) else {
+                    skipped += 1;
+                    continue;
+                };
                 if line.trim().is_empty() {
                     continue;
                 }
-                match Self::load_line(&line) {
-                    Ok(Line::Header) => has_header = true,
-                    Ok(Line::Cell(key, result)) => {
+                match Self::load_line(line) {
+                    Ok(Line::Header(v)) if v == CHECKPOINT_VERSION => current = true,
+                    Ok(Line::Cell(key, result)) if current => {
                         cells.insert(key, *result);
                     }
-                    Ok(Line::Quarantine(record)) => {
+                    Ok(Line::Quarantine(record)) if current => {
                         quarantined.insert(record.key, record);
                     }
-                    Err(_) => skipped += 1,
+                    Ok(Line::Header(_)) => {
+                        current = false;
+                        skipped += 1;
+                    }
+                    _ => skipped += 1,
                 }
             }
         }
@@ -717,13 +402,12 @@ impl Checkpoint {
         if !ends_with_newline(&path)? {
             writeln!(file)?;
         }
-        if !has_header {
-            let header = Value::obj(vec![
-                ("kind", Value::Str("header".into())),
-                ("version", Value::UInt(CHECKPOINT_VERSION)),
-            ]);
-            writeln!(file, "{}", header.to_json())?;
-            file.flush()?;
+        if !current {
+            append(
+                &mut file,
+                "header",
+                vec![("version", CHECKPOINT_VERSION.enc())],
+            )?;
         }
         Ok(Checkpoint {
             path,
@@ -736,26 +420,13 @@ impl Checkpoint {
 
     fn load_line(line: &str) -> Result<Line, DecodeError> {
         let v = json::parse(line).map_err(|_| DecodeError("parse"))?;
-        match need_str(&v, "kind")?.as_str() {
-            "header" => {
-                if need_u64(&v, "version")? == CHECKPOINT_VERSION {
-                    Ok(Line::Header)
-                } else {
-                    Err(DecodeError("version"))
-                }
-            }
-            "cell" => {
-                let key = parse_key(&need_str(&v, "key")?)?;
-                let result = decode_result(need(&v, "result")?)?;
-                Ok(Line::Cell(key, Box::new(result)))
-            }
-            "quarantine" => Ok(Line::Quarantine(QuarantineRecord {
-                key: parse_key(&need_str(&v, "key")?)?,
-                governor: need_str(&v, "governor")?,
-                error: need_str(&v, "error")?,
-                attempts: u32::try_from(need_u64(&v, "attempts")?)
-                    .map_err(|_| DecodeError("attempts"))?,
-            })),
+        match field::<String>(&v, "kind")?.as_str() {
+            "header" => Ok(Line::Header(field(&v, "version")?)),
+            "cell" => Ok(Line::Cell(
+                field(&v, "key")?,
+                Box::new(field(&v, "result")?),
+            )),
+            "quarantine" => Ok(Line::Quarantine(field(&v, "record")?)),
             _ => Err(DecodeError("kind")),
         }
     }
@@ -765,7 +436,8 @@ impl Checkpoint {
         &self.path
     }
 
-    /// Lines skipped while loading (torn tail, corruption).
+    /// Lines skipped while loading (torn tail, corruption, stale
+    /// version).
     pub fn skipped_lines(&self) -> usize {
         self.skipped_lines
     }
@@ -808,13 +480,11 @@ impl Checkpoint {
             return Ok(());
         }
         let key = cell_key(cfg);
-        let line = Value::obj(vec![
-            ("kind", Value::Str("cell".into())),
-            ("key", Value::Str(format!("{key:016x}"))),
-            ("result", encode_result(result)),
-        ]);
-        writeln!(self.file, "{}", line.to_json())?;
-        self.file.flush()?;
+        append(
+            &mut self.file,
+            "cell",
+            vec![("key", key.enc()), ("result", result.enc())],
+        )?;
         self.cells.insert(key, result.clone());
         Ok(())
     }
@@ -832,28 +502,23 @@ impl Checkpoint {
             error: error.to_string(),
             attempts,
         };
-        let line = Value::obj(vec![
-            ("kind", Value::Str("quarantine".into())),
-            ("key", Value::Str(format!("{:016x}", record.key))),
-            ("governor", Value::Str(record.governor.clone())),
-            ("error", Value::Str(record.error.clone())),
-            ("attempts", Value::UInt(u64::from(record.attempts))),
-        ]);
-        writeln!(self.file, "{}", line.to_json())?;
-        self.file.flush()?;
+        append(&mut self.file, "quarantine", vec![("record", record.enc())])?;
         self.quarantined.insert(record.key, record);
         Ok(())
     }
 }
 
-enum Line {
-    Header,
-    Cell(u64, Box<RunResult>),
-    Quarantine(QuarantineRecord),
+/// Appends one `{"kind":<kind>, ...fields}` line and flushes it.
+fn append(file: &mut File, kind: &str, mut fields: Vec<(&str, Value)>) -> std::io::Result<()> {
+    fields.insert(0, ("kind", Value::Str(kind.to_string())));
+    writeln!(file, "{}", Value::obj(fields).to_json())?;
+    file.flush()
 }
 
-fn parse_key(hex: &str) -> Result<u64, DecodeError> {
-    u64::from_str_radix(hex, 16).map_err(|_| DecodeError("key"))
+enum Line {
+    Header(u64),
+    Cell(u64, Box<RunResult>),
+    Quarantine(QuarantineRecord),
 }
 
 #[cfg(test)]
@@ -888,6 +553,179 @@ mod tests {
         let result = runner::run(tiny(7));
         let decoded = decode_result(&encode_result(&result)).expect("decodes");
         assert_eq!(decoded, result, "codec must be lossless");
+    }
+
+    /// A result whose every scalar and element is distinct and
+    /// non-zero, so a codec that swaps, drops or truncates any field
+    /// fails the round trip.
+    fn distinct_result() -> RunResult {
+        let mut breakdown = EnergyBreakdown::default();
+        for (&c, uj) in EnergyComponent::ALL.iter().zip(400..) {
+            breakdown.add_uj(c, uj);
+        }
+        let decisions = DecisionTrigger::ALL.iter().rev().zip(0u32..);
+        RunResult {
+            governor: "gov-\u{3b1}".into(),
+            sleep: "sleep \"q\"\n".into(),
+            sent: 1,
+            received: 2,
+            p99: SimDuration::from_nanos(3),
+            p50: SimDuration::from_nanos(4),
+            frac_above_slo: -0.0,
+            slo: SimDuration::from_nanos(5),
+            energy_j: f64::from_bits(1),
+            duration: SimDuration::from_nanos(u64::MAX),
+            avg_power_w: -123.456,
+            rx_dropped: 6,
+            dvfs_transitions: 7,
+            c6_entries: 8,
+            metrics: MetricsSnapshot {
+                counters: vec![("c.a".into(), 9), ("c.b".into(), 10)],
+                gauges: vec![("g.a".into(), 1.5), ("g.b".into(), f64::MAX)],
+                histograms: vec![(
+                    "h.a".into(),
+                    HistogramSnapshot {
+                        count: 11,
+                        sum: 12,
+                        max: 13,
+                        buckets: vec![(14, 15), (u32::MAX, 16)],
+                    },
+                )],
+            },
+            attrib: AttribSummary {
+                requests: 17,
+                pending: 18,
+                mismatches: 19,
+                attributed_total_ns: 20,
+                e2e_total_ns: 21,
+                stages: Stage::ALL
+                    .iter()
+                    .rev()
+                    .zip(100u64..)
+                    .map(|(&stage, n)| StageSummary {
+                        stage,
+                        sum_ns: 4 * n,
+                        p50_ns: 4 * n + 1,
+                        p99_ns: 4 * n + 2,
+                        max_ns: 4 * n + 3,
+                    })
+                    .collect(),
+            },
+            energy: EnergySummary {
+                cores: vec![
+                    CoreEnergySummary {
+                        core: 22,
+                        measured_uj: 23,
+                        breakdown,
+                    },
+                    CoreEnergySummary {
+                        core: u32::MAX,
+                        measured_uj: 24,
+                        breakdown: breakdown.merged(&breakdown),
+                    },
+                ],
+                uncore_uj: 25,
+                modes: ModeEnergy {
+                    interrupt_uj: 26,
+                    polling_uj: 27,
+                    transition_uj: 28,
+                },
+                rapl_clamps: 29,
+            },
+            gov_flight: FlightSummary {
+                total: 30,
+                evicted: 31,
+                raises: 32,
+                lowers: 33,
+                by_trigger: vec![34, 35, 36, 37, 38],
+                decisions: decisions
+                    .map(|(&trigger, n)| GovDecision {
+                        at: SimTime::from_nanos(500 + u64::from(n)),
+                        core: 600 + 6 * n,
+                        trigger,
+                        util_permille: 601 + 6 * n,
+                        polling: n % 2 == 0,
+                        queue_depth: 602 + 6 * n,
+                        from_pstate: 603 + 6 * n,
+                        to_pstate: 604 + 6 * n,
+                        chip_wide: n % 2 == 1,
+                    })
+                    .collect(),
+            },
+            watchdog: WatchdogReport {
+                samples: 39,
+                episodes: 40,
+                open_episode: true,
+                first_detect_ns: 41,
+                total_violation_ns: 42,
+                mean_detect_ns: 43,
+                mean_recover_ns: 44,
+            },
+            faults: FaultStats {
+                wire_requests_dropped: 201,
+                wire_responses_dropped: 202,
+                irqs_lost: 203,
+                spurious_irqs: 204,
+                irq_unmasks_blocked: 205,
+                wakes_delayed: 206,
+                signals_suppressed: 207,
+                signals_replayed: 208,
+                polls_clamped: 209,
+                dvfs_delays: 210,
+                pstate_clamps: 211,
+                exec_stalls: 212,
+                load_switches: 213,
+                incast_requests: 214,
+                flow_churns: 215,
+                server_crashes: 216,
+                server_recoveries: 217,
+                link_delays: 218,
+                partition_drops: 219,
+                skewed_steers: 220,
+                stale_probes: 221,
+                admission_bypasses: 222,
+            },
+            degradation: governors::DegradationStats {
+                degradations: 45,
+                recoveries: 46,
+                degraded_cores: 47,
+            },
+            fault_recovery: RecoverySummary {
+                attributed: 48,
+                recovered: 49,
+                unrecovered: 50,
+                unattributed: 51,
+                mean_recovery_ns: 52,
+                max_recovery_ns: 53,
+            },
+            timeline: simcore::Timeline {
+                cores: 54,
+                base_interval_ns: 55,
+                interval_ns: 56,
+                decimations: 57,
+                dropped: 58,
+                times_ns: vec![59, 60],
+                values: vec![-61, i64::MIN, i64::MAX, 62],
+            },
+            traces: None,
+        }
+    }
+
+    #[test]
+    fn distinct_values_round_trip_exactly() {
+        let result = distinct_result();
+        let encoded = encode_result(&result);
+        let decoded = decode_result(&encoded).expect("decodes");
+        assert_eq!(decoded, result, "codec must be lossless");
+        assert!(
+            decoded.frac_above_slo.is_sign_negative(),
+            "-0.0 keeps its sign"
+        );
+        assert_eq!(
+            encode_result(&decoded).to_json(),
+            encoded.to_json(),
+            "re-encoding is byte-identical"
+        );
     }
 
     #[test]
@@ -954,6 +792,61 @@ mod tests {
         assert_eq!(ck.skipped_lines(), 1, "only the torn line is lost");
         assert_eq!(ck.lookup(&first), Some(&first_result));
         assert_eq!(ck.lookup(&second), Some(&second_result));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn non_utf8_lines_are_skipped_not_fatal() {
+        let path = tmp("non-utf8");
+        let _ = std::fs::remove_file(&path);
+        let (first, second) = (tiny(13), tiny(14));
+        let first_result = runner::run(first.clone());
+        {
+            let mut ck = Checkpoint::open(&path).expect("open");
+            ck.record(&first, &first_result).expect("record");
+        }
+        // A torn tail that cuts a multibyte character in half.
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes.extend_from_slice(b"{\"kind\":\"quarantine\",\"error\":\"5 \xc2");
+        std::fs::write(&path, bytes).expect("write");
+        let second_result = runner::run(second.clone());
+        {
+            let mut ck = Checkpoint::open(&path).expect("reopen");
+            assert_eq!(ck.skipped_lines(), 1, "non-UTF-8 line skipped");
+            assert_eq!(ck.lookup(&first), Some(&first_result));
+            ck.record(&second, &second_result).expect("record");
+        }
+        let ck = Checkpoint::open(&path).expect("reopen again");
+        assert_eq!(ck.skipped_lines(), 1, "only the corrupt line is lost");
+        assert_eq!(ck.lookup(&first), Some(&first_result));
+        assert_eq!(ck.lookup(&second), Some(&second_result));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cells_under_a_stale_header_are_not_served() {
+        let path = tmp("stale-header");
+        let _ = std::fs::remove_file(&path);
+        let cfg = tiny(15);
+        let result = runner::run(cfg.clone());
+        {
+            let mut ck = Checkpoint::open(&path).expect("open");
+            ck.record(&cfg, &result).expect("record");
+        }
+        let text = std::fs::read_to_string(&path).expect("read");
+        let current = format!("\"version\":{CHECKPOINT_VERSION}");
+        assert!(text.contains(&current));
+        std::fs::write(&path, text.replacen(&current, "\"version\":3", 1)).expect("write");
+        {
+            let mut ck = Checkpoint::open(&path).expect("reopen");
+            assert_eq!(ck.skipped_lines(), 2, "stale header and its cell");
+            assert!(ck.lookup(&cfg).is_none(), "stale cell must re-run");
+            ck.record(&cfg, &result).expect("record");
+        }
+        // The resumed process wrote a fresh header before its cell.
+        let ck = Checkpoint::open(&path).expect("reopen again");
+        assert_eq!(ck.skipped_lines(), 2);
+        assert_eq!(ck.lookup(&cfg), Some(&result));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -275,7 +275,7 @@ pub struct RunTraces {
 /// `PartialEq` compares every field (including traces when present):
 /// two same-seed runs must compare equal, which is what the
 /// determinism suites assert.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunResult {
     /// Governor display name.
     pub governor: String,

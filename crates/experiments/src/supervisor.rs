@@ -316,28 +316,7 @@ pub fn placeholder(cfg: &RunConfig) -> RunResult {
     RunResult {
         governor: cfg.governor.label().to_string(),
         sleep: cfg.sleep.label().to_string(),
-        sent: 0,
-        received: 0,
-        p99: simcore::SimDuration::ZERO,
-        p50: simcore::SimDuration::ZERO,
-        frac_above_slo: 0.0,
-        slo: simcore::SimDuration::ZERO,
-        energy_j: 0.0,
-        duration: simcore::SimDuration::ZERO,
-        avg_power_w: 0.0,
-        rx_dropped: 0,
-        dvfs_transitions: 0,
-        c6_entries: 0,
-        metrics: Default::default(),
-        attrib: Default::default(),
-        energy: Default::default(),
-        gov_flight: Default::default(),
-        watchdog: Default::default(),
-        faults: Default::default(),
-        degradation: Default::default(),
-        fault_recovery: Default::default(),
-        timeline: Default::default(),
-        traces: None,
+        ..Default::default()
     }
 }
 
