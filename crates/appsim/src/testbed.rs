@@ -352,14 +352,9 @@ pub enum TestbedEvent {
         /// The chunk's sequence number.
         seq: u64,
     },
-    /// cpuidle re-decides an idle core's C-state (stale once the core
-    /// woke: its idle epoch moved on).
-    SleepTick {
-        /// The idle core.
-        core: CoreId,
-        /// The idle epoch the tick belongs to.
-        epoch: u64,
-    },
+    /// cpuidle re-decides an idle core's C-state (cancelled when the
+    /// core wakes, so it only ever runs on an idle core).
+    SleepTick(CoreId),
     /// The governor's sampling tick.
     SampleTick,
     /// A DVFS transition settles.
@@ -405,7 +400,7 @@ impl TestbedEvent {
             TestbedEvent::IrqFire(_) => EvKind::IrqFire,
             TestbedEvent::WakeHardirq { .. } => EvKind::WakeHardirq,
             TestbedEvent::ExecDone { .. } => EvKind::ExecDone,
-            TestbedEvent::SleepTick { .. } => EvKind::SleepTick,
+            TestbedEvent::SleepTick(_) => EvKind::SleepTick,
             TestbedEvent::SampleTick => EvKind::SampleTick,
             TestbedEvent::DvfsDone { .. } => EvKind::DvfsDone,
             TestbedEvent::FaultBoundary => EvKind::FaultBoundary,
@@ -540,7 +535,9 @@ pub struct Testbed {
     pub nic: Nic,
     /// Per-core NAPI contexts (one queue per core).
     pub napi: Vec<NapiContext>,
-    /// The load-generating, latency-measuring client.
+    /// The load-generating, latency-measuring client. Its raw
+    /// response series ([`Client::response_log`]) records only when
+    /// the trace buffer does.
     pub client: Client,
     /// The V/F governor under test.
     pub governor: Box<dyn PStateGovernor>,
@@ -588,10 +585,10 @@ pub struct Testbed {
     exec: Vec<ExecState>,
     backlog: Vec<VecDeque<Packet>>,
     core_idle: Vec<bool>,
-    /// When each core last went idle, and an epoch counter so stale
-    /// sleep-tick events die (bumped on every idle entry and wake).
+    /// When each core last went idle, and its pending sleep tick
+    /// (cancelled when the core wakes).
     idle_since: Vec<SimTime>,
-    idle_epoch: Vec<u64>,
+    sleep_tick: Vec<Option<simcore::EventId>>,
     rng_arrival: RngStream,
     rng_client: RngStream,
     rng_service: RngStream,
@@ -686,7 +683,7 @@ impl World for Testbed {
             TestbedEvent::IrqFire(q) => self.ev_irq_fire(sim, q),
             TestbedEvent::WakeHardirq { core, q } => self.begin_hardirq(sim, core, q),
             TestbedEvent::ExecDone { core, seq } => self.ev_exec_done(sim, core, seq),
-            TestbedEvent::SleepTick { core, epoch } => self.ev_sleep_tick(sim, core, epoch),
+            TestbedEvent::SleepTick(core) => self.ev_sleep_tick(sim, core),
             TestbedEvent::SampleTick => self.ev_sample_tick(sim),
             TestbedEvent::DvfsDone { core, token } => self.ev_dvfs_done(sim, core, token),
             TestbedEvent::FaultBoundary => self.ev_fault_boundary(sim),
@@ -734,8 +731,11 @@ impl Testbed {
         let processor = Processor::new(config.profile.clone(), config.scope);
         let mut nic = Nic::new(NicConfig::intel_82599(queues));
         let trace = simcore::TraceBuffer::with_capacity(config.trace_capacity);
+        // Per-event logs that only traces read follow the trace switch.
+        let mut client = Client::new(config.flows, config.app.request_size);
         if trace.is_recording() {
             nic.set_irq_log_enabled(true);
+            client.set_response_log_enabled(true);
         }
         let arrivals = config.load.arrivals();
         let seed = config.seed;
@@ -744,7 +744,7 @@ impl Testbed {
             processor,
             nic,
             napi: (0..cores).map(|_| NapiContext::new(config.stack)).collect(),
-            client: Client::new(config.flows, config.app.request_size),
+            client,
             governor,
             sleep,
             ksoftirqd_log: (0..cores).map(|_| EventLog::new()).collect(),
@@ -768,7 +768,7 @@ impl Testbed {
             backlog: (0..cores).map(|_| VecDeque::new()).collect(),
             core_idle: vec![false; cores],
             idle_since: vec![SimTime::ZERO; cores],
-            idle_epoch: vec![0; cores],
+            sleep_tick: vec![None; cores],
             rng_arrival: RngStream::derive(seed, "arrival", 0),
             rng_client: RngStream::derive(seed, "client", 0),
             rng_service: RngStream::derive(seed, "service", 0),
@@ -1181,7 +1181,7 @@ impl Testbed {
                 .wake(now, &self.profile, &mut self.rng_wake);
             self.sleep.on_wake(core, now);
             self.core_idle[core.0] = false;
-            self.idle_epoch[core.0] += 1; // kill pending sleep ticks
+            self.cancel_sleep_tick(sim, core);
             self.exec[core.0].cache_debt += cost.cache_refill;
             // The wake transition ends after the PLL ramp plus the
             // cache-refill debt the next chunk will pay up front.
@@ -1598,7 +1598,6 @@ impl Testbed {
         }
         self.core_idle[core.0] = true;
         self.idle_since[core.0] = now;
-        self.idle_epoch[core.0] += 1;
         let state = self.sleep.on_idle(core, now);
         if state.is_sleep() {
             self.processor
@@ -1607,14 +1606,23 @@ impl Testbed {
         }
         // cpuidle re-decides at scheduler ticks: a shallow pick can be
         // promoted once the idle proves long.
-        let epoch = self.idle_epoch[core.0];
-        sim.schedule_in(self.stack.jiffy, TestbedEvent::SleepTick { core, epoch });
+        self.sleep_tick[core.0] =
+            Some(sim.schedule_in(self.stack.jiffy, TestbedEvent::SleepTick(core)));
     }
 
-    fn ev_sleep_tick(&mut self, sim: &mut Simulator<Testbed>, core: CoreId, epoch: u64) {
-        if !self.core_idle[core.0] || self.idle_epoch[core.0] != epoch {
-            return; // the core woke meanwhile
+    /// The core woke: its pending sleep tick must not run.
+    fn cancel_sleep_tick(&mut self, sim: &mut Simulator<Testbed>, core: CoreId) {
+        if let Some(id) = self.sleep_tick[core.0].take() {
+            sim.cancel(id);
         }
+    }
+
+    fn ev_sleep_tick(&mut self, sim: &mut Simulator<Testbed>, core: CoreId) {
+        debug_assert!(
+            self.core_idle[core.0],
+            "sleep tick ran on busy core {}: a wake missed its cancel",
+            core.0
+        );
         let now = sim.now();
         let elapsed = now.saturating_since(self.idle_since[core.0]);
         if let Some(state) = self.sleep.on_tick(core, elapsed, now) {
@@ -1624,7 +1632,8 @@ impl Testbed {
                     .enter_sleep(state, now, &self.profile);
             }
         }
-        sim.schedule_in(self.stack.jiffy, TestbedEvent::SleepTick { core, epoch });
+        self.sleep_tick[core.0] =
+            Some(sim.schedule_in(self.stack.jiffy, TestbedEvent::SleepTick(core)));
     }
 
     // ------------------------------------------------------------------
@@ -2043,7 +2052,7 @@ impl Testbed {
                 .wake(now, &self.profile, &mut self.rng_wake);
             self.sleep.on_wake(core, now);
             self.core_idle[core.0] = false;
-            self.idle_epoch[core.0] += 1;
+            self.cancel_sleep_tick(sim, core);
             self.exec[core.0].cache_debt += cost.cache_refill;
             if !cost.latency.is_zero() {
                 sim.schedule_in(cost.latency, TestbedEvent::WakeDispatch(core));

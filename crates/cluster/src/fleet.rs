@@ -603,8 +603,6 @@ struct ServerInstance {
     /// Recent internal latencies (ns) the fleet samples service times
     /// from; replaced wholesale each epoch that produced responses.
     latatable: Vec<u64>,
-    /// High-water mark into the testbed's `client.response_log()`.
-    resp_cursor: usize,
     /// Outstanding fleet attempts on this server: `(request id,
     /// attempt index)`, cancelled wholesale on crash.
     inflight: Vec<(u64, usize)>,
@@ -1137,23 +1135,17 @@ fn probe(w: &mut FleetWorld, sim: &mut FleetSim, server: usize) {
     }
 }
 
-/// Harvests the delta of a server's internal response log into its
-/// latency sampling table.
-fn harvest(s: &mut ServerInstance, core: &ServerCore) {
-    let log = core.tb.client.response_log();
-    if s.resp_cursor > log.len() {
-        // The log was reset under us (measurement boundary).
-        s.resp_cursor = 0;
-    }
-    let delta = &log[s.resp_cursor..];
-    if !delta.is_empty() {
-        const CAP: usize = 2048;
+/// Drains a server's internal response log into its latency sampling
+/// table, so the server never keeps more than one epoch of responses.
+fn harvest(s: &mut ServerInstance, core: &mut ServerCore) {
+    const CAP: usize = 2048;
+    let delta = core.tb.client.drain_response_log();
+    if !delta.as_slice().is_empty() {
         let skip = delta.len().saturating_sub(CAP);
         s.latatable.clear();
         s.latatable
-            .extend(delta[skip..].iter().map(|&(_, d)| d.as_nanos().max(1)));
+            .extend(delta.skip(skip).map(|(_, d)| d.as_nanos().max(1)));
     }
-    s.resp_cursor = log.len();
 }
 
 /// Recomputes the hedge delay from the merged fleet latency quantile.
@@ -1252,8 +1244,6 @@ fn warmup_boundary(w: &mut FleetWorld, sim: &mut FleetSim) {
             harvest(s, core);
         }
         core.tb.begin_measurement(now);
-        // begin_measurement clears the response log.
-        s.resp_cursor = 0;
         s.q = StreamingQuantiles::new(window);
     }
     if w.budget_err.is_none() {
@@ -1410,21 +1400,14 @@ pub fn try_run_fleet_budgeted(
     run_on_pool(cfg, budget, workers)
 }
 
-/// The fleet run with its servers advanced by `workers` threads (none:
-/// inline, in server order). The result does not depend on `workers`.
-fn run_on_pool(
-    cfg: FleetConfig,
-    budget: &StepBudget,
-    workers: usize,
-) -> Result<FleetResult, SimError> {
-    cfg.validate()?;
-    let end = cfg.end();
+/// Builds each server's LB-side bookkeeping and its testbed, with the
+/// response log on: the epoch harvest reads (and drains) it.
+fn build_servers(cfg: &FleetConfig) -> Result<(Vec<ServerInstance>, Vec<ServerCore>), SimError> {
     let n = cfg.servers;
     let app_model = AppModel::for_kind(cfg.app);
     let init_load = cfg.initial_load();
     let per_rps = (cfg.total_rps / n as f64).max(1.0);
     let window = cfg.quantile_window();
-
     let mut servers = Vec::with_capacity(n);
     let mut cores = Vec::with_capacity(n);
     for i in 0..n {
@@ -1436,12 +1419,12 @@ fn run_on_pool(
             .with_admission(cfg.admission);
         let (governor, sleep) = build_policies(&cfg.governor, cfg.sleep, &cfg.profile, &app_model);
         let mut inner: Simulator<Testbed> = Simulator::new();
-        let tb = Testbed::try_new(tb_cfg, governor, sleep, &mut inner)?;
+        let mut tb = Testbed::try_new(tb_cfg, governor, sleep, &mut inner)?;
+        tb.client.set_response_log_enabled(true);
         cores.push(ServerCore { sim: inner, tb });
         servers.push(ServerInstance {
             slo: app_model.slo,
             latatable: Vec::new(),
-            resp_cursor: 0,
             inflight: Vec::new(),
             dispatched_epoch: 0,
             dispatched_total: 0,
@@ -1453,6 +1436,20 @@ fn run_on_pool(
             sat_permille: 0,
         });
     }
+    Ok((servers, cores))
+}
+
+/// The fleet run with its servers advanced by `workers` threads (none:
+/// inline, in server order). The result does not depend on `workers`.
+fn run_on_pool(
+    cfg: FleetConfig,
+    budget: &StepBudget,
+    workers: usize,
+) -> Result<FleetResult, SimError> {
+    cfg.validate()?;
+    let end = cfg.end();
+    let n = cfg.servers;
+    let (servers, cores) = build_servers(&cfg)?;
 
     let faults = FaultInjector::from_plan(&cfg.fault_plan, cfg.seed);
     let hedge_floor = cfg.hedge.map_or(SimDuration::from_millis(1), |h| h.floor);
@@ -1968,7 +1965,7 @@ mod tests {
                 "0 ms warm-up, 5 servers",
                 quick(5, GovernorKind::Ondemand).with_window(SimDuration::ZERO, ms(60)),
             ),
-            // At 98 events a server fails before the boundary and the
+            // At 90 events a server fails before the boundary and the
             // LB after it, so the boundary's harvest shows in the
             // error: harvesting the servers past the failed one (which
             // ran ahead on their workers) moves it.
@@ -1978,14 +1975,16 @@ mod tests {
                     .with_window(ms(12), ms(60)),
             ),
         ];
-        // 98, 389 and 4 754 events each fail a server mid-run and the
-        // LB later, so the LB's error shows which servers a failed
-        // join still harvested and re-targeted.
+        // 90 and 382 events each fail a server mid-run and the LB
+        // later, so the LB's error shows which servers a failed join
+        // still harvested and re-targeted. (The counts follow the
+        // servers' executed events: a woken core's sleep tick is
+        // cancelled, not executed.)
         let budgets = [
             None,
             Some(1),
-            Some(98),
-            Some(389),
+            Some(90),
+            Some(382),
             Some(1_000),
             Some(4_754),
             Some(50_000),
@@ -1997,8 +1996,8 @@ mod tests {
         // What the fleet returned before it had a pool, so the inline
         // and threaded schedules cannot drift from it together.
         let serial = [
-            ("0 ms warm-up, 5 servers", 389, 33_098_020),
-            ("2 servers at 2 000 rps, 12 ms warm-up", 98, 23_748_188),
+            ("0 ms warm-up, 5 servers", 382, 32_554_980),
+            ("2 servers at 2 000 rps, 12 ms warm-up", 90, 22_358_828),
         ];
         for (label, cfg) in cases {
             for budget in &budgets {
@@ -2023,6 +2022,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A server's response log holds one epoch at most: the join hands
+    /// back exactly the responses since the last harvest, and the
+    /// harvest drains them into the latency table.
+    #[test]
+    fn harvest_keeps_at_most_one_epoch_of_responses() {
+        let cfg = quick(2, GovernorKind::Ondemand);
+        let (mut servers, cores) = build_servers(&cfg).expect("valid fleet");
+        let mut pool = ServerPool::new(cores, 2, StepBudget::unlimited());
+        let mut received = vec![0; servers.len()];
+        let mut harvested = 0;
+        for epoch in 1..=8 {
+            pool.launch(SimTime::ZERO + cfg.epoch * epoch);
+            let joined = pool.join();
+            assert!(joined.failed.is_none());
+            for ((s, core), seen) in servers
+                .iter_mut()
+                .zip(joined.cores.iter_mut())
+                .zip(&mut received)
+            {
+                let total = core.tb.client.received();
+                let this_epoch = total - *seen;
+                *seen = total;
+                let log = core.tb.client.response_log();
+                assert_eq!(log.len() as u64, this_epoch, "epoch {epoch}");
+                let newest: Vec<u64> = log
+                    .iter()
+                    .skip(log.len().saturating_sub(2048))
+                    .map(|&(_, d)| d.as_nanos().max(1))
+                    .collect();
+                harvest(s, core);
+                assert!(core.tb.client.response_log().is_empty(), "epoch {epoch}");
+                if this_epoch > 0 {
+                    assert_eq!(s.latatable, newest, "epoch {epoch}");
+                    harvested += 1;
+                }
+            }
+        }
+        assert!(
+            harvested > 8,
+            "the servers must answer: {harvested} harvests"
+        );
     }
 
     #[test]

@@ -477,7 +477,7 @@ fn run_inner(
     let traces = cfg.collect_traces.then(|| {
         let core0 = tb.processor.core(cpusim::CoreId(0));
         RunTraces {
-            responses: tb.client.response_log().to_vec(),
+            responses: tb.client.take_response_log(),
             pstates_core0: log_map(core0.pstate_log(), |p| p.index()),
             intr_batches_core0: log_map(tb.napi[0].interrupt_packet_log(), |&n| n),
             poll_batches_core0: log_map(tb.napi[0].polling_packet_log(), |&n| n),
@@ -616,6 +616,37 @@ mod tests {
             t.measure_end - t.measure_start,
             SimDuration::from_millis(300)
         );
+    }
+
+    #[test]
+    fn traces_hold_every_measured_response_and_change_nothing_else() {
+        let cfg = tiny(GovernorKind::Ondemand);
+        let (mut traced, tb) = run_with_testbed(cfg.clone().with_traces(), |_, _| {});
+        let t = traced.traces.take().expect("traces requested");
+        assert_eq!(t.responses.len(), tb.client.latencies().len());
+        assert!(
+            tb.client.response_log().is_empty(),
+            "the series moves into the traces"
+        );
+        let (mut untraced, tb) = run_with_testbed(cfg, |_, _| {});
+        assert!(untraced.traces.is_none());
+        assert!(
+            tb.client.response_log().is_empty(),
+            "an untraced run keeps no response series"
+        );
+        // The one metric that differs is the trace buffer's own size.
+        let trace_events = |r: &mut RunResult| {
+            let i = r
+                .metrics
+                .counters
+                .iter()
+                .position(|(k, _)| k == "trace.events")
+                .expect("trace.events is always reported");
+            r.metrics.counters.remove(i).1
+        };
+        assert_eq!(trace_events(&mut traced), t.trace.len() as u64);
+        assert_eq!(trace_events(&mut untraced), 0);
+        assert_eq!(traced, untraced, "tracing must not change the result");
     }
 
     #[test]

@@ -56,6 +56,20 @@ impl Histogram {
         }
     }
 
+    /// The bucket indices that may hold samples.
+    ///
+    /// Invariant: every recorded sample `v` satisfies
+    /// `min <= v <= max`, and `index_of` is monotonic, so every
+    /// nonzero bucket lies in `index_of(min)..=index_of(max)`. Scans
+    /// and clears restricted to this range are therefore exact. An
+    /// empty histogram has no occupied buckets.
+    fn occupied(&self) -> std::ops::Range<usize> {
+        if self.count == 0 {
+            return 0..0;
+        }
+        Self::index_of(self.min)..Self::index_of(self.max) + 1
+    }
+
     fn index_of(value: u64) -> usize {
         if value < SUB_COUNT as u64 {
             return value as usize;
@@ -140,7 +154,8 @@ impl Histogram {
         }
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        let range = self.occupied();
+        for (i, &c) in range.clone().zip(&self.buckets[range]) {
             seen += c;
             if seen >= target {
                 // Clamp to the true max to avoid overshooting from
@@ -199,8 +214,14 @@ impl Histogram {
         // side's real minimum then dominates (count > 0 here).
         let max = self.max.max(other.max);
         let min = self.min.min(other.min);
+        // Both sides' occupied ranges lie inside this one (see
+        // `occupied`), so the buckets outside it are zero on both.
+        let range = Self::index_of(min)..Self::index_of(max) + 1;
+        let pairs = self.buckets[range.clone()]
+            .iter()
+            .zip(&other.buckets[range.clone()]);
         let mut seen = 0;
-        for (i, (&a, &b)) in self.buckets.iter().zip(&other.buckets).enumerate() {
+        for (i, (&a, &b)) in range.zip(pairs) {
             seen += a + b;
             if seen >= target {
                 return Self::value_of(i).min(max).max(min);
@@ -211,7 +232,11 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+        let range = other.occupied();
+        for (a, b) in self.buckets[range.clone()]
+            .iter_mut()
+            .zip(&other.buckets[range])
+        {
             *a += b;
         }
         self.count += other.count;
@@ -224,7 +249,8 @@ impl Histogram {
 
     /// Resets to empty.
     pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
+        let range = self.occupied();
+        self.buckets[range].fill(0);
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -284,30 +310,107 @@ mod tests {
         assert!((h.fraction_at_or_below(1_000_000) - 0.99).abs() < 1e-9);
     }
 
+    /// The quantile by a scan of every bucket from index 0: the
+    /// reference the occupied-range scans must match.
+    fn full_scan_quantile(h: &Histogram, q: f64) -> u64 {
+        if h.count == 0 {
+            return 0;
+        }
+        let target = ((q * h.count as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (i, &c) in h.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return Histogram::value_of(i).min(h.max).max(h.min);
+            }
+        }
+        h.max
+    }
+
+    /// No nonzero bucket lies outside `[index_of(min), index_of(max)]`.
+    fn assert_occupied_invariant(h: &Histogram) {
+        let range = h.occupied();
+        for (i, &c) in h.buckets.iter().enumerate() {
+            assert!(
+                c == 0 || range.contains(&i),
+                "bucket {i} holds {c} outside {range:?}"
+            );
+        }
+    }
+
+    fn histogram_of(values: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
     #[test]
     fn merged_quantile_matches_materialized_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in 1..=500u64 {
-            a.record(v * 100);
+        let ramp_a: Vec<u64> = (1..=500u64).map(|v| v * 100).collect();
+        let ramp_b: Vec<u64> = (1..=500u64).map(|v| v * 1_000).collect();
+        let small: Vec<u64> = (0..64u64).collect();
+        let cases: [(&str, &[u64], &[u64]); 9] = [
+            ("two ramps", &ramp_a, &ramp_b),
+            ("one empty side", &ramp_a, &[]),
+            ("both empty", &[], &[]),
+            ("single sample", &[777], &[]),
+            ("single sample each", &[5], &[1 << 40]),
+            ("min == max", &[4_242, 4_242, 4_242], &[4_242]),
+            ("values below 64", &small, &[3, 3, 63]),
+            ("u64::MAX", &[u64::MAX, 1], &[u64::MAX]),
+            ("u64::MAX alone", &[], &[u64::MAX, u64::MAX]),
+        ];
+        for (name, av, bv) in cases {
+            let a = histogram_of(av);
+            let b = histogram_of(bv);
+            let mut merged = a.clone();
+            merged.merge(&b);
+            for h in [&a, &b, &merged] {
+                assert_occupied_invariant(h);
+            }
+            for &q in &[0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                let want = full_scan_quantile(&merged, q);
+                assert_eq!(merged.value_at_quantile(q), want, "{name}: q={q}");
+                assert_eq!(a.merged_quantile(&b, q), want, "{name}: q={q}");
+                assert_eq!(
+                    b.merged_quantile(&a, q),
+                    want,
+                    "{name}: merged quantile must be symmetric at q={q}"
+                );
+            }
         }
-        for v in 1..=500u64 {
-            b.record(v * 1_000);
+    }
+
+    #[test]
+    fn clear_then_record_forgets_the_old_range() {
+        let mut h = histogram_of(&[10, 1_000_000, u64::MAX]);
+        h.clear();
+        assert!(
+            h.buckets.iter().all(|&c| c == 0),
+            "clear zeroes every bucket"
+        );
+        assert_occupied_invariant(&h);
+        for v in [300u64, 301, 90_000] {
+            h.record(v);
         }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        for &q in &[0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+        assert_occupied_invariant(&h);
+        let fresh = histogram_of(&[300, 301, 90_000]);
+        assert_eq!(h.buckets, fresh.buckets);
+        let other = histogram_of(&[7, 7_000]);
+        for &q in &[0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(h.value_at_quantile(q), full_scan_quantile(&fresh, q));
             assert_eq!(
-                a.merged_quantile(&b, q),
-                merged.value_at_quantile(q),
-                "q={q}"
-            );
-            assert_eq!(
-                b.merged_quantile(&a, q),
-                merged.value_at_quantile(q),
-                "merged quantile must be symmetric at q={q}"
+                h.merged_quantile(&other, q),
+                fresh.merged_quantile(&other, q)
             );
         }
+        // Clearing a cleared (empty) histogram is a no-op.
+        h.clear();
+        h.clear();
+        assert!(h.is_empty());
+        assert_eq!(h.merged_quantile(&other, 0.5), other.value_at_quantile(0.5));
     }
 
     #[test]

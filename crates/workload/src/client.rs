@@ -40,8 +40,11 @@ pub struct Client {
     received: u64,
     latencies: Cdf,
     /// Per-response `(receive time at client, latency)` — the raw
-    /// series behind Fig 3/10/16.
+    /// series behind Fig 3/10/16, recorded only while `log_responses`
+    /// is set (see
+    /// [`set_response_log_enabled`](Client::set_response_log_enabled)).
     response_log: Vec<(SimTime, SimDuration)>,
+    log_responses: bool,
 }
 
 impl Client {
@@ -62,6 +65,7 @@ impl Client {
             received: 0,
             latencies: Cdf::new(),
             response_log: Vec::new(),
+            log_responses: false,
         }
     }
 
@@ -100,7 +104,9 @@ impl Client {
         let latency = now.saturating_since(pkt.client_sent_at);
         self.received += 1;
         self.latencies.record_duration(latency);
-        self.response_log.push((now, latency));
+        if self.log_responses {
+            self.response_log.push((now, latency));
+        }
         latency
     }
 
@@ -129,9 +135,33 @@ impl Client {
         &self.latencies
     }
 
-    /// Raw `(receive time, latency)` series.
+    /// Turns recording of the raw `(receive time, latency)` series on
+    /// or off (off by default). The series grows by one entry per
+    /// response, so only its readers turn it on: a testbed whose
+    /// trace buffer records (`RunConfig::with_traces` in
+    /// `experiments`, which moves it into `RunTraces::responses`),
+    /// and the `cluster` fleet, which drains it every epoch. The
+    /// latency distribution is recorded either way.
+    pub fn set_response_log_enabled(&mut self, enabled: bool) {
+        self.log_responses = enabled;
+    }
+
+    /// Raw `(receive time, latency)` series recorded since the last
+    /// reset, take or drain (empty unless
+    /// [enabled](Client::set_response_log_enabled)).
     pub fn response_log(&self) -> &[(SimTime, SimDuration)] {
         &self.response_log
+    }
+
+    /// Moves the raw series out, leaving it empty (and unallocated).
+    pub fn take_response_log(&mut self) -> Vec<(SimTime, SimDuration)> {
+        std::mem::take(&mut self.response_log)
+    }
+
+    /// Drains the raw series, keeping its storage for the entries
+    /// that follow.
+    pub fn drain_response_log(&mut self) -> std::vec::Drain<'_, (SimTime, SimDuration)> {
+        self.response_log.drain(..)
     }
 
     /// Discards all recorded statistics (used to cut off warm-up).
@@ -170,8 +200,37 @@ mod tests {
     }
 
     #[test]
+    fn response_log_records_only_when_enabled() {
+        let mut c = Client::new(1, 64);
+        let mut rng = RngStream::from_seed(2);
+        let a = c.build_request(SimTime::ZERO, &mut rng);
+        c.on_response(&Packet::response_to(&a, 1), SimTime::from_micros(10));
+        assert!(c.response_log().is_empty(), "off by default");
+        assert_eq!(c.latencies().len(), 1, "the distribution still records");
+        c.set_response_log_enabled(true);
+        let b = c.build_request(SimTime::from_micros(20), &mut rng);
+        c.on_response(&Packet::response_to(&b, 1), SimTime::from_micros(50));
+        let d = c.build_request(SimTime::from_micros(60), &mut rng);
+        c.on_response(&Packet::response_to(&d, 1), SimTime::from_micros(70));
+        let drained: Vec<_> = c.drain_response_log().collect();
+        assert_eq!(
+            drained,
+            vec![
+                (SimTime::from_micros(50), SimDuration::from_micros(30)),
+                (SimTime::from_micros(70), SimDuration::from_micros(10)),
+            ]
+        );
+        assert!(c.response_log().is_empty());
+        let e = c.build_request(SimTime::from_micros(80), &mut rng);
+        c.on_response(&Packet::response_to(&e, 1), SimTime::from_micros(90));
+        assert_eq!(c.take_response_log().len(), 1);
+        assert!(c.response_log().is_empty());
+    }
+
+    #[test]
     fn reset_stats_clears_but_keeps_accounting_consistent() {
         let mut c = Client::new(1, 64);
+        c.set_response_log_enabled(true);
         let mut rng = RngStream::from_seed(2);
         let a = c.build_request(SimTime::ZERO, &mut rng);
         let _b = c.build_request(SimTime::ZERO, &mut rng);

@@ -7,6 +7,8 @@
 //! latency attribution and completing it must all reuse storage grown
 //! during warm-up; only amortized growth of run-length logs may
 //! allocate, which keeps the count far below one per hundred events.
+//! The same box must not retain its raw per-response series, which
+//! only traced runs and the fleet read.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -97,5 +99,12 @@ fn measured_window_allocates_under_one_percent_of_events() {
         allocations * 100 <= events,
         "{allocations} heap allocations over {events} events in the measured window \
          (allowed: 1 per 100 events)"
+    );
+    // Nothing reads an untraced run's raw response series, so the
+    // client keeps none: memory stays flat in the run's length.
+    assert!(
+        tb.client.response_log().is_empty(),
+        "an untraced run retained {} responses",
+        tb.client.response_log().len()
     );
 }
