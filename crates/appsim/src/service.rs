@@ -86,16 +86,39 @@ impl AppModel {
         }
     }
 
-    /// Samples one request's service cost in cycles (≥ 100 cycles so
-    /// a pathological draw can never be free).
-    pub fn sample_service_cycles(&self, rng: &mut RngStream) -> u64 {
-        rng.lognormal_mean(self.service_cycles_mean, self.service_sigma)
-            .max(100.0) as u64
+    /// The per-request service-cost distribution, with the
+    /// lognormal's location computed once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mean is not positive or the sigma is negative.
+    pub(crate) fn service_sampler(&self) -> ServiceSampler {
+        ServiceSampler {
+            mu: RngStream::lognormal_mu(self.service_cycles_mean, self.service_sigma),
+            sigma: self.service_sigma,
+        }
     }
 
     /// Mean service time at a given core frequency.
     pub fn mean_service_time(&self, freq_hz: u64) -> SimDuration {
         SimDuration::from_secs_f64(self.service_cycles_mean / freq_hz as f64)
+    }
+}
+
+/// An [`AppModel`]'s lognormal service cost in cycles: mean
+/// `service_cycles_mean`, shape `service_sigma`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ServiceSampler {
+    mu: f64,
+    sigma: f64,
+}
+
+impl ServiceSampler {
+    /// Samples one request's service cost in cycles (≥ 100 cycles so
+    /// a pathological draw can never be free).
+    #[inline]
+    pub(crate) fn sample(&self, rng: &mut RngStream) -> u64 {
+        rng.lognormal(self.mu, self.sigma).max(100.0) as u64
     }
 }
 
@@ -130,12 +153,26 @@ mod tests {
         let m = AppModel::memcached();
         let mut rng = RngStream::from_seed(5);
         let n = 100_000;
-        let sum: u64 = (0..n).map(|_| m.sample_service_cycles(&mut rng)).sum();
+        let sampler = m.service_sampler();
+        let sum: u64 = (0..n).map(|_| sampler.sample(&mut rng)).sum();
         let mean = sum as f64 / n as f64;
         assert!(
             (mean - m.service_cycles_mean).abs() < 0.03 * m.service_cycles_mean,
             "mean {mean}"
         );
+    }
+
+    #[test]
+    fn sampler_draws_a_lognormal_of_the_model_mean() {
+        for m in [AppModel::memcached(), AppModel::nginx()] {
+            let sampler = m.service_sampler();
+            let mut a = RngStream::from_seed(9);
+            let mut b = a.clone();
+            for _ in 0..10_000 {
+                let expect = b.lognormal_mean(m.service_cycles_mean, m.service_sigma);
+                assert_eq!(sampler.sample(&mut a), expect.max(100.0) as u64);
+            }
+        }
     }
 
     #[test]

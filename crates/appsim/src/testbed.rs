@@ -18,7 +18,7 @@
 //! (NMAP-simpl), per sampling tick (ondemand/intel_pstate/NCAP), and
 //! per completed request (Parties).
 
-use crate::service::AppModel;
+use crate::service::{AppModel, ServiceSampler};
 use cpusim::dvfs::{CompletionResult, TransitionOutcome};
 use cpusim::power::CoreActivity;
 use cpusim::{CoreId, DvfsScope, PState, Processor, ProcessorProfile, RaplCounter};
@@ -577,6 +577,7 @@ pub struct Testbed {
 
     profile: ProcessorProfile,
     app: AppModel,
+    service: ServiceSampler,
     stack: StackParams,
     link: LinkModel,
     scope: DvfsScope,
@@ -759,6 +760,7 @@ impl Testbed {
             faults,
             profile: config.profile.clone(),
             app: config.app,
+            service: config.app.service_sampler(),
             stack: config.stack,
             link: config.link,
             scope: config.scope,
@@ -1483,7 +1485,7 @@ impl Testbed {
             "request",
             pkt.flow.0 as i64,
         );
-        let cycles = self.app.sample_service_cycles(&mut self.rng_service);
+        let cycles = self.service.sample(&mut self.rng_service);
         // Price the ideal service time at P0: whatever the chunk
         // takes beyond it (minus wake debt and preemption gaps) is
         // by definition P-state slowdown.

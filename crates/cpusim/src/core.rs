@@ -125,26 +125,31 @@ impl Core {
     }
 
     /// This core's id.
+    #[inline]
     pub fn id(&self) -> CoreId {
         self.id
     }
 
     /// The P-state currently in effect.
+    #[inline]
     pub fn pstate(&self) -> PState {
         self.pstate
     }
 
     /// The C-state the core currently occupies.
+    #[inline]
     pub fn cstate(&self) -> CState {
         self.cstate
     }
 
     /// True if the core is executing.
+    #[inline]
     pub fn is_busy(&self) -> bool {
         self.busy
     }
 
     /// Current clock frequency in Hz.
+    #[inline]
     pub fn frequency_hz(&self, profile: &ProcessorProfile) -> u64 {
         profile.pstates.frequency(self.pstate)
     }
@@ -153,6 +158,7 @@ impl Core {
     /// activity, in watts. Read-only: telemetry sampling uses this
     /// without touching the energy integral or the sampling window,
     /// so observing a core cannot perturb its energy accounting.
+    #[inline]
     pub fn current_power_w(&self, profile: &ProcessorProfile) -> f64 {
         profile
             .power
@@ -160,6 +166,7 @@ impl Core {
     }
 
     /// Wall time to execute `cycles` at the current frequency.
+    #[inline]
     pub fn cycles_to_duration(&self, cycles: u64, profile: &ProcessorProfile) -> SimDuration {
         let f = self.frequency_hz(profile);
         SimDuration::from_nanos(((cycles as u128 * 1_000_000_000) / f as u128) as u64)
@@ -167,11 +174,13 @@ impl Core {
 
     /// Cycles completed in `elapsed` wall time at the current
     /// frequency (used to rescale in-flight work on a V/F change).
+    #[inline]
     pub fn duration_to_cycles(&self, elapsed: SimDuration, profile: &ProcessorProfile) -> u64 {
         let f = self.frequency_hz(profile);
         ((elapsed.as_nanos() as u128 * f as u128) / 1_000_000_000) as u64
     }
 
+    #[inline]
     fn activity(&self) -> CoreActivity {
         if self.busy {
             CoreActivity::Busy
@@ -181,6 +190,7 @@ impl Core {
     }
 
     /// The attribution meter's activity class for the current state.
+    #[inline]
     fn meter_class(&self, profile: &ProcessorProfile) -> MeterClass {
         match self.activity() {
             CoreActivity::Busy => MeterClass::Busy {
@@ -197,6 +207,7 @@ impl Core {
     /// leaving the `f64` integral untouched — observability hooks
     /// (role changes, mode-boundary snapshots) use this so golden
     /// energy fixtures cannot drift.
+    #[inline]
     pub fn obs_account(&mut self, now: SimTime, profile: &ProcessorProfile) {
         let power = profile
             .power
@@ -207,6 +218,7 @@ impl Core {
 
     /// Integrates energy and residency up to `now`. Idempotent; called
     /// internally before every state change.
+    #[inline]
     pub fn account(&mut self, now: SimTime, profile: &ProcessorProfile) {
         let dt = now.saturating_since(self.last_account);
         if dt.is_zero() {
@@ -244,6 +256,7 @@ impl Core {
     ///
     /// Panics if marking busy while the core is asleep — callers must
     /// [`wake`](Core::wake) first.
+    #[inline]
     pub fn set_busy(&mut self, busy: bool, now: SimTime, profile: &ProcessorProfile) {
         assert!(
             !(busy && self.cstate.is_sleep()),
@@ -325,6 +338,7 @@ impl Core {
     /// Sets the busy-attribution role (application vs interrupt-side
     /// work) for execution from `now` on, advancing the attribution
     /// meter to the boundary first.
+    #[inline]
     pub fn set_busy_role(&mut self, role: BusyRole, now: SimTime, profile: &ProcessorProfile) {
         self.obs_account(now, profile);
         self.obs_energy.set_role(role);

@@ -25,6 +25,7 @@ pub enum CState {
 
 impl CState {
     /// True for any sleeping state (C1 or C6).
+    #[inline]
     pub fn is_sleep(self) -> bool {
         self != CState::C0
     }

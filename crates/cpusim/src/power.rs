@@ -33,6 +33,7 @@ pub enum CoreActivity {
 
 impl CoreActivity {
     /// The activity corresponding to idling in `state`.
+    #[inline]
     pub fn idle_in(state: CState) -> Self {
         match state {
             CState::C0 => CoreActivity::IdleC0,
@@ -43,6 +44,7 @@ impl CoreActivity {
 
     /// True if the core occupies CC0 (busy or idle) — the residency
     /// definition `intel_pstate` uses for its utilization estimate.
+    #[inline]
     pub fn is_c0(self) -> bool {
         matches!(self, CoreActivity::Busy | CoreActivity::IdleC0)
     }
@@ -97,6 +99,7 @@ impl PowerModel {
     }
 
     /// Instantaneous power of one core in watts.
+    #[inline]
     pub fn core_power(&self, op: OperatingPoint, activity: CoreActivity) -> f64 {
         let f_ghz = op.frequency_hz as f64 / 1e9;
         let v = op.voltage_v;

@@ -24,17 +24,20 @@ impl PState {
     pub const P0: PState = PState(0);
 
     /// Creates a P-state with the given index (0 = fastest).
+    #[inline]
     pub const fn new(index: u8) -> Self {
         PState(index)
     }
 
     /// The index (0 = fastest).
+    #[inline]
     pub const fn index(self) -> u8 {
         self.0
     }
 
     /// True if `self` has a higher frequency than `other`.
     /// (Lower index = faster.)
+    #[inline]
     pub const fn is_faster_than(self, other: PState) -> bool {
         self.0 < other.0
     }
@@ -156,6 +159,7 @@ impl PStateTable {
     /// The fastest frequency in the table (P0's, in Hz). The latency
     /// attribution profiler prices ideal service time at this
     /// frequency so any DVFS slowdown surfaces as P-state stall.
+    #[inline]
     pub fn fastest_frequency(&self) -> u64 {
         self.points[0].frequency_hz
     }
@@ -175,6 +179,7 @@ impl PStateTable {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn frequency(&self, p: PState) -> u64 {
         self.points[p.index() as usize].frequency_hz
     }
@@ -184,6 +189,7 @@ impl PStateTable {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn voltage(&self, p: PState) -> f64 {
         self.points[p.index() as usize].voltage_v
     }
@@ -193,6 +199,7 @@ impl PStateTable {
     /// # Panics
     ///
     /// Panics if `p` is out of range.
+    #[inline]
     pub fn point(&self, p: PState) -> OperatingPoint {
         self.points[p.index() as usize]
     }

@@ -52,6 +52,7 @@ impl LinkModel {
     }
 
     /// One-way delay for `pkt`.
+    #[inline]
     pub fn delay(&self, pkt: &Packet) -> SimDuration {
         self.base + self.per_byte * pkt.size_bytes as u64
     }

@@ -56,6 +56,7 @@ pub struct Packet {
 
 impl Packet {
     /// Builds a request packet.
+    #[inline]
     pub fn request(id: RequestId, flow: FlowId, size_bytes: u32, client_sent_at: SimTime) -> Self {
         Packet {
             id,
@@ -69,6 +70,7 @@ impl Packet {
 
     /// Builds the response to an existing request, preserving the
     /// flow and client timestamp.
+    #[inline]
     pub fn response_to(request: &Packet, size_bytes: u32) -> Self {
         Packet {
             id: request.id,
@@ -82,6 +84,7 @@ impl Packet {
 
     /// Builds an ACK-class companion packet on the same flow as
     /// `reference` (models the TCP traffic accompanying a request).
+    #[inline]
     pub fn ack_on(reference: &Packet) -> Self {
         Packet {
             id: reference.id,

@@ -43,12 +43,14 @@ impl RssHasher {
     }
 
     /// The queue all packets of `flow` land on.
+    #[inline]
     pub fn queue_for(&self, flow: FlowId) -> QueueId {
         QueueId((mix64(flow.0) % self.queues as u64) as usize)
     }
 }
 
 /// splitmix64 finalizer — a cheap, well-distributed 64-bit mixer.
+#[inline]
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

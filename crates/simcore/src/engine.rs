@@ -227,14 +227,17 @@ impl StepBudget {
 pub struct EventId(u64);
 
 impl EventId {
+    #[inline]
     fn pack(slot: u32, gen: u32) -> Self {
         EventId(((gen as u64) << 32) | slot as u64)
     }
 
+    #[inline]
     fn slot(self) -> u32 {
         self.0 as u32
     }
 
+    #[inline]
     fn gen(self) -> u32 {
         (self.0 >> 32) as u32
     }
@@ -408,8 +411,8 @@ impl<W: World<Q>, Q: SchedQueue> Simulator<W, Q> {
         let Some(slot) = self.queue.pop_within(&mut self.arena, bound) else {
             return false;
         };
-        let time = self.arena.get(slot).map_or(self.now, |m| m.time);
-        let event = self.events.get_mut(slot as usize).and_then(Option::take);
+        let time = self.arena.meta(slot).time;
+        let event = self.events[slot as usize].take();
         self.arena.release(slot);
         debug_assert!(time >= self.now, "event queue went backwards");
         debug_assert!(event.is_some(), "live slot without an event");

@@ -38,7 +38,7 @@ pub(crate) struct SlotMeta {
 #[derive(Debug, Default)]
 #[doc(hidden)]
 pub struct Arena {
-    pub(crate) meta: Vec<SlotMeta>,
+    meta: Vec<SlotMeta>,
     free: Vec<u32>,
 }
 
@@ -46,14 +46,14 @@ impl Arena {
     /// Claims a slot for an event firing at `time` with FIFO rank
     /// `seq`. Reuses a released slot when one is available (keeping
     /// its bumped generation), otherwise grows the arena.
+    #[inline]
     pub(crate) fn alloc(&mut self, time: SimTime, seq: u64) -> u32 {
         if let Some(slot) = self.free.pop() {
-            if let Some(m) = self.meta.get_mut(slot as usize) {
-                m.time = time;
-                m.seq = seq;
-                m.live = true;
-                m.next = NIL;
-            }
+            let m = &mut self.meta[slot as usize];
+            m.time = time;
+            m.seq = seq;
+            m.live = true;
+            m.next = NIL;
             return slot;
         }
         let slot = self.meta.len();
@@ -74,29 +74,33 @@ impl Arena {
     /// cancelled husk has been purged from a bucket. Bumps the
     /// generation so any outstanding handle to the old event goes
     /// stale.
+    #[inline]
     pub(crate) fn release(&mut self, slot: u32) {
-        if let Some(m) = self.meta.get_mut(slot as usize) {
-            m.live = false;
-            m.gen = m.gen.wrapping_add(1);
-            m.next = NIL;
-            self.free.push(slot);
-        }
+        let m = &mut self.meta[slot as usize];
+        m.live = false;
+        m.gen = m.gen.wrapping_add(1);
+        m.next = NIL;
+        self.free.push(slot);
     }
 
-    /// The slot's current generation (0 for a never-recycled slot).
+    /// The slot's current generation (0 for a never-issued slot, so a
+    /// forged handle naming one compares unequal to nothing live).
+    #[inline]
     pub(crate) fn gen(&self, slot: u32) -> u32 {
         self.meta.get(slot as usize).map_or(0, |m| m.gen)
     }
 
     /// True if the slot currently holds a scheduled, uncancelled
     /// event.
+    #[inline]
     pub(crate) fn is_live(&self, slot: u32) -> bool {
-        self.meta.get(slot as usize).is_some_and(|m| m.live)
+        self.meta[slot as usize].live
     }
 
     /// Marks a live slot cancelled. The slot stays in whatever bucket
     /// list holds it; backends purge and release it lazily. Returns
     /// false if the slot was not live.
+    #[inline]
     pub(crate) fn kill(&mut self, slot: u32) -> bool {
         match self.meta.get_mut(slot as usize) {
             Some(m) if m.live => {
@@ -107,8 +111,18 @@ impl Arena {
         }
     }
 
-    /// Ordering metadata for a slot; `None` for an out-of-range index.
-    pub(crate) fn get(&self, slot: u32) -> Option<&SlotMeta> {
-        self.meta.get(slot as usize)
+    /// Ordering metadata for a slot the engine issued. Backends and
+    /// the engine index directly: every slot they hold came from
+    /// [`alloc`](Self::alloc), so an out-of-range index is a logic
+    /// error, not an input to tolerate.
+    #[inline]
+    pub(crate) fn meta(&self, slot: u32) -> &SlotMeta {
+        &self.meta[slot as usize]
+    }
+
+    /// Mutable access to a slot's metadata (list linkage).
+    #[inline]
+    pub(crate) fn meta_mut(&mut self, slot: u32) -> &mut SlotMeta {
+        &mut self.meta[slot as usize]
     }
 }

@@ -54,7 +54,7 @@ impl super::sealed::Sealed for HeapQueue {}
 
 impl SchedQueue for HeapQueue {
     fn insert(&mut self, arena: &mut Arena, slot: u32) {
-        let Some(m) = arena.get(slot) else { return };
+        let m = arena.meta(slot);
         self.heap.push(Entry {
             time: m.time,
             seq: m.seq,
@@ -101,7 +101,7 @@ mod tests {
         arena.kill(slots[2]);
         let mut seqs = Vec::new();
         while let Some(slot) = q.pop_within(&mut arena, SimTime::MAX) {
-            seqs.push(arena.get(slot).map(|m| m.seq).expect("live"));
+            seqs.push(arena.meta(slot).seq);
             arena.release(slot);
         }
         assert_eq!(seqs, vec![1, 3, 0]);

@@ -35,7 +35,6 @@
 //! end-to-end nanoseconds at any simulation time.
 
 use super::MetricsRegistry;
-use super::ObsHistogram;
 use crate::hash::IdHashMap;
 use crate::stats::histogram::Histogram;
 use crate::time::{SimDuration, SimTime};
@@ -270,10 +269,9 @@ struct Pending {
 #[derive(Debug, Clone)]
 struct Agg {
     sums_ns: [u64; STAGES],
+    /// Per-stage samples; `summary` reads their quantiles and
+    /// `record_metrics` exports their log₂ form.
     hists: Vec<Histogram>,
-    /// The same samples in the metrics registry's log₂ form, exported
-    /// under [`Stage::metric_key`].
-    log2: [ObsHistogram; STAGES],
     requests: u64,
     mismatches: u64,
     attributed_total_ns: u64,
@@ -285,7 +283,6 @@ impl Default for Agg {
         Agg {
             sums_ns: [0; STAGES],
             hists: (0..STAGES).map(|_| Histogram::new()).collect(),
-            log2: std::array::from_fn(|_| ObsHistogram::default()),
             requests: 0,
             mismatches: 0,
             attributed_total_ns: 0,
@@ -504,7 +501,6 @@ impl AttribTracker {
             let slot = &mut self.agg.sums_ns[stage as usize];
             *slot = slot.saturating_add(ns);
             self.agg.hists[stage as usize].record(ns);
-            self.agg.log2[stage as usize].observe(ns);
         }
         Some(CompletedAttrib {
             breakdown: p.breakdown,
@@ -554,7 +550,7 @@ impl AttribTracker {
     pub fn record_metrics(&self, m: &mut MetricsRegistry) {
         if self.agg.requests > 0 {
             for stage in Stage::ALL {
-                m.set_histogram(stage.metric_key(), &self.agg.log2[stage as usize]);
+                m.set_histogram(stage.metric_key(), &self.agg.hists[stage as usize]);
             }
         }
     }

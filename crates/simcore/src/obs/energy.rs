@@ -132,6 +132,7 @@ pub enum BusyRole {
 /// Maps a P-state table position to its busy bucket. `index` 0 is
 /// P0 (fastest), `len - 1` is Pmin; interior states split at the
 /// table midpoint.
+#[inline]
 pub fn busy_bucket(index: usize, len: usize) -> EnergyComponent {
     if index == 0 {
         EnergyComponent::BusyP0
@@ -154,8 +155,22 @@ pub fn segment_uj(power_w: f64, dt: SimDuration) -> u64 {
     if uj <= 0.0 {
         0
     } else {
-        uj.round() as u64
+        round_positive(uj)
     }
+}
+
+/// `x.round() as u64` for `x > 0`, without `f64::round` (a libm call
+/// on baseline x86-64, paid twice per execution chunk): truncate, then
+/// round the fraction half away from zero. Bit-identical for every
+/// positive `x`, NaN and infinity included. Below 2^53 the fraction
+/// `x - trunc(x)` is computed exactly (Sterbenz), so comparing it with
+/// 0.5 decides exactly what `round` decides; from 2^53 on every `f64`
+/// is an integer and the fraction is 0. Beyond `u64::MAX` both sides
+/// saturate.
+#[inline]
+fn round_positive(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add((x - whole as f64 >= 0.5) as u64)
 }
 
 /// The activity class of one accounting segment, as the CPU model
@@ -189,6 +204,7 @@ pub struct EnergyBreakdown {
 impl EnergyBreakdown {
     /// Adds `uj` microjoules to `component`. Saturates: a pinned
     /// counter shows as an audit imbalance, not a wrap.
+    #[inline]
     pub fn add_uj(&mut self, component: EnergyComponent, uj: u64) {
         let slot = &mut self.uj[component as usize];
         *slot = slot.saturating_add(uj);
@@ -262,10 +278,11 @@ impl CoreEnergyMeter {
         Self::default()
     }
 
+    #[inline]
     fn add(&mut self, component: EnergyComponent, power_w: f64, dt: SimDuration) {
         let exact = (power_w * dt.as_nanos() as f64 / 1000.0).max(0.0);
         let acc = exact + self.carry;
-        let uj = if acc <= 0.0 { 0 } else { acc.round() as u64 };
+        let uj = if acc <= 0.0 { 0 } else { round_positive(acc) };
         self.carry = acc - uj as f64;
         self.measured_uj = self.measured_uj.saturating_add(uj);
         self.breakdown.add_uj(component, uj);
@@ -666,6 +683,41 @@ mod tests {
         assert_eq!(b.get_uj(EnergyComponent::WakeC0), 20); // 19.8 → 20
         assert_eq!(b.get_uj(EnergyComponent::IdleC0), 13); // 13.2 → 13
         assert_eq!(m.measured_uj(), b.total_uj());
+    }
+
+    #[test]
+    fn round_positive_matches_f64_round() {
+        let near = |x: f64| [x.next_down(), x, x.next_up()];
+        let mut cases = vec![
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            f64::MIN_POSITIVE,
+            1e-300,
+            u64::MAX as f64,
+            1e20,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for x in [2f64.powi(51), 2f64.powi(52), 2f64.powi(53), 2f64.powi(64)] {
+            cases.extend(near(x));
+            cases.extend(near(x + 0.5).iter().filter(|v| v.is_finite()));
+            cases.extend(near(x - 0.5));
+        }
+        for n in 0..64u64 {
+            cases.extend(near(n as f64 + 0.5));
+        }
+        crate::check::forall("energy round_positive", 4_096, |rng| {
+            // Magnitudes from sub-µJ segments to 2^60 µJ totals.
+            let x = rng.uniform() * 2f64.powi(rng.below(61) as i32);
+            if x > 0.0 {
+                assert_eq!(round_positive(x), x.round() as u64, "x = {x:e}");
+            }
+        });
+        for x in cases {
+            assert_eq!(round_positive(x), x.round() as u64, "x = {x:e}");
+        }
     }
 
     #[test]

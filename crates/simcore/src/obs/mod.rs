@@ -39,6 +39,7 @@
 //! assert_eq!(snap, metrics.snapshot()); // snapshots are deterministic
 //! ```
 
+use crate::stats::histogram::Histogram;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -327,9 +328,11 @@ impl TraceBuffer {
 }
 
 /// A log₂-bucketed histogram of `u64` samples: the registry's
-/// histogram representation, also kept by components that aggregate
-/// on their own hot path and hand the result over at export time
-/// (see [`AttribTracker::record_metrics`](attrib::AttribTracker::record_metrics)).
+/// histogram representation. Components that aggregate on their own
+/// hot path keep a fine [`Histogram`] instead and hand it over at
+/// export time (see
+/// [`AttribTracker::record_metrics`](attrib::AttribTracker::record_metrics)),
+/// which derives this form from it exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ObsHistogram {
     /// `buckets[i]` counts samples with `bit_width == i` (bucket 0 is
@@ -358,6 +361,19 @@ impl ObsHistogram {
         self.count += 1;
         self.sum += value;
         self.max = self.max.max(value);
+    }
+
+    /// The log₂ form of a fine histogram: what `observe` of each of
+    /// its samples would have built. Exact, because every fine bucket
+    /// lies inside one binary magnitude; `sum` wraps at 2^64 as
+    /// `observe`'s release-build addition does.
+    fn from_fine(h: &Histogram) -> Self {
+        ObsHistogram {
+            buckets: h.bit_width_counts(),
+            count: h.count(),
+            sum: h.sum() as u64,
+            max: h.max(),
+        }
     }
 }
 
@@ -426,13 +442,16 @@ impl MetricsRegistry {
         }
     }
 
-    /// Sets the histogram `key` to `h`, replacing any samples already
-    /// observed under that key.
-    pub(crate) fn set_histogram(&mut self, key: &str, h: &ObsHistogram) {
+    /// Sets the histogram `key` to the log₂ form of the fine
+    /// histogram `h`, replacing any samples already observed under
+    /// that key: the result equals an [`observe`](Self::observe) of
+    /// each of `h`'s samples into an empty key.
+    pub(crate) fn set_histogram(&mut self, key: &str, h: &Histogram) {
+        let h = ObsHistogram::from_fine(h);
         if let Some(slot) = self.histograms.get_mut(key) {
-            slot.clone_from(h);
+            *slot = h;
         } else {
-            self.histograms.insert(key.to_string(), h.clone());
+            self.histograms.insert(key.to_string(), h);
         }
     }
 
@@ -533,6 +552,48 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn log2_export_of_a_fine_histogram_equals_per_sample_observe() {
+        // Edge values: 0, everything below 64 (one fine bucket per
+        // value), powers of two ± 1 across the whole range, u64::MAX.
+        let mut edges: Vec<u64> = (0..64).collect();
+        for k in 1..64 {
+            let p = 1u64 << k;
+            edges.extend([p - 1, p, p + 1]);
+        }
+        edges.push(u64::MAX);
+        // Many samples per case: keep them below 2^56 so `observe`'s
+        // u64 sum cannot overflow (a debug-build panic); the
+        // single-sample loop below covers the values above.
+        let small: Vec<u64> = edges.iter().copied().filter(|&v| v < 1 << 56).collect();
+        crate::check::forall("log2 export from fine histogram", 512, |rng| {
+            let mut fine = Histogram::new();
+            let mut direct = MetricsRegistry::new();
+            for _ in 0..1 + rng.below(200) {
+                let v = match rng.below(3) {
+                    0 => small[rng.below(small.len() as u64) as usize],
+                    1 => rng.next_u64() >> (8 + rng.below(56)),
+                    _ => rng.below(1 << 40),
+                };
+                fine.record(v);
+                direct.observe("stage", v);
+            }
+            let mut derived = MetricsRegistry::new();
+            derived.set_histogram("stage", &fine);
+            assert_eq!(derived.snapshot(), direct.snapshot());
+        });
+        // Every edge value on its own, u64::MAX included.
+        for &v in &edges {
+            let mut fine = Histogram::new();
+            fine.record(v);
+            let mut derived = MetricsRegistry::new();
+            derived.set_histogram("k", &fine);
+            let mut direct = MetricsRegistry::new();
+            direct.observe("k", v);
+            assert_eq!(derived.snapshot(), direct.snapshot(), "value {v}");
+        }
+    }
 
     fn ev(t: u64, name: &'static str) -> TraceEvent {
         TraceEvent {

@@ -76,6 +76,7 @@ impl RngStream {
     }
 
     /// Next raw 64-bit value (xoshiro256++).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -90,6 +91,7 @@ impl RngStream {
     }
 
     /// Uniform in `[0, 1)`, from the top 53 bits of one draw.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -99,6 +101,7 @@ impl RngStream {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo < hi, "empty uniform range");
         lo + (hi - lo) * self.uniform()
@@ -109,6 +112,7 @@ impl RngStream {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is empty");
         // Debiased multiply-shift (Lemire): rejection keeps the
@@ -124,6 +128,7 @@ impl RngStream {
     }
 
     /// Bernoulli trial with probability `p` of `true`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform() < p
     }
@@ -133,6 +138,7 @@ impl RngStream {
     /// # Panics
     ///
     /// Panics if `mean` is not positive.
+    #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "exponential mean must be positive");
         // 1 - U avoids ln(0).
@@ -141,6 +147,7 @@ impl RngStream {
 
     /// Standard normal variate via Box–Muller (one value per call;
     /// the twin is discarded to keep the stream stateless).
+    #[inline]
     pub fn standard_normal(&mut self) -> f64 {
         let u1 = (1.0 - self.uniform()).max(f64::MIN_POSITIVE);
         let u2 = self.uniform();
@@ -152,6 +159,7 @@ impl RngStream {
     /// # Panics
     ///
     /// Panics if `sigma` is negative.
+    #[inline]
     pub fn normal(&mut self, mu: f64, sigma: f64) -> f64 {
         assert!(sigma >= 0.0, "sigma must be non-negative");
         mu + sigma * self.standard_normal()
@@ -164,11 +172,28 @@ impl RngStream {
     /// # Panics
     ///
     /// Panics if `mean` is not positive or `sigma` is negative.
+    #[inline]
     pub fn lognormal_mean(&mut self, mean: f64, sigma: f64) -> f64 {
+        self.lognormal(Self::lognormal_mu(mean, sigma), sigma)
+    }
+
+    /// The location `mu` of the normal underlying a log-normal with
+    /// mean `mean` and shape `sigma`: `E[lognormal(mu, sigma)] =
+    /// exp(mu + sigma²/2) = mean`. Samplers that draw many variates of
+    /// one shape compute it once and call [`lognormal`](Self::lognormal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean` is not positive or `sigma` is negative.
+    pub fn lognormal_mu(mean: f64, sigma: f64) -> f64 {
         assert!(mean > 0.0, "lognormal mean must be positive");
         assert!(sigma >= 0.0, "sigma must be non-negative");
-        // E[lognormal(mu, sigma)] = exp(mu + sigma^2/2) = mean
-        let mu = mean.ln() - sigma * sigma / 2.0;
+        mean.ln() - sigma * sigma / 2.0
+    }
+
+    /// Log-normal variate `exp(mu + sigma·Z)` with `Z` standard normal.
+    #[inline]
+    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.standard_normal()).exp()
     }
 
@@ -178,6 +203,7 @@ impl RngStream {
     /// # Panics
     ///
     /// Panics if `xm` or `alpha` is not positive.
+    #[inline]
     pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
         assert!(
             xm > 0.0 && alpha > 0.0,

@@ -36,12 +36,14 @@ impl Cdf {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         self.samples.push(value);
         self.sorted = false;
     }
 
     /// Records a duration in nanoseconds.
+    #[inline]
     pub fn record_duration(&mut self, d: SimDuration) {
         self.record(d.as_nanos());
     }

@@ -70,6 +70,7 @@ impl Histogram {
         Self::index_of(self.min)..Self::index_of(self.max) + 1
     }
 
+    #[inline]
     fn index_of(value: u64) -> usize {
         if value < SUB_COUNT as u64 {
             return value as usize;
@@ -93,6 +94,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         let idx = Self::index_of(value);
         self.buckets[idx] += 1;
@@ -103,6 +105,7 @@ impl Histogram {
     }
 
     /// Records a duration sample in nanoseconds.
+    #[inline]
     pub fn record_duration(&mut self, d: SimDuration) {
         self.record(d.as_nanos());
     }
@@ -245,6 +248,30 @@ impl Histogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
+    }
+
+    /// Sum of all samples.
+    pub(crate) fn sum(&self) -> u128 {
+        self.sum
+    }
+
+    /// Sample counts per binary magnitude: `out[w]` counts the samples
+    /// whose bit width is `w` (`out[0]` the zeros). Exact, because no
+    /// bucket straddles two magnitudes: below 64 a bucket is one
+    /// value, and block `b >= 1` holds exactly the values of bit width
+    /// `b + SUB_BITS`.
+    pub(crate) fn bit_width_counts(&self) -> [u64; 65] {
+        let mut out = [0; 65];
+        let range = self.occupied();
+        for (i, &c) in range.clone().zip(&self.buckets[range]) {
+            let width = if i < SUB_COUNT {
+                (u64::BITS - (i as u64).leading_zeros()) as usize
+            } else {
+                i / SUB_COUNT + SUB_BITS as usize
+            };
+            out[width] += c;
+        }
+        out
     }
 
     /// Resets to empty.

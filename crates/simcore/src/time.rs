@@ -41,55 +41,65 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant `nanos` nanoseconds after the origin.
+    #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
     }
 
     /// Creates an instant `micros` microseconds after the origin,
     /// saturating at [`SimTime::MAX`].
+    #[inline]
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros.saturating_mul(1_000))
     }
 
     /// Creates an instant `millis` milliseconds after the origin,
     /// saturating at [`SimTime::MAX`].
+    #[inline]
     pub const fn from_millis(millis: u64) -> Self {
         SimTime(millis.saturating_mul(1_000_000))
     }
 
     /// Creates an instant `secs` seconds after the origin, saturating
     /// at [`SimTime::MAX`].
+    #[inline]
     pub const fn from_secs(secs: u64) -> Self {
         SimTime(secs.saturating_mul(1_000_000_000))
     }
 
     /// Nanoseconds since the origin.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Whole microseconds since the origin (truncating).
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0 / 1_000
     }
 
     /// Whole milliseconds since the origin (truncating).
+    #[inline]
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
     }
 
     /// Seconds since the origin as a float (for reporting only).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Time elapsed since `earlier`, saturating to zero if `earlier`
     /// is in the future.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Checked difference; `None` if `earlier > self`.
+    #[inline]
     pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
         self.0.checked_sub(earlier.0).map(SimDuration)
     }
@@ -102,24 +112,28 @@ impl SimDuration {
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a span of `nanos` nanoseconds.
+    #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimDuration(nanos)
     }
 
     /// Creates a span of `micros` microseconds, saturating at
     /// [`SimDuration::MAX`].
+    #[inline]
     pub const fn from_micros(micros: u64) -> Self {
         SimDuration(micros.saturating_mul(1_000))
     }
 
     /// Creates a span of `millis` milliseconds, saturating at
     /// [`SimDuration::MAX`].
+    #[inline]
     pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis.saturating_mul(1_000_000))
     }
 
     /// Creates a span of `secs` seconds, saturating at
     /// [`SimDuration::MAX`].
+    #[inline]
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs.saturating_mul(1_000_000_000))
     }
@@ -127,6 +141,7 @@ impl SimDuration {
     /// Checked addition; `None` on overflow (use where a degenerate
     /// configuration could push a horizon past the representable
     /// range).
+    #[inline]
     pub const fn checked_add(self, other: SimDuration) -> Option<SimDuration> {
         match self.0.checked_add(other.0) {
             Some(n) => Some(SimDuration(n)),
@@ -140,6 +155,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative or NaN.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs >= 0.0 && secs.is_finite(),
@@ -154,6 +170,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `micros` is negative or NaN.
+    #[inline]
     pub fn from_micros_f64(micros: f64) -> Self {
         assert!(
             micros >= 0.0 && micros.is_finite(),
@@ -163,36 +180,43 @@ impl SimDuration {
     }
 
     /// The span in nanoseconds.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Whole microseconds (truncating).
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0 / 1_000
     }
 
     /// Whole milliseconds (truncating).
+    #[inline]
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
     }
 
     /// The span as fractional seconds (for reporting and rate math).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// The span as fractional microseconds (for reporting).
+    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// True if the span is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
@@ -203,6 +227,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `factor` is negative or NaN.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(
             factor >= 0.0 && factor.is_finite(),
@@ -214,12 +239,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -227,6 +254,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
@@ -237,6 +265,7 @@ impl Sub<SimTime> for SimTime {
     /// # Panics
     ///
     /// Panics in debug builds if `rhs` is later than `self`.
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         debug_assert!(self.0 >= rhs.0, "subtracting a later SimTime");
         SimDuration(self.0.saturating_sub(rhs.0))
@@ -245,12 +274,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -261,6 +292,7 @@ impl Sub for SimDuration {
     /// # Panics
     ///
     /// Panics in debug builds on underflow.
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         debug_assert!(self.0 >= rhs.0, "SimDuration underflow");
         SimDuration(self.0.saturating_sub(rhs.0))
@@ -268,6 +300,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -275,6 +308,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(rhs))
     }
@@ -282,6 +316,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
@@ -290,6 +325,7 @@ impl Div<u64> for SimDuration {
 impl Div<SimDuration> for SimDuration {
     type Output = u64;
     /// Integer ratio of two spans (how many `rhs` fit into `self`).
+    #[inline]
     fn div(self, rhs: SimDuration) -> u64 {
         self.0 / rhs.0
     }
@@ -297,6 +333,7 @@ impl Div<SimDuration> for SimDuration {
 
 impl Rem<SimDuration> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn rem(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 % rhs.0)
     }

@@ -8,7 +8,11 @@
 //! exercises the wheel even when the workspace is built with
 //! `--features heap-sched`.
 
-use simcore::{SimDuration, SimTime, StepBudget, WheelQueue, WheelSimulator, World};
+use simcore::check::forall;
+use simcore::{
+    EventId, HeapQueue, SchedQueue, SimDuration, SimTime, Simulator, StepBudget, WheelQueue,
+    WheelSimulator, World,
+};
 
 /// The test world: labels of executed events, in execution order.
 #[derive(Debug, Default)]
@@ -25,10 +29,10 @@ enum Ev {
     Spin,
 }
 
-impl World<WheelQueue> for Log {
+impl<Q: SchedQueue> World<Q> for Log {
     type Event = Ev;
 
-    fn handle(&mut self, ev: Ev, sim: &mut WheelSimulator<Self>) {
+    fn handle(&mut self, ev: Ev, sim: &mut Simulator<Self, Q>) {
         match ev {
             Ev::Push(label) => self.0.push(label),
             Ev::Chain { label, links } => {
@@ -49,7 +53,9 @@ impl World<WheelQueue> for Log {
     }
 }
 
-/// 64^2 and 64^3 — the spans of wheel levels 1 and 2.
+/// The level-0 grain, and the spans of wheel levels 0 and 1 (64^2
+/// and 64^3 ns).
+const GRAIN: u64 = 64;
 const L2: u64 = 64 * 64;
 const L3: u64 = 64 * 64 * 64;
 /// The full wheel span; times this far out park in the overflow list.
@@ -253,4 +259,196 @@ fn deadline_stop_between_levels_accepts_earlier_reschedules() {
     sim.schedule_at(t(2_000), Ev::Push(2_000));
     sim.run_until(&mut w, SimTime::MAX);
     assert_eq!(w.0, vec![2_000, 5_000_000]);
+}
+
+/// A scripted world for the oracle comparisons below: each event logs
+/// its label, and may schedule a follow-up or cancel an earlier
+/// event. Handles are kept per script index, so both backends run the
+/// same logical operations even where their slot reuse differs.
+#[derive(Debug, Default)]
+struct Script {
+    log: Vec<u64>,
+    handles: Vec<Option<EventId>>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Logs the label.
+    Push(u64),
+    /// Logs the label, then schedules `Push(label + 1_000_000)` at
+    /// `now + gap` (0: at `now`, from inside the handler).
+    Fork { label: u64, gap: u64 },
+    /// Logs the label, then cancels script event `victim`; logs
+    /// `victim | 1 << 40` if that prevented it from running.
+    Kill { label: u64, victim: usize },
+}
+
+impl<Q: SchedQueue> World<Q> for Script {
+    type Event = Op;
+
+    fn handle(&mut self, op: Op, sim: &mut Simulator<Self, Q>) {
+        match op {
+            Op::Push(label) => self.log.push(label),
+            Op::Fork { label, gap } => {
+                self.log.push(label);
+                sim.schedule_in(SimDuration::from_nanos(gap), Op::Push(label + 1_000_000));
+            }
+            Op::Kill { label, victim } => {
+                self.log.push(label);
+                if let Some(id) = self.handles.get(victim).copied().flatten() {
+                    if sim.cancel(id) {
+                        self.log.push(victim as u64 | 1 << 40);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Schedules `ops` (absolute times), cancels the script indices in
+/// `cancel` up front, runs to `bound` and then to the end, and returns
+/// the execution log with the clock after the bounded run.
+fn run_script<Q: SchedQueue>(
+    ops: &[(u64, Op)],
+    cancel: &[usize],
+    bound: SimTime,
+) -> (Vec<u64>, SimTime) {
+    let mut sim: Simulator<Script, Q> = Simulator::new();
+    let mut w = Script::default();
+    for &(at, op) in ops {
+        let id = sim.schedule_at(t(at), op);
+        w.handles.push(Some(id));
+    }
+    for &i in cancel {
+        assert!(sim.cancel(w.handles[i].expect("scheduled")));
+    }
+    sim.run_until(&mut w, bound);
+    let clock = sim.now();
+    sim.run_until(&mut w, SimTime::MAX);
+    (w.log, clock)
+}
+
+fn oracle_agrees(ops: &[(u64, Op)], cancel: &[usize], bound: SimTime) -> Vec<u64> {
+    let wheel = run_script::<WheelQueue>(ops, cancel, bound);
+    let heap = run_script::<HeapQueue>(ops, cancel, bound);
+    assert_eq!(wheel, heap, "wheel and heap oracle disagree");
+    wheel.0
+}
+
+#[test]
+fn one_grain_holds_exact_time_then_seq_order() {
+    // Case 1: many distinct timestamps inside one level-0 grain,
+    // scheduled out of order, some from handlers at `now`, with
+    // cancels both up front and from handlers.
+    forall("wheel one-grain order", 256, |rng| {
+        // The grain [base, base + 64) sits in the cursor's level-0
+        // window for some cases and is reached by cascade in others.
+        let base = GRAIN * rng.below(2 * L2 / GRAIN);
+        let n = 2 + rng.below(120) as usize;
+        let ops: Vec<(u64, Op)> = (0..n)
+            .map(|i| {
+                let at = base + rng.below(GRAIN);
+                let label = i as u64;
+                let op = match rng.below(4) {
+                    0 => Op::Fork {
+                        label,
+                        gap: [0, 0, 1, rng.below(GRAIN)][rng.below(4) as usize],
+                    },
+                    1 => Op::Kill {
+                        label,
+                        victim: rng.below(n as u64) as usize,
+                    },
+                    _ => Op::Push(label),
+                };
+                (at, op)
+            })
+            .collect();
+        let cancel: Vec<usize> = (0..n).filter(|_| rng.below(5) == 0).collect();
+        let log = oracle_agrees(&ops, &cancel, SimTime::MAX);
+        // Spot-check the contract itself, not just agreement: the
+        // up-front schedules that ran did so in (time, seq) order.
+        let ran: Vec<u64> = log.iter().copied().filter(|&l| l < n as u64).collect();
+        let keys: Vec<(u64, u64)> = ran.iter().map(|&l| (ops[l as usize].0, l)).collect();
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(keys, sorted);
+    });
+}
+
+#[test]
+fn bounded_run_short_of_a_mixed_husk_block_keeps_the_cursor() {
+    // Case 2: a level-2 bucket (its block starts at 64^3 ns = L3 from
+    // a cursor at 0) mixes cancelled husks and live events. A run
+    // bounded short of the block's start must neither pop nor move
+    // the cursor, so a later schedule at the bound (earlier than
+    // everything pending) lands in front and pops first. The last
+    // bound lies inside the block, before its first event: the
+    // cascade may commit there, but never past the bound.
+    let block = L3 + 5 * L2;
+    let ops = [
+        (block + 7, Op::Push(0)),
+        (block + 3, Op::Push(1)),
+        (block + 3, Op::Push(2)),
+        (block + L2 - 1, Op::Push(3)),
+        (block + 100, Op::Push(4)),
+    ];
+    for bound in [t(1), t(L3 - 1), t(block - 1)] {
+        for cancel in [&[1usize, 3][..], &[0, 2, 4], &[]] {
+            let mut sim: WheelSimulator<Script> = WheelSimulator::new();
+            let mut w = Script::default();
+            for &(at, op) in &ops {
+                let id = sim.schedule_at(t(at), op);
+                w.handles.push(Some(id));
+            }
+            for &i in cancel {
+                assert!(sim.cancel(w.handles[i].expect("scheduled")));
+            }
+            assert_eq!(sim.run_until(&mut w, bound), 0, "nothing fires by {bound}");
+            assert_eq!(sim.now(), bound);
+            sim.schedule_at(bound, Op::Push(99));
+            assert_eq!(
+                sim.run_until(&mut w, bound),
+                1,
+                "the bound event pops at once"
+            );
+            assert_eq!(w.log, vec![99]);
+            sim.run_until(&mut w, SimTime::MAX);
+            let mut rest = vec![99];
+            let mut live: Vec<(u64, u64)> = ops
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !cancel.contains(i))
+                .map(|(i, &(at, _))| (at, i as u64))
+                .collect();
+            live.sort_unstable();
+            rest.extend(live.iter().map(|&(_, l)| l));
+            assert_eq!(w.log, rest);
+        }
+    }
+    // The same geometry against the oracle, with the bound also inside
+    // the block (the cascade then commits, but never past the bound).
+    for bound in [t(block - 1), t(block), t(block + 5), t(block + 200)] {
+        oracle_agrees(&ops, &[1, 3], bound);
+        oracle_agrees(&ops, &[0, 1, 2, 3, 4], bound);
+    }
+}
+
+#[test]
+fn dense_random_nanoseconds_pop_in_order() {
+    // Case 3: about 32 k events at random nanoseconds within 4 µs
+    // (~512 per level-0 grain), scheduled in random order. Pins the
+    // full order against the oracle; a sorted insert that walked more
+    // than its own grain would turn this quadratic.
+    let mut rng = simcore::RngStream::from_seed(0x5eed);
+    let ops: Vec<(u64, Op)> = (0..32_768u64)
+        .map(|label| (1_000 + rng.below(4_000), Op::Push(label)))
+        .collect();
+    let cancel: Vec<usize> = (0..ops.len()).step_by(7).collect();
+    let log = oracle_agrees(&ops, &cancel, t(3_000));
+    assert_eq!(log.len(), ops.len() - cancel.len());
+    let keys: Vec<(u64, u64)> = log.iter().map(|&l| (ops[l as usize].0, l)).collect();
+    assert!(
+        keys.windows(2).all(|w| w[0] < w[1]),
+        "not (time, seq) order"
+    );
 }

@@ -38,6 +38,7 @@ impl PoissonArrivals {
 }
 
 impl ArrivalProcess for PoissonArrivals {
+    #[inline]
     fn next_after(&mut self, t: SimTime, rng: &mut RngStream) -> Option<SimTime> {
         let gap = rng.exponential(1.0 / self.rate_per_sec);
         Some(t + SimDuration::from_secs_f64(gap))
@@ -72,6 +73,37 @@ pub struct BurstyArrivals {
     period: SimDuration,
     duty: f64,
     ramp_frac: f64,
+    /// The envelope below, derived once from the four parameters
+    /// above: every thinning draw reads it.
+    envelope: Envelope,
+}
+
+/// The per-draw invariants of a [`BurstyArrivals`] envelope, computed
+/// with the same expressions the formula uses, so cached and
+/// recomputed values are bit-identical.
+#[derive(Debug, Clone, Copy)]
+struct Envelope {
+    /// `period · duty`.
+    burst_len: SimDuration,
+    /// `burst_len · ramp_frac`.
+    ramp_len: SimDuration,
+    /// `ramp_len` in seconds.
+    ramp_secs: f64,
+    /// Mean inter-arrival gap at the peak rate, `1 / peak_rps`.
+    peak_gap_s: f64,
+}
+
+impl Envelope {
+    fn new(peak_rps: f64, period: SimDuration, duty: f64, ramp_frac: f64) -> Self {
+        let burst_len = period.mul_f64(duty);
+        let ramp_len = burst_len.mul_f64(ramp_frac);
+        Envelope {
+            burst_len,
+            ramp_len,
+            ramp_secs: ramp_len.as_secs_f64(),
+            peak_gap_s: 1.0 / peak_rps,
+        }
+    }
 }
 
 impl BurstyArrivals {
@@ -94,6 +126,7 @@ impl BurstyArrivals {
             period,
             duty,
             ramp_frac,
+            envelope: Envelope::new(peak_rps, period, duty, ramp_frac),
         }
     }
 
@@ -117,28 +150,29 @@ impl BurstyArrivals {
 
     /// Burst length within each period.
     pub fn burst_len(&self) -> SimDuration {
-        self.period.mul_f64(self.duty)
+        self.envelope.burst_len
     }
 
     /// Instantaneous rate at absolute time `t`.
+    #[inline]
     pub fn rate_at(&self, t: SimTime) -> f64 {
         let pos = SimDuration::from_nanos(t.as_nanos() % self.period.as_nanos());
-        let burst_len = self.burst_len();
-        if pos >= burst_len {
+        let env = &self.envelope;
+        if pos >= env.burst_len {
             return 0.0;
         }
-        let ramp_len = burst_len.mul_f64(self.ramp_frac);
-        if ramp_len.is_zero() || pos >= ramp_len {
+        if env.ramp_len.is_zero() || pos >= env.ramp_len {
             self.peak_rps
         } else {
-            self.peak_rps * pos.as_secs_f64() / ramp_len.as_secs_f64()
+            self.peak_rps * pos.as_secs_f64() / env.ramp_secs
         }
     }
 
     /// Start of the burst containing-or-after `t`.
+    #[inline]
     fn next_burst_start(&self, t: SimTime) -> SimTime {
         let pos = t.as_nanos() % self.period.as_nanos();
-        if pos < self.burst_len().as_nanos() {
+        if pos < self.envelope.burst_len.as_nanos() {
             t
         } else {
             SimTime::from_nanos(
@@ -159,13 +193,14 @@ impl BurstyArrivals {
 const MAX_THINNING_REJECTIONS: u32 = 1_000_000;
 
 impl ArrivalProcess for BurstyArrivals {
+    #[inline]
     fn next_after(&mut self, t: SimTime, rng: &mut RngStream) -> Option<SimTime> {
         // Thinning against the peak rate, with an explicit skip over
         // idle stretches so gaps cost nothing.
         let mut t = t;
         for _ in 0..MAX_THINNING_REJECTIONS {
             t = self.next_burst_start(t);
-            let gap = rng.exponential(1.0 / self.peak_rps);
+            let gap = rng.exponential(self.envelope.peak_gap_s);
             t += SimDuration::from_secs_f64(gap.max(1e-9));
             let rate = self.rate_at(t);
             if rate > 0.0 && rng.uniform() < rate / self.peak_rps {
@@ -238,6 +273,100 @@ mod tests {
         assert!(early < later && later < 100_000.0);
         assert_eq!(a.rate_at(SimTime::from_millis(25)), 100_000.0);
         assert_eq!(a.rate_at(SimTime::from_millis(60)), 0.0, "idle tail");
+    }
+
+    /// The envelope as written in the type's docs, recomputed on
+    /// every call: what `BurstyArrivals` computed before it cached
+    /// its per-draw invariants.
+    struct Formula {
+        peak_rps: f64,
+        period: SimDuration,
+        duty: f64,
+        ramp_frac: f64,
+    }
+
+    impl Formula {
+        fn rate_at(&self, t: SimTime) -> f64 {
+            let pos = SimDuration::from_nanos(t.as_nanos() % self.period.as_nanos());
+            let burst_len = self.period.mul_f64(self.duty);
+            if pos >= burst_len {
+                return 0.0;
+            }
+            let ramp_len = burst_len.mul_f64(self.ramp_frac);
+            if ramp_len.is_zero() || pos >= ramp_len {
+                self.peak_rps
+            } else {
+                self.peak_rps * pos.as_secs_f64() / ramp_len.as_secs_f64()
+            }
+        }
+
+        fn next_after(&self, t: SimTime, rng: &mut RngStream) -> Option<SimTime> {
+            let mut t = t;
+            for _ in 0..MAX_THINNING_REJECTIONS {
+                let pos = t.as_nanos() % self.period.as_nanos();
+                if pos >= self.period.mul_f64(self.duty).as_nanos() {
+                    t = SimTime::from_nanos(
+                        t.as_nanos()
+                            .saturating_sub(pos)
+                            .saturating_add(self.period.as_nanos()),
+                    );
+                }
+                let gap = rng.exponential(1.0 / self.peak_rps);
+                t += SimDuration::from_secs_f64(gap.max(1e-9));
+                let rate = self.rate_at(t);
+                if rate > 0.0 && rng.uniform() < rate / self.peak_rps {
+                    return Some(t);
+                }
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn cached_envelope_matches_the_formula_bit_for_bit() {
+        // Awkward factors on purpose: products that round, a ramp that
+        // does not divide the burst, a period that is not a round
+        // number of nanoseconds per second.
+        let shapes = [
+            (750_000.0, SimDuration::from_millis(100), 0.75, 0.3),
+            (123_457.0, SimDuration::from_nanos(33_333_337), 0.41, 0.77),
+            (40_000.0, SimDuration::from_millis(100), 0.4, 0.0),
+            (9_999.5, SimDuration::from_micros(997), 1.0, 0.5),
+        ];
+        for (i, &(avg, period, duty, ramp)) in shapes.iter().enumerate() {
+            let mut cached = BurstyArrivals::from_average(avg, period, duty, ramp);
+            let formula = Formula {
+                peak_rps: cached.peak_rps(),
+                period,
+                duty,
+                ramp_frac: ramp,
+            };
+            // Several periods of the envelope, on a grid that hits the
+            // ramp, the plateau, the idle tail and both boundaries.
+            let horizon = period.as_nanos() * 4;
+            let step = (period.as_nanos() / 997).max(1);
+            let mut at = 0;
+            while at <= horizon {
+                let t = SimTime::from_nanos(at);
+                assert_eq!(
+                    cached.rate_at(t).to_bits(),
+                    formula.rate_at(t).to_bits(),
+                    "shape {i}: rate_at({at} ns)"
+                );
+                at += step;
+            }
+            // The same draws give the same arrivals over several
+            // periods.
+            let mut a = RngStream::from_seed(17 + i as u64);
+            let mut b = a.clone();
+            let mut t = SimTime::ZERO;
+            while t.as_nanos() < horizon {
+                let next = cached.next_after(t, &mut a);
+                assert_eq!(next, formula.next_after(t, &mut b), "shape {i} after {t}");
+                t = next.expect("a sound spec never runs dry");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "shape {i}: streams diverged");
+        }
     }
 
     #[test]

@@ -71,6 +71,7 @@ impl Client {
 
     /// Builds the next request, stamped with `now` as the client send
     /// time, on a uniformly chosen flow.
+    #[inline]
     pub fn build_request(&mut self, now: SimTime, rng: &mut RngStream) -> Packet {
         let id = RequestId(self.next_id);
         self.next_id += 1;
@@ -99,6 +100,7 @@ impl Client {
     ///
     /// Panics if the packet is not a response (requests don't come
     /// back).
+    #[inline]
     pub fn on_response(&mut self, pkt: &Packet, now: SimTime) -> SimDuration {
         assert_eq!(pkt.kind, PacketKind::Response, "client received a request");
         let latency = now.saturating_since(pkt.client_sent_at);

@@ -84,19 +84,20 @@ enum Op {
 }
 
 /// Draws a delay that deliberately stresses wheel geometry: ties,
-/// level boundaries (64^k), mid-range values, and far-future times
-/// that land in the overflow list.
+/// grain and level boundaries (64^k), mid-range values, and
+/// far-future times that land in the overflow list.
 fn draw_delay(rng: &mut RngStream) -> u64 {
-    match rng.below(10) {
-        0 => 0,                                               // tie with "now"
-        1 => rng.below(4),                                    // dense ties
-        2 => [63u64, 64, 65][rng.below(3) as usize],          // level-0/1 boundary
-        3 => [4_095u64, 4_096, 4_097][rng.below(3) as usize], // level-1/2 boundary
-        4 => rng.below(1_000),
-        5 => rng.below(100_000),
-        6 => rng.below(10_000_000),
-        7 => 262_144 + rng.below(64),        // exactly on a 64^3 block
-        8 => rng.below(5_000_000_000),       // seconds-scale
+    match rng.below(11) {
+        0 => 0,                                                     // tie with "now"
+        1 => rng.below(4),                                          // dense ties
+        2 => [63u64, 64, 65][rng.below(3) as usize],                // level-0 grain boundary
+        3 => [4_095u64, 4_096, 4_097][rng.below(3) as usize],       // level-0/1 boundary
+        4 => [262_143u64, 262_144, 262_145][rng.below(3) as usize], // level-1/2 boundary
+        5 => rng.below(1_000),
+        6 => rng.below(100_000),
+        7 => rng.below(10_000_000),
+        8 => 262_144 + rng.below(64),        // exactly on a 64^3 block
+        9 => rng.below(5_000_000_000),       // seconds-scale
         _ => (1 << 48) + rng.below(1 << 20), // beyond the wheel span
     }
 }
