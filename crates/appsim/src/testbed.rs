@@ -1072,12 +1072,16 @@ impl Testbed {
     }
 
     /// Turns watchdog state changes into Perfetto-visible counters and
-    /// instants on the SLO track.
+    /// instants on the SLO track. Runs right after the sample that
+    /// raised `events`, so the watchdog's windowed percentiles are the
+    /// ones each rotation made fresh; untraced runs never scan them.
     fn trace_watchdog_events(&mut self, now: SimTime, events: &[WatchdogEvent]) {
         use simcore::TraceCategory::Slo;
         for ev in events {
             match *ev {
-                WatchdogEvent::WindowRotated { p99_ns, p50_ns } => {
+                WatchdogEvent::WindowRotated => {
+                    let p99_ns = self.watchdog.online_p99_ns();
+                    let p50_ns = self.watchdog.online_p50_ns();
                     self.trace.counter(now, Slo, 0, "p99-online", p99_ns as i64);
                     self.trace.counter(now, Slo, 0, "p50-online", p50_ns as i64);
                     // Refresh the cumulative stage-share counters at
@@ -1092,7 +1096,8 @@ impl Testbed {
                         );
                     }
                 }
-                WatchdogEvent::CoreWindow { core, p99_ns } => {
+                WatchdogEvent::CoreWindow { core } => {
+                    let p99_ns = self.watchdog.core_p99_ns(core as usize);
                     self.trace
                         .counter(now, Slo, core, "p99-core", p99_ns as i64);
                 }

@@ -46,6 +46,16 @@ pub struct WakeCost {
     pub cache_refill: SimDuration,
 }
 
+/// Marks a (P-state, activity) pair with no residency slot yet.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Index of a (P-state, activity) pair in [`Core`]'s slot table: one
+/// row of [`CoreActivity`]s per P-state.
+#[inline]
+fn residency_key(pstate: PState, activity: CoreActivity) -> usize {
+    pstate.index() as usize * CoreActivity::COUNT + activity as usize
+}
+
 /// One simulated core.
 ///
 /// The core is a passive state machine: the server glue drives it
@@ -85,8 +95,12 @@ pub struct Core {
     /// perturb the `f64` integral.
     obs_energy: CoreEnergyMeter,
     /// Residency per (activity, P-state) — the independent side of
-    /// the energy conservation audit.
+    /// the energy conservation audit — in first-seen order, so the
+    /// audit sums in a fixed order.
     residency: Vec<(CoreActivity, PState, SimDuration)>,
+    /// `residency` slot of each (P-state, activity) pair, at
+    /// [`residency_key`]; [`NO_SLOT`] until the pair is first seen.
+    residency_slot: Vec<u32>,
     // --- sampling window ---
     window_start: SimTime,
     busy_in_window: SimDuration,
@@ -114,6 +128,7 @@ impl Core {
             last_account: SimTime::ZERO,
             obs_energy: CoreEnergyMeter::new(),
             residency: Vec::new(),
+            residency_slot: vec![NO_SLOT; profile.pstates.len() * CoreActivity::COUNT],
             window_start: SimTime::ZERO,
             busy_in_window: SimDuration::ZERO,
             c0_in_window: SimDuration::ZERO,
@@ -232,13 +247,13 @@ impl Core {
         self.energy_j += power * dt.as_secs_f64();
         self.obs_energy
             .advance(now, power, self.meter_class(profile));
-        match self
-            .residency
-            .iter_mut()
-            .find(|(a, p, _)| *a == activity && *p == self.pstate)
-        {
-            Some((_, _, total)) => *total += dt,
-            None => self.residency.push((activity, self.pstate, dt)),
+        let slot = &mut self.residency_slot[residency_key(self.pstate, activity)];
+        match *slot {
+            NO_SLOT => {
+                *slot = self.residency.len() as u32;
+                self.residency.push((activity, self.pstate, dt));
+            }
+            slot => self.residency[slot as usize].2 += dt,
         }
         if self.busy {
             self.busy_in_window += dt;
@@ -540,6 +555,56 @@ mod tests {
         let p = ProcessorProfile::xeon_gold_6134();
         let c = Core::new(CoreId(0), &p);
         (p, c, RngStream::from_seed(9))
+    }
+
+    #[test]
+    fn residency_index_matches_a_linear_scan() {
+        let (p, mut c, mut rng) = setup();
+        // The ledger as a linear scan over first-seen pairs.
+        let mut model: Vec<(CoreActivity, PState, SimDuration)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for _ in 0..20_000 {
+            let dt = SimDuration::from_nanos(rng.below(50_000));
+            let held = (c.activity(), c.pstate());
+            now += dt;
+            // Account explicitly: a mutation that changes nothing does
+            // not account, and the model must know where segments end.
+            c.account(now, &p);
+            if !dt.is_zero() {
+                match model.iter_mut().find(|(a, s, _)| (*a, *s) == held) {
+                    Some((_, _, total)) => *total += dt,
+                    None => model.push((held.0, held.1, dt)),
+                }
+            }
+            match rng.below(4) {
+                0 => {
+                    let s = PState::new(rng.below(p.pstates.len() as u64) as u8);
+                    c.apply_pstate(s, now, &p);
+                }
+                1 if c.cstate().is_sleep() => {
+                    c.wake(now, &p, &mut rng);
+                }
+                1 => c.set_busy(!c.is_busy(), now, &p),
+                2 if !c.is_busy() => {
+                    let sleep = [CState::C0, CState::C1, CState::C6][rng.below(3) as usize];
+                    if sleep == CState::C0 {
+                        c.wake(now, &p, &mut rng);
+                    } else {
+                        c.enter_sleep(sleep, now, &p);
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(c.residency, model);
+        // Every (activity, P-state) pair shows up, so the walk
+        // exercised the whole slot table.
+        assert_eq!(model.len(), CoreActivity::COUNT * p.pstates.len());
+        let expect: f64 = model
+            .iter()
+            .map(|&(a, s, d)| p.power.core_power(p.pstates.point(s), a) * d.as_secs_f64())
+            .sum();
+        assert_eq!(c.audited_energy_joules(now, &p).to_bits(), expect.to_bits());
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub enum CoreActivity {
 }
 
 impl CoreActivity {
+    /// Number of activities (the variants above, numbered from 0).
+    pub(crate) const COUNT: usize = 4;
+
     /// The activity corresponding to idling in `state`.
     #[inline]
     pub fn idle_in(state: CState) -> Self {

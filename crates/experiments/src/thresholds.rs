@@ -1,11 +1,16 @@
 //! Offline threshold selection.
 //!
-//! * **NMAP** (§4.2): run one short profiling simulation at the
+//! * **NMAP** (§4.2): one short profiling simulation at the
 //!   SLO-defining load (the latency-load knee — we use the High
 //!   preset), observing the first 100 interrupts of the request
 //!   bursts through [`ThresholdProfiler`]; `NI_TH` is the maximum
 //!   polling-per-interrupt episode and `CU_TH` the average
-//!   polling-to-interrupt ratio.
+//!   polling-to-interrupt ratio. The profile depends only on the
+//!   model, so, as in the paper, it is taken once per application:
+//!   [`profile_nmap`] runs the procedure and [`nmap_config`] returns
+//!   its pinned result without simulating anything. A unit test
+//!   re-profiles both applications and fails, printing the
+//!   replacement entries, when the model moves the result.
 //! * **NCAP** (§6.3): the boost threshold is "tuned to satisfy the
 //!   SLOs at a high load of each application"; we use 20 % of the
 //!   high-load average packet rate, which trips early in every burst
@@ -14,26 +19,28 @@
 use crate::runner::{GovernorKind, RunConfig, Scale};
 use nmap::{NmapConfig, ThresholdProfiler};
 use simcore::SimDuration;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use workload::{AppKind, LoadLevel, LoadSpec};
 
-/// Profiles NMAP's thresholds for `app` (§4.2). Results are memoized
-/// per application, as in the paper: thresholds are re-derived only
-/// when the application changes, never per load level.
+/// NMAP's thresholds for `app`: the offline profile of §4.2, pinned.
+///
+/// Thresholds are re-derived only when the application changes, never
+/// per load level, so the table below holds what [`profile_nmap`]
+/// derives for each application, `CU_TH` as its exact `f64` bits.
+/// Nothing is simulated here.
 pub fn nmap_config(app: AppKind) -> NmapConfig {
-    static CACHE: OnceLock<Mutex<HashMap<AppKind, NmapConfig>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut memo = cache.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(cfg) = memo.get(&app) {
-        return *cfg;
-    }
-    let cfg = profile_nmap(app);
-    memo.insert(app, cfg);
-    cfg
+    let (ni_threshold, cu_bits) = match app {
+        AppKind::Memcached => (12, 0x3ff06d70c466b361),
+        AppKind::Nginx => (96, 0x3fd71d61f6d7ee29),
+    };
+    NmapConfig::new(ni_threshold, f64::from_bits(cu_bits))
 }
 
-fn profile_nmap(app: AppKind) -> NmapConfig {
+/// Runs NMAP's offline threshold profiling (§4.2) for `app`: a 400 ms
+/// simulation of the High preset under the performance governor,
+/// observed by a [`ThresholdProfiler`]. [`nmap_config`] returns the
+/// pinned result of this procedure.
+pub fn profile_nmap(app: AppKind) -> NmapConfig {
     // The profiling run: the SLO-defining load under the performance
     // governor — the same configuration that produced the latency-load
     // knee the SLO was read from. Profiling at max V/F keeps the
@@ -115,17 +122,38 @@ mod tests {
     }
 
     #[test]
-    fn nmap_profiling_produces_plausible_thresholds() {
-        let cfg = nmap_config(AppKind::Memcached);
-        // High load must actually exercise polling mode.
-        assert!(cfg.ni_threshold > 1, "NI_TH {} too small", cfg.ni_threshold);
-        assert!(
-            cfg.ni_threshold < 1_000_000,
-            "NI_TH {} absurd",
-            cfg.ni_threshold
-        );
-        assert!(cfg.cu_threshold > 0.0);
-        // Memoization returns the identical config.
-        assert_eq!(nmap_config(AppKind::Memcached), cfg);
+    fn pinned_nmap_profile_matches_a_fresh_profiling_run() {
+        let apps = [AppKind::Memcached, AppKind::Nginx];
+        let fresh: Vec<NmapConfig> = apps.iter().map(|&app| profile_nmap(app)).collect();
+        let drifted = apps.iter().zip(&fresh).any(|(&app, cfg)| {
+            let pin = nmap_config(app);
+            pin.ni_threshold != cfg.ni_threshold
+                || pin.cu_threshold.to_bits() != cfg.cu_threshold.to_bits()
+        });
+        if drifted {
+            let entries: String = apps
+                .iter()
+                .zip(&fresh)
+                .map(|(app, cfg)| {
+                    format!(
+                        "        AppKind::{app:?} => ({}, {:#018x}),\n",
+                        cfg.ni_threshold,
+                        cfg.cu_threshold.to_bits()
+                    )
+                })
+                .collect();
+            panic!(
+                "the model moved NMAP's §4.2 profile; replace the table in \
+                 `nmap_config` with\n{entries}"
+            );
+        }
+        for (app, cfg) in apps.iter().zip(&fresh) {
+            // High load must actually exercise polling mode.
+            assert!(
+                cfg.ni_threshold > 1 && cfg.ni_threshold < 1_000_000,
+                "{app}: NI_TH {} implausible",
+                cfg.ni_threshold
+            );
+        }
     }
 }

@@ -16,8 +16,8 @@
 //! * [`NmapSimpl`] — §4.1's simplified variant driven purely by
 //!   ksoftirqd wake/sleep events.
 //! * [`profiling::ThresholdProfiler`] — §4.2's offline, lightweight
-//!   profiling that derives `NI_TH` and `CU_TH` from a single burst
-//!   at the SLO-defining load.
+//!   profiling that derives `NI_TH` and `CU_TH` from the poll batches
+//!   of a run at the SLO-defining load.
 //! * [`OnlineNmap`] — *beyond the paper*: the on-line threshold
 //!   adaptation §4.2 leaves as future work, removing the offline
 //!   profiling step entirely.

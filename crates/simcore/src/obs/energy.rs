@@ -30,7 +30,7 @@
 //! you replay after a bad tail-latency episode to see what the
 //! governor was looking at when it acted.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::{round_positive, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// One typed destination for a core's (or the package's) energy.
@@ -157,20 +157,6 @@ pub fn segment_uj(power_w: f64, dt: SimDuration) -> u64 {
     } else {
         round_positive(uj)
     }
-}
-
-/// `x.round() as u64` for `x > 0`, without `f64::round` (a libm call
-/// on baseline x86-64, paid twice per execution chunk): truncate, then
-/// round the fraction half away from zero. Bit-identical for every
-/// positive `x`, NaN and infinity included. Below 2^53 the fraction
-/// `x - trunc(x)` is computed exactly (Sterbenz), so comparing it with
-/// 0.5 decides exactly what `round` decides; from 2^53 on every `f64`
-/// is an integer and the fraction is 0. Beyond `u64::MAX` both sides
-/// saturate.
-#[inline]
-fn round_positive(x: f64) -> u64 {
-    let whole = x as u64;
-    whole.saturating_add((x - whole as f64 >= 0.5) as u64)
 }
 
 /// The activity class of one accounting segment, as the CPU model
@@ -683,41 +669,6 @@ mod tests {
         assert_eq!(b.get_uj(EnergyComponent::WakeC0), 20); // 19.8 → 20
         assert_eq!(b.get_uj(EnergyComponent::IdleC0), 13); // 13.2 → 13
         assert_eq!(m.measured_uj(), b.total_uj());
-    }
-
-    #[test]
-    fn round_positive_matches_f64_round() {
-        let near = |x: f64| [x.next_down(), x, x.next_up()];
-        let mut cases = vec![
-            0.5,
-            1.5,
-            2.5,
-            0.49999999999999994,
-            f64::MIN_POSITIVE,
-            1e-300,
-            u64::MAX as f64,
-            1e20,
-            f64::INFINITY,
-            f64::NAN,
-        ];
-        for x in [2f64.powi(51), 2f64.powi(52), 2f64.powi(53), 2f64.powi(64)] {
-            cases.extend(near(x));
-            cases.extend(near(x + 0.5).iter().filter(|v| v.is_finite()));
-            cases.extend(near(x - 0.5));
-        }
-        for n in 0..64u64 {
-            cases.extend(near(n as f64 + 0.5));
-        }
-        crate::check::forall("energy round_positive", 4_096, |rng| {
-            // Magnitudes from sub-µJ segments to 2^60 µJ totals.
-            let x = rng.uniform() * 2f64.powi(rng.below(61) as i32);
-            if x > 0.0 {
-                assert_eq!(round_positive(x), x.round() as u64, "x = {x:e}");
-            }
-        });
-        for x in cases {
-            assert_eq!(round_positive(x), x.round() as u64, "x = {x:e}");
-        }
     }
 
     #[test]

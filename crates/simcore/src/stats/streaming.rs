@@ -151,19 +151,14 @@ impl StreamingQuantiles {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WatchdogEvent {
     /// The global sliding window rotated: fresh online percentiles
-    /// are available (trace-counter material).
-    WindowRotated {
-        /// Windowed global P99, nanoseconds.
-        p99_ns: u64,
-        /// Windowed global P50, nanoseconds.
-        p50_ns: u64,
-    },
-    /// A per-core sliding window rotated.
+    /// are available from [`SloWatchdog::online_p99_ns`] and
+    /// [`SloWatchdog::online_p50_ns`] until the next sample.
+    WindowRotated,
+    /// A per-core sliding window rotated: that core's fresh P99 is
+    /// available from [`SloWatchdog::core_p99_ns`].
     CoreWindow {
         /// The core whose window rotated.
         core: u32,
-        /// That core's windowed P99, nanoseconds.
-        p99_ns: u64,
     },
     /// The windowed P99 crossed above the SLO.
     ViolationDetected {
@@ -317,6 +312,11 @@ impl SloWatchdog {
         self.global.p99_ns()
     }
 
+    /// The current windowed global P50 estimate, nanoseconds.
+    pub fn online_p50_ns(&self) -> u64 {
+        self.global.p50_ns()
+    }
+
     /// The windowed P99 of one core, nanoseconds (0 for out-of-range
     /// cores).
     pub fn core_p99_ns(&self, core: usize) -> u64 {
@@ -346,10 +346,7 @@ impl SloWatchdog {
             }
             self.cur_total = 0;
             self.cur_above = 0;
-            events.push(WatchdogEvent::WindowRotated {
-                p99_ns: self.global.p99_ns(),
-                p50_ns: self.global.p50_ns(),
-            });
+            events.push(WatchdogEvent::WindowRotated);
         }
         self.cur_total += 1;
         let above = latency_ns > self.slo_ns;
@@ -361,10 +358,7 @@ impl SloWatchdog {
         }
         if let Some(stream) = self.per_core.get_mut(core) {
             if stream.record(now, latency_ns) >= 1 {
-                events.push(WatchdogEvent::CoreWindow {
-                    core: core as u32,
-                    p99_ns: stream.p99_ns(),
-                });
+                events.push(WatchdogEvent::CoreWindow { core: core as u32 });
             }
         }
         // P99 > SLO over the sliding window ⇔ strictly more than 1 %
@@ -571,7 +565,7 @@ mod tests {
         wd.record(1, 200, SimTime::from_micros(1_500), &mut events);
         assert!(events
             .iter()
-            .any(|e| matches!(e, WatchdogEvent::CoreWindow { core: 1, .. })));
+            .any(|e| matches!(e, WatchdogEvent::CoreWindow { core: 1 })));
         assert!(wd.core_p99_ns(1) > 0);
         assert_eq!(wd.core_p99_ns(7), 0, "out-of-range core reads as 0");
     }

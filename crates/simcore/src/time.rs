@@ -161,7 +161,7 @@ impl SimDuration {
             secs >= 0.0 && secs.is_finite(),
             "duration must be non-negative and finite"
         );
-        SimDuration((secs * 1e9).round().min(u64::MAX as f64) as u64)
+        SimDuration(round_positive(secs * 1e9))
     }
 
     /// Creates a span from fractional microseconds (common for service
@@ -176,7 +176,7 @@ impl SimDuration {
             micros >= 0.0 && micros.is_finite(),
             "duration must be non-negative and finite"
         );
-        SimDuration((micros * 1e3).round().min(u64::MAX as f64) as u64)
+        SimDuration(round_positive(micros * 1e3))
     }
 
     /// The span in nanoseconds.
@@ -233,8 +233,22 @@ impl SimDuration {
             factor >= 0.0 && factor.is_finite(),
             "factor must be non-negative and finite"
         );
-        SimDuration((self.0 as f64 * factor).round().min(u64::MAX as f64) as u64)
+        SimDuration(round_positive(self.0 as f64 * factor))
     }
+}
+
+/// `x.round() as u64` without `f64::round`, which is a libm call on
+/// baseline x86-64 (paid per arrival draw and per energy segment):
+/// truncate, then round the fraction half away from zero.
+/// Bit-identical for every `f64`: negative values and NaN give 0 on
+/// both sides, and beyond `u64::MAX` both saturate. Below 2^53 the
+/// fraction `x - trunc(x)` is computed exactly (Sterbenz), so
+/// comparing it with 0.5 decides exactly what `round` decides; from
+/// 2^53 on every `f64` is an integer and the fraction is 0.
+#[inline]
+pub(crate) fn round_positive(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add((x - whole as f64 >= 0.5) as u64)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -412,6 +426,84 @@ mod tests {
         let b = SimDuration::from_micros(10);
         assert_eq!(a / b, 10);
         assert_eq!(a % b, SimDuration::from_micros(5));
+    }
+
+    #[test]
+    fn round_positive_matches_f64_round() {
+        let near = |x: f64| [x.next_down(), x, x.next_up()];
+        let mut cases = vec![
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            f64::MIN_POSITIVE,
+            1e-300,
+            u64::MAX as f64,
+            1e20,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for x in [2f64.powi(51), 2f64.powi(52), 2f64.powi(53), 2f64.powi(64)] {
+            cases.extend(near(x));
+            cases.extend(near(x + 0.5).iter().filter(|v| v.is_finite()));
+            cases.extend(near(x - 0.5));
+        }
+        for n in 0..64u64 {
+            cases.extend(near(n as f64 + 0.5));
+        }
+        crate::check::forall("round_positive", 4_096, |rng| {
+            // Magnitudes from sub-unit fractions to 2^60.
+            let x = rng.uniform() * 2f64.powi(rng.below(61) as i32);
+            if x > 0.0 {
+                assert_eq!(round_positive(x), x.round() as u64, "x = {x:e}");
+            }
+        });
+        for x in cases {
+            assert_eq!(round_positive(x), x.round() as u64, "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn float_constructors_round_like_f64_round() {
+        // What the three constructors computed with `f64::round`.
+        let formula = |x: f64| SimDuration::from_nanos(x.round().min(u64::MAX as f64) as u64);
+        let check = |v: f64| {
+            assert_eq!(
+                SimDuration::from_secs_f64(v),
+                formula(v * 1e9),
+                "secs {v:e}"
+            );
+            assert_eq!(
+                SimDuration::from_micros_f64(v),
+                formula(v * 1e3),
+                "micros {v:e}"
+            );
+            for n in [1u64, 3, 1_000, 123_456_789] {
+                let d = SimDuration::from_nanos(n);
+                assert_eq!(d.mul_f64(v), formula(n as f64 * v), "{n} ns × {v:e}");
+            }
+        };
+        let near = |x: f64| [x.next_down(), x, x.next_up()];
+        let mut targets = vec![0.0, 0.5, 2f64.powi(52), 2f64.powi(53), 2f64.powi(64)];
+        targets.extend((0..64).map(|n| n as f64 + 0.5));
+        for x in targets {
+            for t in [x - 0.5, x, x + 0.5] {
+                // Inputs whose products land on and around `t` for
+                // each constructor's scale.
+                for scale in [1.0, 1e3, 1e9, 3.0, 1_000.0, 123_456_789.0] {
+                    for v in near(t / scale) {
+                        if v >= 0.0 {
+                            check(v);
+                        }
+                    }
+                }
+            }
+        }
+        check(0.0);
+        check(-0.0);
+        crate::check::forall("float duration constructors", 4_096, |rng| {
+            check(rng.uniform() * 2f64.powi(rng.below(80) as i32 - 20));
+        });
     }
 
     #[test]

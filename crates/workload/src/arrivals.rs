@@ -156,7 +156,13 @@ impl BurstyArrivals {
     /// Instantaneous rate at absolute time `t`.
     #[inline]
     pub fn rate_at(&self, t: SimTime) -> f64 {
-        let pos = SimDuration::from_nanos(t.as_nanos() % self.period.as_nanos());
+        self.rate_at_pos(t.as_nanos() % self.period.as_nanos())
+    }
+
+    /// The rate `pos` nanoseconds into a period.
+    #[inline]
+    fn rate_at_pos(&self, pos: u64) -> f64 {
+        let pos = SimDuration::from_nanos(pos);
         let env = &self.envelope;
         if pos >= env.burst_len {
             return 0.0;
@@ -165,21 +171,6 @@ impl BurstyArrivals {
             self.peak_rps
         } else {
             self.peak_rps * pos.as_secs_f64() / env.ramp_secs
-        }
-    }
-
-    /// Start of the burst containing-or-after `t`.
-    #[inline]
-    fn next_burst_start(&self, t: SimTime) -> SimTime {
-        let pos = t.as_nanos() % self.period.as_nanos();
-        if pos < self.envelope.burst_len.as_nanos() {
-            t
-        } else {
-            SimTime::from_nanos(
-                t.as_nanos()
-                    .saturating_sub(pos)
-                    .saturating_add(self.period.as_nanos()),
-            )
         }
     }
 }
@@ -196,13 +187,21 @@ impl ArrivalProcess for BurstyArrivals {
     #[inline]
     fn next_after(&mut self, t: SimTime, rng: &mut RngStream) -> Option<SimTime> {
         // Thinning against the peak rate, with an explicit skip over
-        // idle stretches so gaps cost nothing.
+        // idle stretches so gaps cost nothing. `pos` is `t`'s offset
+        // into its period: one division per draw serves both the skip
+        // and the rate.
+        let period = self.period.as_nanos();
         let mut t = t;
+        let mut pos = t.as_nanos() % period;
         for _ in 0..MAX_THINNING_REJECTIONS {
-            t = self.next_burst_start(t);
+            if pos >= self.envelope.burst_len.as_nanos() {
+                // Idle tail: jump to the next burst start.
+                t = SimTime::from_nanos(t.as_nanos().saturating_sub(pos).saturating_add(period));
+            }
             let gap = rng.exponential(self.envelope.peak_gap_s);
             t += SimDuration::from_secs_f64(gap.max(1e-9));
-            let rate = self.rate_at(t);
+            pos = t.as_nanos() % period;
+            let rate = self.rate_at_pos(pos);
             if rate > 0.0 && rng.uniform() < rate / self.peak_rps {
                 return Some(t);
             }
@@ -356,16 +355,40 @@ mod tests {
                 at += step;
             }
             // The same draws give the same arrivals over several
-            // periods.
+            // periods, consuming the stream in lock-step.
             let mut a = RngStream::from_seed(17 + i as u64);
             let mut b = a.clone();
             let mut t = SimTime::ZERO;
             while t.as_nanos() < horizon {
                 let next = cached.next_after(t, &mut a);
                 assert_eq!(next, formula.next_after(t, &mut b), "shape {i} after {t}");
+                assert_eq!(
+                    a.clone().next_u64(),
+                    b.clone().next_u64(),
+                    "shape {i} at {t}"
+                );
                 t = next.expect("a sound spec never runs dry");
             }
             assert_eq!(a.next_u64(), b.next_u64(), "shape {i}: streams diverged");
+            // Draws from arbitrary offsets: both edges of the burst
+            // window and of the period, in the idle tail, far out.
+            let burst = cached.burst_len().as_nanos();
+            let p = period.as_nanos();
+            for base in [0, p, 1_000 * p] {
+                for off in [0, 1, burst - 1, burst, burst + 1, (burst + p) / 2, p - 1] {
+                    let t = SimTime::from_nanos(base + off);
+                    assert_eq!(
+                        cached.next_after(t, &mut a),
+                        formula.next_after(t, &mut b),
+                        "shape {i} from {t}"
+                    );
+                    assert_eq!(
+                        a.clone().next_u64(),
+                        b.clone().next_u64(),
+                        "shape {i} from {t}"
+                    );
+                }
+            }
         }
     }
 

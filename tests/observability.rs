@@ -103,6 +103,45 @@ fn nmap_run_exports_all_track_types() {
     }
 }
 
+/// The SLO track of the traced run (online P50/P99, per-core P99,
+/// stage shares, violation and recovery instants), pinned as an event
+/// count and an FNV-1a digest of its rendering. The testbed reads the
+/// windowed percentiles from the watchdog only when it traces, right
+/// after the sample that rotated a window; the pin holds those reads
+/// to the values the watchdog computed at the rotation itself.
+#[test]
+fn slo_track_matches_its_pinned_digest() {
+    let result = traced_nmap_run();
+    let trace = &result.traces.as_ref().expect("traces collected").trace;
+    assert_eq!(trace.dropped(), 0);
+    let slo: Vec<_> = trace
+        .events()
+        .iter()
+        .filter(|e| e.category == simcore::TraceCategory::Slo)
+        .collect();
+    for name in ["p99-online", "p50-online", "p99-core"] {
+        assert!(
+            slo.iter().any(|e| e.name == name && e.arg > 0),
+            "no nonzero {name} counter on the SLO track"
+        );
+    }
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for e in &slo {
+        let line = format!(
+            "{} {:?} {} {} {}\n",
+            e.time.as_nanos(),
+            e.kind,
+            e.core,
+            e.name,
+            e.arg
+        );
+        for b in line.bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    assert_eq!((slo.len(), digest), (860, 0x7057_51fb_00da_4ca1));
+}
+
 #[test]
 fn metrics_snapshot_is_populated_and_consistent() {
     let result = traced_nmap_run();
