@@ -20,7 +20,6 @@
 
 use crate::service::{AppModel, ServiceSampler};
 use cpusim::dvfs::{CompletionResult, TransitionOutcome};
-use cpusim::power::CoreActivity;
 use cpusim::{CoreId, DvfsScope, PState, Processor, ProcessorProfile, RaplCounter};
 use governors::{Action, PStateGovernor, SleepPolicy};
 use napisim::{
@@ -128,7 +127,12 @@ impl AdmissionPolicy {
     }
 }
 
-/// Everything needed to assemble a [`Testbed`].
+/// Number of client connections (flows) — RSS spreads these.
+const CLIENT_FLOWS: u64 = 320;
+
+/// Everything needed to assemble a [`Testbed`]. The kernel stack
+/// follows the application ([`stack_for`]), the client-server link is
+/// 10 GbE ([`LinkModel::ten_gbe`]), and the client opens 320 flows.
 #[derive(Debug, Clone)]
 pub struct TestbedConfig {
     /// The processor model (default: Xeon Gold 6134).
@@ -139,12 +143,6 @@ pub struct TestbedConfig {
     pub app: AppModel,
     /// The offered load.
     pub load: LoadSpec,
-    /// Kernel network-stack parameters.
-    pub stack: StackParams,
-    /// Client-server link model.
-    pub link: LinkModel,
-    /// Number of client connections (flows) — RSS spreads these.
-    pub flows: u64,
     /// Number of NIC Rx/Tx queue pairs. `None` (the default) gives
     /// one queue per core, the paper's testbed layout. Fewer queues
     /// than cores leaves the surplus cores without network work;
@@ -193,11 +191,8 @@ impl TestbedConfig {
         TestbedConfig {
             profile: ProcessorProfile::xeon_gold_6134(),
             scope: DvfsScope::PerCore,
-            stack: stack_for(app.kind),
             app,
             load,
-            link: LinkModel::ten_gbe(),
-            flows: 320,
             nic_queues: None,
             seed: 42,
             trace_capacity: 0,
@@ -222,12 +217,6 @@ impl TestbedConfig {
     /// Overrides the DVFS scope (chip-wide ablation).
     pub fn with_scope(mut self, scope: DvfsScope) -> Self {
         self.scope = scope;
-        self
-    }
-
-    /// Overrides the stack parameters.
-    pub fn with_stack(mut self, stack: StackParams) -> Self {
-        self.stack = stack;
         self
     }
 
@@ -280,12 +269,6 @@ impl TestbedConfig {
             return Err(SimError::invalid(
                 "profile.pstates",
                 "a processor needs at least one P-state".to_string(),
-            ));
-        }
-        if self.flows == 0 {
-            return Err(SimError::invalid(
-                "flows",
-                "at least one client flow is required to offer load".to_string(),
             ));
         }
         match self.nic_queues {
@@ -733,7 +716,7 @@ impl Testbed {
         let mut nic = Nic::new(NicConfig::intel_82599(queues));
         let trace = simcore::TraceBuffer::with_capacity(config.trace_capacity);
         // Per-event logs that only traces read follow the trace switch.
-        let mut client = Client::new(config.flows, config.app.request_size);
+        let mut client = Client::new(CLIENT_FLOWS, config.app.request_size);
         if trace.is_recording() {
             nic.set_irq_log_enabled(true);
             client.set_response_log_enabled(true);
@@ -741,10 +724,11 @@ impl Testbed {
         let arrivals = config.load.arrivals();
         let seed = config.seed;
         let faults = FaultInjector::from_plan(&config.fault_plan, seed);
+        let stack = stack_for(config.app.kind);
         let mut tb = Testbed {
             processor,
             nic,
-            napi: (0..cores).map(|_| NapiContext::new(config.stack)).collect(),
+            napi: (0..cores).map(|_| NapiContext::new(stack)).collect(),
             client,
             governor,
             sleep,
@@ -761,8 +745,8 @@ impl Testbed {
             profile: config.profile.clone(),
             app: config.app,
             service: config.app.service_sampler(),
-            stack: config.stack,
-            link: config.link,
+            stack,
+            link: LinkModel::ten_gbe(),
             scope: config.scope,
             arrivals,
             runqueues: (0..cores).map(|_| RunQueue::new()).collect(),
@@ -2106,16 +2090,6 @@ impl Testbed {
     // ------------------------------------------------------------------
     // Introspection for experiments
     // ------------------------------------------------------------------
-
-    /// Current CC0-activity snapshot of a core (test helper).
-    pub fn core_activity(&self, core: CoreId) -> CoreActivity {
-        let c = self.processor.core(core);
-        if c.is_busy() {
-            CoreActivity::Busy
-        } else {
-            CoreActivity::idle_in(c.cstate())
-        }
-    }
 
     /// Total packets delivered to application backlogs still waiting.
     pub fn total_backlog(&self) -> usize {

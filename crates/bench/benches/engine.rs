@@ -317,8 +317,8 @@ fn bench_scheduler(c: &mut Criterion) {
         b.iter(|| black_box(seed_standing_ticks(&standing, 8)))
     });
 
-    // The end-to-end `repro quick` representative cell on whichever
-    // backend the build selected (the wheel, unless `heap-sched`).
+    // The end-to-end `repro quick` representative cell (on the
+    // wheel).
     c.bench_function("scheduler/repro_quick_cell", |b| {
         b.iter(|| {
             black_box(bench_cell(

@@ -60,14 +60,13 @@ use std::mem;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use appsim::{AdmissionPolicy, AppModel, Testbed, TestbedConfig};
-use cpusim::ProcessorProfile;
 use governors::DegradationStats;
 use simcore::{
     Account, AuditReport, ConservationLedger, EventId, FaultInjector, FaultKind, FaultPlan,
     FaultStats, IdHashMap, MetricsRegistry, MetricsSnapshot, RngStream, SimDuration, SimError,
     SimTime, Simulator, StepBudget, StreamingQuantiles, TimelineConfig, World,
 };
-use workload::{AppKind, ChurnSpec, DiurnalCurve, LoadSpec, Priority};
+use workload::{AppKind, LoadSpec, Priority};
 
 use crate::health::{HealthTracker, HealthTransition};
 use crate::kinds::{build_policies, GovernorKind, SleepKind};
@@ -85,6 +84,13 @@ use pool::{ServerCore, ServerPool};
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
+
+/// Sleep policy every server runs.
+const SLEEP: SleepKind = SleepKind::Menu;
+/// Client connection (flow) population steered by affinity.
+const FLOWS: usize = 512;
+/// One-way LB↔server network hop.
+const LB_HOP: SimDuration = SimDuration::from_micros(20);
 
 /// Client-side timeout and retry discipline for fleet requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,12 +172,9 @@ pub struct FleetConfig {
     pub app: AppKind,
     /// Aggregate offered load across the fleet, requests/s.
     pub total_rps: f64,
-    /// Governor every server runs.
+    /// Governor every server runs (under the menu sleep policy, on
+    /// Xeon Gold 6134 servers).
     pub governor: GovernorKind,
-    /// Sleep policy every server runs.
-    pub sleep: SleepKind,
-    /// Processor model every server runs.
-    pub profile: ProcessorProfile,
     /// Master seed; per-server and per-stream seeds derive from it.
     pub seed: u64,
     /// Settling time before measurement starts.
@@ -186,43 +189,30 @@ pub struct FleetConfig {
     pub hedge: Option<HedgePolicy>,
     /// Health-check probing.
     pub probe: ProbePolicy,
-    /// Diurnal modulation of the offered load; `None` = steady.
-    pub diurnal: Option<DiurnalCurve>,
-    /// Periodic connection churn; `None` = stable flows.
-    pub churn: Option<ChurnSpec>,
     /// Inner/outer coupling interval (load re-targeting and latency
     /// harvesting cadence).
     pub epoch: SimDuration,
-    /// Client connection (flow) population steered by affinity.
-    pub flows: usize,
-    /// One-way LB↔server network hop.
-    pub lb_hop: SimDuration,
     /// Admission policy every server bounds its app queues with; the
     /// fleet also rejects attempts at servers whose harvested
     /// saturation hits 1000 ‰ (the server-side gate seen from the LB).
     pub admission: AdmissionPolicy,
-    /// Per-flow retry budgets; `None` = unconditional backoff-retry.
-    pub retry_budget: Option<RetryBudgetPolicy>,
-    /// Per-server circuit breakers composing with health ejection;
-    /// `None` disables them.
-    pub breaker: Option<BreakerPolicy>,
-    /// LB-side brownout over the up-coupled saturation signal;
-    /// `None` disables it.
-    pub brownout: Option<BrownoutPolicy>,
+    /// Arms the LB side of overload control with library defaults:
+    /// per-flow retry budgets (off: unconditional backoff-retry),
+    /// per-server circuit breakers composing with health ejection,
+    /// and brownout over the up-coupled saturation signal.
+    pub overload_control: bool,
 }
 
 impl FleetConfig {
-    /// A fleet with library defaults: menu sleep, Xeon Gold 6134
-    /// servers, 200 ms warmup + 800 ms measured, default retry and
-    /// probe policies, hedging on, no faults, steady load.
+    /// A fleet with library defaults: 200 ms warmup + 800 ms
+    /// measured, default retry and probe policies, hedging on, no
+    /// faults, no overload control.
     pub fn new(servers: usize, app: AppKind, total_rps: f64, governor: GovernorKind) -> Self {
         FleetConfig {
             servers,
             app,
             total_rps,
             governor,
-            sleep: SleepKind::Menu,
-            profile: ProcessorProfile::xeon_gold_6134(),
             seed: 42,
             warmup: SimDuration::from_millis(200),
             duration: SimDuration::from_millis(800),
@@ -230,15 +220,9 @@ impl FleetConfig {
             retry: RetryPolicy::default(),
             hedge: Some(HedgePolicy::default()),
             probe: ProbePolicy::default(),
-            diurnal: None,
-            churn: None,
             epoch: SimDuration::from_millis(5),
-            flows: 512,
-            lb_hop: SimDuration::from_micros(20),
             admission: AdmissionPolicy::None,
-            retry_budget: None,
-            breaker: None,
-            brownout: None,
+            overload_control: false,
         }
     }
 
@@ -252,18 +236,6 @@ impl FleetConfig {
     /// Sets the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the sleep policy.
-    pub fn with_sleep(mut self, sleep: SleepKind) -> Self {
-        self.sleep = sleep;
-        self
-    }
-
-    /// Sets the processor model.
-    pub fn with_profile(mut self, profile: ProcessorProfile) -> Self {
-        self.profile = profile;
         self
     }
 
@@ -291,24 +263,6 @@ impl FleetConfig {
         self
     }
 
-    /// Modulates offered load with a diurnal curve.
-    pub fn with_diurnal(mut self, diurnal: DiurnalCurve) -> Self {
-        self.diurnal = Some(diurnal);
-        self
-    }
-
-    /// Enables periodic connection churn.
-    pub fn with_churn(mut self, churn: ChurnSpec) -> Self {
-        self.churn = Some(churn);
-        self
-    }
-
-    /// Sets the flow population.
-    pub fn with_flows(mut self, flows: usize) -> Self {
-        self.flows = flows;
-        self
-    }
-
     /// Sets the inner/outer coupling epoch.
     pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
         self.epoch = epoch;
@@ -322,24 +276,6 @@ impl FleetConfig {
         self
     }
 
-    /// Enables or disables per-flow retry budgets.
-    pub fn with_retry_budget(mut self, budget: Option<RetryBudgetPolicy>) -> Self {
-        self.retry_budget = budget;
-        self
-    }
-
-    /// Enables or disables per-server circuit breakers.
-    pub fn with_breaker(mut self, breaker: Option<BreakerPolicy>) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Enables or disables LB-side brownout.
-    pub fn with_brownout(mut self, brownout: Option<BrownoutPolicy>) -> Self {
-        self.brownout = brownout;
-        self
-    }
-
     /// Arms the whole overload-control stack with library defaults:
     /// sojourn-threshold admission on every server, default retry
     /// budgets, circuit breakers, and brownout. The one-switch "on"
@@ -349,9 +285,7 @@ impl FleetConfig {
             target: SimDuration::from_micros(200),
             limit: 64,
         };
-        self.retry_budget = Some(RetryBudgetPolicy::default());
-        self.breaker = Some(BreakerPolicy::default());
-        self.brownout = Some(BrownoutPolicy::default());
+        self.overload_control = true;
         self
     }
 
@@ -363,9 +297,6 @@ impl FleetConfig {
         }
         if self.servers > 4096 {
             return Err(SimError::invalid("fleet.servers", "more than 4096 servers"));
-        }
-        if self.flows == 0 {
-            return Err(SimError::invalid("fleet.flows", "need at least 1 flow"));
         }
         if !self.total_rps.is_finite() || self.total_rps <= 0.0 || self.total_rps > 1e9 {
             return Err(SimError::invalid(
@@ -429,26 +360,10 @@ impl FleetConfig {
                 "hysteresis thresholds must be ≥ 1",
             ));
         }
-        if let Some(d) = &self.diurnal {
-            d.validate()?;
-        }
-        if let Some(c) = &self.churn {
-            c.validate()?;
-        }
         self.governor.validate()?;
         self.fault_plan.validate(self.servers)?;
         self.admission.validate()?;
-        if let Some(b) = &self.retry_budget {
-            b.validate()?;
-        }
-        if let Some(b) = &self.breaker {
-            b.validate()?;
-        }
-        if let Some(b) = &self.brownout {
-            b.validate()?;
-        }
         let sample = TestbedConfig::new(AppModel::for_kind(self.app), self.initial_load())
-            .with_profile(self.profile.clone())
             .with_admission(self.admission);
         sample.validate()
     }
@@ -534,8 +449,6 @@ pub struct FleetResult {
     pub ejections: u64,
     /// Health readmissions.
     pub readmissions: u64,
-    /// Flows that lost affinity to connection churn.
-    pub churned_flows: u64,
     /// Requests shed by LB-side brownout (admitted, closed shed).
     pub shed: u64,
     /// Attempts rejected by a saturated server's admission gate — an
@@ -637,7 +550,6 @@ struct FleetCounters {
     failovers: u64,
     ejections: u64,
     readmissions: u64,
-    churned_flows: u64,
     shed_requests: u64,
     attempts_shed: u64,
     retry_budget_spent: u64,
@@ -662,8 +574,6 @@ struct FleetWorld {
     lb_view: Vec<bool>,
     /// Per-flow sticky server.
     affinity: Vec<Option<usize>>,
-    /// Per-flow connection incarnation; bumped on churn.
-    affinity_gen: Vec<u64>,
     /// Open request table — keyed access only, never iterated, so the
     /// map's iteration order can't leak into the run.
     reqs: IdHashMap<u64, RequestState>,
@@ -672,7 +582,6 @@ struct FleetWorld {
     rng_arrival: RngStream,
     rng_steer: RngStream,
     rng_latency: RngStream,
-    rng_churn: RngStream,
     /// Per-arrival priority-class draws (its own stream, so enabling
     /// brownout perturbs no other concern's randomness).
     rng_priority: RngStream,
@@ -719,8 +628,6 @@ enum FleetEv {
     EpochTick,
     /// The measurement boundary.
     WarmupBoundary,
-    /// A connection-churn wave.
-    ChurnWave,
     /// A server-crash scope starts.
     Crash(usize),
     /// A server-crash scope ends.
@@ -741,7 +648,6 @@ impl World for FleetWorld {
             FleetEv::Probe(server) => probe(self, sim, server),
             FleetEv::EpochTick => epoch_tick(self, sim),
             FleetEv::WarmupBoundary => warmup_boundary(self, sim),
-            FleetEv::ChurnWave => churn_wave(self, sim),
             FleetEv::Crash(server) => crash_server(self, sim, server),
             FleetEv::Recover(server) => self.faults.note_server_recover(sim.now(), server),
         }
@@ -750,11 +656,10 @@ impl World for FleetWorld {
 
 impl FleetWorld {
     fn offered_rate(&self, now: SimTime) -> f64 {
-        let factor = self.cfg.diurnal.as_ref().map_or(1.0, |d| d.factor_at(now));
         // Fleet-scope load-spike faults multiply the offered rate —
         // the trigger half of the metastability experiment.
         let spike = self.faults.load_factor(now);
-        (self.cfg.total_rps * factor * spike).max(1.0)
+        (self.cfg.total_rps * spike).max(1.0)
     }
 }
 
@@ -788,7 +693,7 @@ fn refresh_steer_view(w: &mut FleetWorld, now: SimTime) {
 /// and applies any active hash-skew fault as a per-request override.
 fn steer(w: &mut FleetWorld, now: SimTime, flow: usize, exclude: Option<usize>) -> usize {
     refresh_steer_view(w, now);
-    let key = flow_key(flow as u64, w.affinity_gen[flow]);
+    let key = flow_key(flow as u64, 0);
     let prior = w.affinity[flow];
     // A healthy affinity server blocked only by its breaker is a
     // short-circuit: the breaker, not health ejection, diverted it.
@@ -867,7 +772,7 @@ fn dispatch(w: &mut FleetWorld, sim: &mut FleetSim, id: u64, server: usize) {
         return;
     }
     let extra = w.faults.link_extra(now, server);
-    let hop = w.cfg.lb_hop + extra;
+    let hop = LB_HOP + extra;
     let attempt = w.reqs.get(&id).map_or(0, |r| r.attempts.len());
     // The server-side admission gate, seen from the LB: a server whose
     // harvested saturation pegged at 1000 ‰ rejects the attempt after
@@ -1097,7 +1002,7 @@ fn hedge_fired(w: &mut FleetWorld, sim: &mut FleetSim, id: u64) {
         return;
     };
     refresh_steer_view(w, now);
-    let key = flow_key(flow as u64, w.affinity_gen[flow]);
+    let key = flow_key(flow as u64, 0);
     let target = w.ring.successor(key, primary, &w.steer_view);
     if target != primary {
         w.counters.hedges += 1;
@@ -1112,7 +1017,7 @@ fn probe(w: &mut FleetWorld, sim: &mut FleetSim, server: usize) {
     let crashed = w.faults.server_crashed(now, server);
     let partitioned = w.faults.link_partitioned(now, server);
     let extra = w.faults.link_extra(now, server);
-    let rtt = (w.cfg.lb_hop + extra) + (w.cfg.lb_hop + extra);
+    let rtt = (LB_HOP + extra) + (LB_HOP + extra);
     let ok = !crashed && !partitioned && rtt <= w.cfg.probe.timeout;
     if w.faults.health_view_stale(now) {
         w.faults.note_stale_probe(now, server);
@@ -1252,24 +1157,6 @@ fn warmup_boundary(w: &mut FleetWorld, sim: &mut FleetSim) {
     }
 }
 
-/// A churn wave: a random `fraction` of flows reconnect, losing
-/// affinity and re-hashing to a fresh ring position.
-fn churn_wave(w: &mut FleetWorld, sim: &mut FleetSim) {
-    let now = sim.now();
-    let Some(churn) = w.cfg.churn else { return };
-    for flow in 0..w.cfg.flows {
-        if w.rng_churn.chance(churn.fraction) {
-            w.affinity[flow] = None;
-            w.affinity_gen[flow] = w.affinity_gen[flow].wrapping_add(1);
-            w.counters.churned_flows += 1;
-        }
-    }
-    let next = now + churn.period;
-    if next < w.end {
-        sim.schedule_at(next, FleetEv::ChurnWave);
-    }
-}
-
 /// A server-crash boundary: every outstanding attempt on the server
 /// dies (no response will come); the requests stay open and their
 /// client timeouts drive retry/failover.
@@ -1318,7 +1205,7 @@ fn arrival(w: &mut FleetWorld, sim: &mut FleetSim) {
     w.counters.admitted += 1;
     w.ledger.credit(Account::FleetRequestsAdmitted, 1);
     w.counters.open_requests += 1;
-    let flow = w.rng_arrival.below(w.cfg.flows as u64) as usize;
+    let flow = w.rng_arrival.below(FLOWS as u64) as usize;
     // Brownout: while the saturation signal is high, the LB sheds the
     // lowest-priority slice of arrivals before dispatch. The request
     // counts as admitted and closes immediately as shed, keeping the
@@ -1414,10 +1301,9 @@ fn build_servers(cfg: &FleetConfig) -> Result<(Vec<ServerInstance>, Vec<ServerCo
         let seed = RngStream::derive(cfg.seed, "server", i as u64).next_u64();
         let tb_cfg = TestbedConfig::new(app_model, init_load)
             .with_seed(seed)
-            .with_profile(cfg.profile.clone())
             .with_timeline(TimelineConfig::OFF)
             .with_admission(cfg.admission);
-        let (governor, sleep) = build_policies(&cfg.governor, cfg.sleep, &cfg.profile, &app_model);
+        let (governor, sleep) = build_policies(&cfg.governor, SLEEP, &tb_cfg.profile, &app_model);
         let mut inner: Simulator<Testbed> = Simulator::new();
         let mut tb = Testbed::try_new(tb_cfg, governor, sleep, &mut inner)?;
         tb.client.set_response_log_enabled(true);
@@ -1453,28 +1339,31 @@ fn run_on_pool(
 
     let faults = FaultInjector::from_plan(&cfg.fault_plan, cfg.seed);
     let hedge_floor = cfg.hedge.map_or(SimDuration::from_millis(1), |h| h.floor);
+    let control = cfg.overload_control;
     let mut world = FleetWorld {
         ring: HashRing::new(n),
         trackers: vec![HealthTracker::new(cfg.probe.fail_threshold, cfg.probe.ok_threshold); n],
         lb_view: vec![true; n],
-        affinity: vec![None; cfg.flows],
-        affinity_gen: vec![0u64; cfg.flows],
+        affinity: vec![None; FLOWS],
         reqs: IdHashMap::default(),
         faults,
         ledger: ConservationLedger::new(),
         rng_arrival: RngStream::derive(cfg.seed, "fleet-arrival", 0),
         rng_steer: RngStream::derive(cfg.seed, "fleet-steer", 0),
         rng_latency: RngStream::derive(cfg.seed, "fleet-latency", 0),
-        rng_churn: RngStream::derive(cfg.seed, "fleet-churn", 0),
         rng_priority: RngStream::derive(cfg.seed, "fleet-priority", 0),
         counters: FleetCounters::default(),
-        budgets: cfg
-            .retry_budget
-            .map_or_else(Vec::new, |p| vec![RetryBudget::new(p); cfg.flows]),
-        breakers: cfg
-            .breaker
-            .map_or_else(Vec::new, |p| vec![CircuitBreaker::new(p); n]),
-        brownout: cfg.brownout.map(Brownout::new),
+        budgets: if control {
+            vec![RetryBudget::new(RetryBudgetPolicy::default()); FLOWS]
+        } else {
+            Vec::new()
+        },
+        breakers: if control {
+            vec![CircuitBreaker::new(BreakerPolicy::default()); n]
+        } else {
+            Vec::new()
+        },
+        brownout: control.then(|| Brownout::new(BrownoutPolicy::default())),
         steer_view: Vec::with_capacity(n),
         hedge_delay: hedge_floor,
         end,
@@ -1504,12 +1393,9 @@ fn run_on_pool(
         );
         sim.schedule_at(SimTime::ZERO + offset, FleetEv::Probe(server));
     }
-    // Epoch coupling, measurement boundary, churn waves.
+    // Epoch coupling and the measurement boundary.
     sim.schedule_at(SimTime::ZERO + world.cfg.epoch, FleetEv::EpochTick);
     sim.schedule_at(SimTime::ZERO + world.cfg.warmup, FleetEv::WarmupBoundary);
-    if let Some(churn) = world.cfg.churn {
-        sim.schedule_at(SimTime::ZERO + churn.period, FleetEv::ChurnWave);
-    }
     // Server-crash boundaries from the fault plan (scope.core = server
     // index; an unpinned scope crashes the whole fleet).
     for spec in world.cfg.fault_plan.specs.clone() {
@@ -1685,7 +1571,6 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
     reg.set_counter("fleet.failovers", c.failovers);
     reg.set_counter("fleet.health.ejections", c.ejections);
     reg.set_counter("fleet.health.readmissions", c.readmissions);
-    reg.set_counter("fleet.churned_flows", c.churned_flows);
     reg.set_counter("fleet.server_crashes", crashes_sum);
     let mut breaker_opens = 0u64;
     let mut breaker_closes = 0u64;
@@ -1733,7 +1618,7 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
 
     Ok(FleetResult {
         governor: world.cfg.governor.label().to_string(),
-        sleep: world.cfg.sleep.label().to_string(),
+        sleep: SLEEP.label().to_string(),
         servers: server_reports,
         admitted: c.admitted,
         completed: c.completed,
@@ -1749,7 +1634,6 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
         failovers: c.failovers,
         ejections: c.ejections,
         readmissions: c.readmissions,
-        churned_flows: c.churned_flows,
         shed: c.shed_requests,
         attempts_shed: c.attempts_shed,
         retry_budget_spent: c.retry_budget_spent,

@@ -28,9 +28,10 @@ fn fnv1a(words: &[u64]) -> u64 {
     h
 }
 
-/// Hashes a flow (plus its churn incarnation) to a ring key. Bumping
-/// `incarnation` models a reconnect: the new connection gets a fresh
-/// source port, so it lands on a fresh ring position.
+/// Hashes a flow (plus its connection incarnation) to a ring key. A
+/// new incarnation models a reconnect: the new connection gets a
+/// fresh source port, so it lands on a fresh ring position. The fleet
+/// keeps every flow at incarnation 0.
 pub fn flow_key(flow: u64, incarnation: u64) -> u64 {
     fnv1a(&[flow, incarnation])
 }

@@ -407,11 +407,6 @@ impl Core {
         self.dvfs.set_transition_padding(padding);
     }
 
-    /// The state this core's DVFS domain is heading towards.
-    pub fn dvfs_target(&self) -> PState {
-        self.dvfs.target()
-    }
-
     /// True if this core's own DVFS domain has a transition in flight.
     pub fn is_transitioning(&self) -> bool {
         self.dvfs.is_transitioning()

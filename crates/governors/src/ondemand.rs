@@ -73,18 +73,6 @@ impl Ondemand {
         }
     }
 
-    /// Overrides the sampling interval (ablation studies).
-    pub fn with_interval(mut self, interval: SimDuration) -> Self {
-        self.interval = interval;
-        self
-    }
-
-    /// Overrides the up-threshold.
-    pub fn with_up_threshold(mut self, threshold: f64) -> Self {
-        self.up_threshold = threshold;
-        self
-    }
-
     /// The ondemand decision for a utilization fraction, from the
     /// core's current state. Exposed for NMAP's CPU-utilization
     /// fallback mode.

@@ -9,8 +9,6 @@
 //!   polling-to-interrupt ratio drops below `CU_TH`: the ondemand
 //!   governor resumes (lines 7-13).
 
-use simcore::{EventLog, SimTime};
-
 /// The power-management mode of one core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerMode {
@@ -26,21 +24,19 @@ pub enum PowerMode {
 ///
 /// ```
 /// use nmap::{DecisionEngine, PowerMode};
-/// use simcore::SimTime;
 ///
 /// let mut e = DecisionEngine::new(1.5);
 /// assert_eq!(e.mode(), PowerMode::CpuUtilization);
-/// assert!(e.on_notification(SimTime::ZERO)); // burst! → NI mode
+/// assert!(e.on_notification()); // burst! → NI mode
 /// assert_eq!(e.mode(), PowerMode::NetworkIntensive);
 /// // Ratio fell under CU_TH → fall back.
-/// assert!(e.on_timer(0.4, SimTime::from_millis(10)));
+/// assert!(e.on_timer(0.4));
 /// assert_eq!(e.mode(), PowerMode::CpuUtilization);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DecisionEngine {
     cu_threshold: f64,
     mode: PowerMode,
-    mode_log: EventLog<PowerMode>,
 }
 
 impl DecisionEngine {
@@ -49,7 +45,6 @@ impl DecisionEngine {
         DecisionEngine {
             cu_threshold,
             mode: PowerMode::CpuUtilization,
-            mode_log: EventLog::new(),
         }
     }
 
@@ -61,12 +56,11 @@ impl DecisionEngine {
     /// A Network-Intensive notification arrived from the monitor.
     /// Returns `true` if this call switched the mode (the caller then
     /// disables ondemand and maximizes V/F — Algorithm 2 lines 3-5).
-    pub fn on_notification(&mut self, now: SimTime) -> bool {
+    pub fn on_notification(&mut self) -> bool {
         if self.mode == PowerMode::NetworkIntensive {
             return false;
         }
         self.mode = PowerMode::NetworkIntensive;
-        self.mode_log.push(now, self.mode);
         true
     }
 
@@ -74,10 +68,9 @@ impl DecisionEngine {
     /// ratio. Returns `true` if the engine fell back to CPU
     /// Utilization based Mode (the caller re-enables ondemand and
     /// enforces its decision — lines 8-12).
-    pub fn on_timer(&mut self, poll_to_intr_ratio: f64, now: SimTime) -> bool {
+    pub fn on_timer(&mut self, poll_to_intr_ratio: f64) -> bool {
         if self.mode == PowerMode::NetworkIntensive && poll_to_intr_ratio < self.cu_threshold {
             self.mode = PowerMode::CpuUtilization;
-            self.mode_log.push(now, self.mode);
             true
         } else {
             false
@@ -88,12 +81,11 @@ impl DecisionEngine {
     /// of the ratio — the degradation path when the monitor's signals
     /// are suspected stale or lost. Returns `true` if the mode
     /// actually changed.
-    pub fn force_fallback(&mut self, now: SimTime) -> bool {
+    pub fn force_fallback(&mut self) -> bool {
         if self.mode == PowerMode::CpuUtilization {
             return false;
         }
         self.mode = PowerMode::CpuUtilization;
-        self.mode_log.push(now, self.mode);
         true
     }
 
@@ -105,11 +97,6 @@ impl DecisionEngine {
     /// Replaces `CU_TH` (online threshold adaptation).
     pub fn set_cu_threshold(&mut self, cu_threshold: f64) {
         self.cu_threshold = cu_threshold;
-    }
-
-    /// Log of mode changes `(time, new mode)`.
-    pub fn mode_log(&self) -> &EventLog<PowerMode> {
-        &self.mode_log
     }
 }
 
@@ -126,51 +113,52 @@ mod tests {
     #[test]
     fn notification_is_edge_triggered() {
         let mut e = DecisionEngine::new(1.0);
-        assert!(e.on_notification(SimTime::ZERO));
-        assert!(!e.on_notification(SimTime::from_millis(1)), "already NI");
-        assert_eq!(e.mode_log().len(), 1);
+        assert!(e.on_notification());
+        assert!(!e.on_notification(), "already NI");
+        assert_eq!(e.mode(), PowerMode::NetworkIntensive);
     }
 
     #[test]
     fn falls_back_only_below_threshold() {
         let mut e = DecisionEngine::new(1.5);
-        e.on_notification(SimTime::ZERO);
-        assert!(!e.on_timer(2.0, SimTime::from_millis(10)), "still intense");
-        assert!(
-            !e.on_timer(1.5, SimTime::from_millis(20)),
-            "at threshold: hold"
-        );
-        assert!(e.on_timer(1.49, SimTime::from_millis(30)));
+        e.on_notification();
+        assert!(!e.on_timer(2.0), "still intense");
+        assert!(!e.on_timer(1.5), "at threshold: hold");
+        assert!(e.on_timer(1.49));
         assert_eq!(e.mode(), PowerMode::CpuUtilization);
     }
 
     #[test]
     fn timer_in_cpu_mode_is_a_noop() {
         let mut e = DecisionEngine::new(1.5);
-        assert!(
-            !e.on_timer(100.0, SimTime::ZERO),
-            "ratio only matters in NI mode"
-        );
+        assert!(!e.on_timer(100.0), "ratio only matters in NI mode");
         assert_eq!(e.mode(), PowerMode::CpuUtilization);
     }
 
     #[test]
     fn infinite_ratio_never_falls_back() {
         let mut e = DecisionEngine::new(1.5);
-        e.on_notification(SimTime::ZERO);
-        assert!(!e.on_timer(f64::INFINITY, SimTime::from_millis(10)));
+        e.on_notification();
+        assert!(!e.on_timer(f64::INFINITY));
         assert_eq!(e.mode(), PowerMode::NetworkIntensive);
     }
 
     #[test]
-    fn mode_log_records_both_directions() {
+    fn transitions_run_both_directions() {
         let mut e = DecisionEngine::new(1.0);
-        e.on_notification(SimTime::from_millis(1));
-        e.on_timer(0.0, SimTime::from_millis(20));
-        let modes: Vec<PowerMode> = e.mode_log().iter().map(|&(_, m)| m).collect();
-        assert_eq!(
-            modes,
-            vec![PowerMode::NetworkIntensive, PowerMode::CpuUtilization]
-        );
+        assert!(e.on_notification());
+        assert_eq!(e.mode(), PowerMode::NetworkIntensive);
+        assert!(e.on_timer(0.0));
+        assert_eq!(e.mode(), PowerMode::CpuUtilization);
+    }
+
+    #[test]
+    fn forced_fallback_reports_only_real_changes() {
+        let mut e = DecisionEngine::new(1.0);
+        assert!(!e.force_fallback(), "already in CU mode");
+        e.on_notification();
+        assert!(e.force_fallback());
+        assert_eq!(e.mode(), PowerMode::CpuUtilization);
+        assert!(!e.force_fallback());
     }
 }

@@ -175,7 +175,7 @@ impl NmapGovernor {
         self.suspect[core.0] = 0;
         self.healthy[core.0] = 0;
         self.degradations += 1;
-        self.engines[core.0].force_fallback(now);
+        self.engines[core.0].force_fallback();
         self.ni_log.push(now, (core, NiMark::Degraded));
     }
 
@@ -238,7 +238,7 @@ impl PStateGovernor for NmapGovernor {
         if self.degraded[core.0] {
             return;
         }
-        if notify && self.engines[core.0].on_notification(now) {
+        if notify && self.engines[core.0].on_notification() {
             // Algorithm 2 lines 3-5: disable ondemand (implicit — we
             // stop consulting it), maximize V/F immediately.
             self.fallback.note_pstate(core, PState::P0);
@@ -328,7 +328,7 @@ impl PStateGovernor for NmapGovernor {
                     self.enforce_fallback(core, sample, now, actions);
                     return;
                 }
-                if self.engines[core.0].on_timer(ratio, now) {
+                if self.engines[core.0].on_timer(ratio) {
                     // Fell back: enforce the utilization-based state
                     // and re-enable ondemand (lines 9-11).
                     self.suspect[core.0] = 0;

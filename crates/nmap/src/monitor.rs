@@ -119,11 +119,6 @@ impl ModeTransitionMonitor {
     pub fn set_ni_threshold(&mut self, ni_threshold: u64) {
         self.ni_threshold = ni_threshold;
     }
-
-    /// Polling packets accumulated in the current interrupt episode.
-    pub fn episode_polling(&self) -> u64 {
-        self.episode_poll
-    }
 }
 
 #[cfg(test)]

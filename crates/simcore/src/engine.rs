@@ -31,15 +31,22 @@
 //!   insertion-ordered overflow list for far-future events. This is
 //!   the default: O(1) schedule/pop versus the heap's O(log n).
 //! * [`HeapQueue`] — the original `BinaryHeap` core, kept as the
-//!   differential-testing oracle. Building with the `heap-sched`
-//!   feature flips [`DefaultQueue`] to it, so the entire workspace
-//!   (golden fixtures included) can be replayed on the oracle.
+//!   differential-testing oracle ([`HeapSimulator`]).
 //!
 //! Both backends share the arena and the `(time, seq)` contract; the
 //! differential property suite (`tests/scheduler.rs`) drives them
 //! with identical randomized schedule/cancel/run workloads and
 //! asserts identical pop order, tie-breaks, and cancellation
 //! semantics.
+//!
+//! # Self-check
+//!
+//! Debug builds check the contract on every dispatch, whatever the
+//! backend: each popped `(time, seq)` must be strictly greater than
+//! the one before, and when the backend reports nothing due by a
+//! bound, no live event may be due by it. Every debug test of the
+//! workspace, golden fixtures included, is thus also an ordering
+//! test of the wheel. Release builds compile the check out.
 
 use crate::error::{BudgetKind, SimError};
 use crate::time::{SimDuration, SimTime};
@@ -77,20 +84,8 @@ pub trait SchedQueue: Default + sealed::Sealed {
     fn pop_within(&mut self, arena: &mut Arena, bound: SimTime) -> Option<u32>;
 }
 
-/// The scheduler backend [`Simulator`] defaults to: the timing wheel,
-/// or the heap oracle when the `heap-sched` feature is enabled.
-#[cfg(not(feature = "heap-sched"))]
-pub type DefaultQueue = WheelQueue;
-/// The scheduler backend [`Simulator`] defaults to: the timing wheel,
-/// or the heap oracle when the `heap-sched` feature is enabled.
-#[cfg(feature = "heap-sched")]
-pub type DefaultQueue = HeapQueue;
-
-/// A simulator pinned to the timing-wheel backend, independent of the
-/// `heap-sched` feature. Used by differential tests and benches.
-pub type WheelSimulator<W> = Simulator<W, WheelQueue>;
-/// A simulator pinned to the heap-oracle backend, independent of the
-/// `heap-sched` feature. Used by differential tests and benches.
+/// A simulator on the heap-oracle backend. Used by differential
+/// tests and benches.
 pub type HeapSimulator<W> = Simulator<W, HeapQueue>;
 
 /// A simulation world: the model state events mutate, plus the type
@@ -135,7 +130,7 @@ pub type HeapSimulator<W> = Simulator<W, HeapQueue>;
 /// sim.run_until(&mut world, SimTime::from_micros(9));
 /// assert_eq!(world.ticks, 10);
 /// ```
-pub trait World<Q: SchedQueue = DefaultQueue>: Sized {
+pub trait World<Q: SchedQueue = WheelQueue>: Sized {
     /// What the world schedules: one value per pending event.
     type Event;
 
@@ -267,7 +262,7 @@ impl EventId {
 /// sim.run_until(&mut hits, SimTime::from_millis(1));
 /// assert_eq!(hits.0, vec![2, 1, 0]); // time order, not insertion order
 /// ```
-pub struct Simulator<W, Q = DefaultQueue>
+pub struct Simulator<W, Q = WheelQueue>
 where
     W: World<Q>,
     Q: SchedQueue,
@@ -288,6 +283,10 @@ where
     /// from here so a budget spans multiple `run_until_budgeted`
     /// calls on the same simulator (warm-up + measured window).
     budget_epoch: Option<std::time::Instant>,
+    /// `(time, seq)` of the last dispatched event: the self-check's
+    /// reference point.
+    #[cfg(debug_assertions)]
+    last_popped: Option<(SimTime, u64)>,
 }
 
 /// Engine self-profiling counters, cheap enough to always collect.
@@ -329,6 +328,8 @@ impl<W: World<Q>, Q: SchedQueue> Simulator<W, Q> {
             cancelled: 0,
             max_pending: 0,
             budget_epoch: None,
+            #[cfg(debug_assertions)]
+            last_popped: None,
         }
     }
 
@@ -409,12 +410,36 @@ impl<W: World<Q>, Q: SchedQueue> Simulator<W, Q> {
     /// Returns `false` if there is none.
     fn dispatch_next(&mut self, world: &mut W, bound: SimTime) -> bool {
         let Some(slot) = self.queue.pop_within(&mut self.arena, bound) else {
+            #[cfg(debug_assertions)]
+            if let Some((time, seq)) = self.arena.earliest_live() {
+                assert!(
+                    time > bound,
+                    "engine self-check: event ({} ns, seq {seq}) is due by {} ns \
+                     but the queue returned none",
+                    time.as_nanos(),
+                    bound.as_nanos()
+                );
+            }
             return false;
         };
         let time = self.arena.meta(slot).time;
+        #[cfg(debug_assertions)]
+        {
+            let popped = (time, self.arena.meta(slot).seq);
+            if let Some(last) = self.last_popped.replace(popped) {
+                assert!(
+                    popped > last,
+                    "engine self-check: (time, seq) order violated: ({} ns, seq {}) \
+                     popped after ({} ns, seq {})",
+                    popped.0.as_nanos(),
+                    popped.1,
+                    last.0.as_nanos(),
+                    last.1
+                );
+            }
+        }
         let event = self.events[slot as usize].take();
         self.arena.release(slot);
-        debug_assert!(time >= self.now, "event queue went backwards");
         debug_assert!(event.is_some(), "live slot without an event");
         self.now = time;
         self.executed += 1;
@@ -659,6 +684,81 @@ mod tests {
         }
         check::<WheelQueue>();
         check::<HeapQueue>();
+    }
+
+    /// The debug self-check fires on backends that break the
+    /// contract. Release builds have no check, so no test.
+    #[cfg(debug_assertions)]
+    mod self_check {
+        use super::*;
+
+        /// A broken backend: pops the earliest time first, but among
+        /// equal times the *latest* scheduled (LIFO ties).
+        #[derive(Default)]
+        struct LifoTies(Vec<u32>);
+
+        impl sealed::Sealed for LifoTies {}
+
+        impl SchedQueue for LifoTies {
+            fn insert(&mut self, _: &mut Arena, slot: u32) {
+                self.0.push(slot);
+            }
+
+            fn pop_within(&mut self, arena: &mut Arena, bound: SimTime) -> Option<u32> {
+                let (i, &slot) = self
+                    .0
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &s)| arena.is_live(s))
+                    .min_by_key(|&(_, &s)| {
+                        (arena.meta(s).time, std::cmp::Reverse(arena.meta(s).seq))
+                    })?;
+                (arena.meta(slot).time <= bound).then(|| self.0.swap_remove(i))
+            }
+        }
+
+        /// A broken backend: the heap oracle, except that it never hands
+        /// out the first event it was given.
+        #[derive(Default)]
+        struct HidesFirst {
+            heap: HeapQueue,
+            inserted: u64,
+        }
+
+        impl sealed::Sealed for HidesFirst {}
+
+        impl SchedQueue for HidesFirst {
+            fn insert(&mut self, arena: &mut Arena, slot: u32) {
+                self.inserted += 1;
+                if self.inserted > 1 {
+                    self.heap.insert(arena, slot);
+                }
+            }
+
+            fn pop_within(&mut self, arena: &mut Arena, bound: SimTime) -> Option<u32> {
+                self.heap.pop_within(arena, bound)
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "engine self-check: (time, seq) order violated")]
+        fn catches_lifo_ties() {
+            let mut sim: Simulator<Log, LifoTies> = Simulator::new();
+            let mut w = Log::default();
+            sim.schedule_at(t(7), Ev::Push(0));
+            sim.schedule_at(t(7), Ev::Push(1));
+            sim.run_until(&mut w, SimTime::from_micros(1));
+        }
+
+        #[test]
+        #[should_panic(expected = "engine self-check: event (5 ns, seq 0) is due by 1000 ns")]
+        fn catches_a_hidden_due_event() {
+            let mut sim: Simulator<Log, HidesFirst> = Simulator::new();
+            let mut w = Log::default();
+            sim.schedule_at(t(5), Ev::Push(0));
+            sim.schedule_at(t(9), Ev::Push(1));
+            sim.run_until(&mut w, SimTime::from_micros(1));
+        }
     }
 
     #[test]

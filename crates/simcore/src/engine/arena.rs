@@ -120,6 +120,18 @@ impl Arena {
         &self.meta[slot as usize]
     }
 
+    /// `(time, seq)` of the earliest live slot, by a scan of the whole
+    /// arena: the engine's debug self-check compares it with what the
+    /// backend reports due.
+    #[cfg(debug_assertions)]
+    pub(crate) fn earliest_live(&self) -> Option<(SimTime, u64)> {
+        self.meta
+            .iter()
+            .filter(|m| m.live)
+            .map(|m| (m.time, m.seq))
+            .min()
+    }
+
     /// Mutable access to a slot's metadata (list linkage).
     #[inline]
     pub(crate) fn meta_mut(&mut self, slot: u32) -> &mut SlotMeta {

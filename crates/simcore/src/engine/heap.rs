@@ -2,11 +2,14 @@
 //!
 //! This is the engine's original `BinaryHeap` core (a max-heap with
 //! inverted `(time, seq)` ordering and lazy purging of cancelled
-//! entries), retained verbatim in spirit behind the `heap-sched`
-//! feature. Its pop order is trivially the documented `(time, seq)`
+//! entries), retained verbatim in spirit as [`HeapSimulator`]'s
+//! backend. Its pop order is trivially the documented `(time, seq)`
 //! total order, which makes it the oracle the differential property
-//! suite (`tests/scheduler.rs`) and the `--features heap-sched` CI
-//! lane compare the timing wheel against.
+//! suite (`tests/scheduler.rs`), the wheel edge cases
+//! (`crates/simcore/tests/wheel_edge.rs`) and the engine bench compare
+//! the timing wheel against.
+//!
+//! [`HeapSimulator`]: crate::HeapSimulator
 
 use super::arena::Arena;
 use super::{SchedQueue, SimTime};

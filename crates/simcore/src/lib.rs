@@ -61,7 +61,7 @@ pub mod trace;
 pub use audit::{Account, AuditCheck, AuditReport, ConservationLedger};
 pub use engine::{
     EngineProfile, EventId, HeapQueue, HeapSimulator, SchedQueue, Simulator, StepBudget,
-    WheelQueue, WheelSimulator, World,
+    WheelQueue, World,
 };
 pub use error::{BudgetKind, SimError};
 pub use fault::{

@@ -151,12 +151,7 @@ pub fn busy_bucket(index: usize, len: usize) -> EnergyComponent {
 /// drift from the `f64` integral stays bounded; this free function is
 /// the remainder-free reference quantization.
 pub fn segment_uj(power_w: f64, dt: SimDuration) -> u64 {
-    let uj = power_w * dt.as_nanos() as f64 / 1000.0;
-    if uj <= 0.0 {
-        0
-    } else {
-        round_positive(uj)
-    }
+    round_positive(power_w * dt.as_nanos() as f64 / 1000.0)
 }
 
 /// The activity class of one accounting segment, as the CPU model
@@ -268,7 +263,7 @@ impl CoreEnergyMeter {
     fn add(&mut self, component: EnergyComponent, power_w: f64, dt: SimDuration) {
         let exact = (power_w * dt.as_nanos() as f64 / 1000.0).max(0.0);
         let acc = exact + self.carry;
-        let uj = if acc <= 0.0 { 0 } else { round_positive(acc) };
+        let uj = round_positive(acc);
         self.carry = acc - uj as f64;
         self.measured_uj = self.measured_uj.saturating_add(uj);
         self.breakdown.add_uj(component, uj);

@@ -197,18 +197,6 @@ pub struct WatchdogReport {
     pub mean_recover_ns: u64,
 }
 
-impl WatchdogReport {
-    /// Mean time-to-detect as a duration.
-    pub fn mean_detect(&self) -> SimDuration {
-        SimDuration::from_nanos(self.mean_detect_ns)
-    }
-
-    /// Mean time-to-recover as a duration.
-    pub fn mean_recover(&self) -> SimDuration {
-        SimDuration::from_nanos(self.mean_recover_ns)
-    }
-}
-
 /// Online per-core P99 tracking plus SLO crossing/recovery detection.
 ///
 /// Feed it every end-to-end latency sample; it maintains one

@@ -4,14 +4,11 @@
 //! cancellation through stale generation handles, and budgeted-run
 //! interruption in the middle of a same-tick batch.
 //!
-//! Everything here pins `WheelSimulator` explicitly, so the suite
-//! exercises the wheel even when the workspace is built with
-//! `--features heap-sched`.
+//! Everything here runs on `Simulator`'s default backend, the wheel.
 
 use simcore::check::forall;
 use simcore::{
-    EventId, HeapQueue, SchedQueue, SimDuration, SimTime, Simulator, StepBudget, WheelQueue,
-    WheelSimulator, World,
+    EventId, HeapQueue, SchedQueue, SimDuration, SimTime, Simulator, StepBudget, WheelQueue, World,
 };
 
 /// The test world: labels of executed events, in execution order.
@@ -67,7 +64,7 @@ fn t(ns: u64) -> SimTime {
 
 #[test]
 fn zero_delay_self_reschedule_runs_fifo_within_tick() {
-    let mut sim: WheelSimulator<Log> = WheelSimulator::new();
+    let mut sim: Simulator<Log> = Simulator::new();
     let mut w = Log::default();
     // A zero-delay chain (links 0, 1, 2) interleaved with a
     // pre-scheduled tie (100): the chain's links are scheduled
@@ -82,7 +79,7 @@ fn zero_delay_self_reschedule_runs_fifo_within_tick() {
 
 #[test]
 fn zero_delay_chain_trips_event_budget_not_livelock() {
-    let mut sim: WheelSimulator<Log> = WheelSimulator::new();
+    let mut sim: Simulator<Log> = Simulator::new();
     let mut w = Log::default();
     sim.schedule_at(t(5), Ev::Spin);
     let budget = StepBudget::unlimited().with_max_events(1_000);
@@ -99,7 +96,7 @@ fn zero_delay_chain_trips_event_budget_not_livelock() {
 
 #[test]
 fn events_on_exact_level_boundaries_fire_in_order() {
-    let mut sim: WheelSimulator<Log> = WheelSimulator::new();
+    let mut sim: Simulator<Log> = Simulator::new();
     let mut w = Log::default();
     // One event on each side of every level boundary, scheduled in
     // shuffled order.
@@ -128,7 +125,7 @@ fn events_on_exact_level_boundaries_fire_in_order() {
 
 #[test]
 fn far_future_overflow_promotes_back_into_the_wheel() {
-    let mut sim: WheelSimulator<Log> = WheelSimulator::new();
+    let mut sim: Simulator<Log> = Simulator::new();
     let mut w = Log::default();
     // Beyond the wheel span from t=0: parked in overflow, then pulled
     // back in (promoted) once the wheel drains and rebases.
@@ -162,7 +159,7 @@ fn far_future_overflow_promotes_back_into_the_wheel() {
 
 #[test]
 fn demotion_cascades_preserve_cross_level_fifo() {
-    let mut sim: WheelSimulator<Log> = WheelSimulator::new();
+    let mut sim: Simulator<Log> = Simulator::new();
     let mut w = Log::default();
     let target = t(2 * L3 + 3 * 64 + 9);
     // Scheduled from t=0, `target` sits at wheel level 3; it must
@@ -182,7 +179,7 @@ fn demotion_cascades_preserve_cross_level_fifo() {
 
 #[test]
 fn cancelling_a_fired_generation_handle_is_inert() {
-    let mut sim: WheelSimulator<Log> = WheelSimulator::new();
+    let mut sim: Simulator<Log> = Simulator::new();
     let mut w = Log::default();
     let fired = sim.schedule_at(t(1), Ev::Push(1));
     sim.run_until(&mut w, t(10));
@@ -203,7 +200,7 @@ fn cancelling_a_fired_generation_handle_is_inert() {
 
 #[test]
 fn cancelling_overflow_and_high_level_events_is_o1_and_sticks() {
-    let mut sim: WheelSimulator<Log> = WheelSimulator::new();
+    let mut sim: Simulator<Log> = Simulator::new();
     let mut w = Log::default();
     let in_overflow = sim.schedule_at(t(WHEEL_SPAN + 99), Ev::Push(1));
     let in_level3 = sim.schedule_at(t(L3 + 17), Ev::Push(10));
@@ -221,7 +218,7 @@ fn cancelling_overflow_and_high_level_events_is_o1_and_sticks() {
 
 #[test]
 fn budget_interrupts_mid_tick_batch_and_resumes_fifo() {
-    let mut sim: WheelSimulator<Log> = WheelSimulator::new();
+    let mut sim: Simulator<Log> = Simulator::new();
     let mut w = Log::default();
     // Ten events on one tick — a single wheel bucket run.
     for i in 0..10u64 {
@@ -248,7 +245,7 @@ fn budget_interrupts_mid_tick_batch_and_resumes_fifo() {
 
 #[test]
 fn deadline_stop_between_levels_accepts_earlier_reschedules() {
-    let mut sim: WheelSimulator<Log> = WheelSimulator::new();
+    let mut sim: Simulator<Log> = Simulator::new();
     let mut w = Log::default();
     // Only a far event pending; a bounded run stops short of it.
     sim.schedule_at(t(5_000_000), Ev::Push(5_000_000));
@@ -394,7 +391,7 @@ fn bounded_run_short_of_a_mixed_husk_block_keeps_the_cursor() {
     ];
     for bound in [t(1), t(L3 - 1), t(block - 1)] {
         for cancel in [&[1usize, 3][..], &[0, 2, 4], &[]] {
-            let mut sim: WheelSimulator<Script> = WheelSimulator::new();
+            let mut sim: Simulator<Script> = Simulator::new();
             let mut w = Script::default();
             for &(at, op) in &ops {
                 let id = sim.schedule_at(t(at), op);

@@ -13,12 +13,10 @@
 
 pub mod arrivals;
 pub mod client;
-pub mod diurnal;
 pub mod load;
 pub mod priority;
 
 pub use arrivals::{ArrivalProcess, BurstyArrivals, PoissonArrivals};
 pub use client::Client;
-pub use diurnal::{ChurnSpec, DiurnalCurve};
 pub use load::{AppKind, LoadLevel, LoadSpec};
 pub use priority::Priority;

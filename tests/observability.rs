@@ -287,7 +287,6 @@ fn fleet_metrics_snapshot_matches_summary() {
     assert_eq!(c("fleet.failovers"), r.failovers);
     assert_eq!(c("fleet.health.ejections"), r.ejections);
     assert_eq!(c("fleet.health.readmissions"), r.readmissions);
-    assert_eq!(c("fleet.churned_flows"), r.churned_flows);
     let crashes: u64 = r.servers.iter().map(|s| s.crashes).sum();
     assert_eq!(c("fleet.server_crashes"), crashes);
     // Overload-control counters are always published, even with the

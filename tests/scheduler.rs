@@ -1,6 +1,6 @@
 //! Differential equivalence of the two scheduler backends.
 //!
-//! The timing wheel (`WheelSimulator`) must be observationally
+//! The timing wheel (`Simulator`'s default) must be observationally
 //! indistinguishable from the binary-heap oracle (`HeapSimulator`):
 //! identical pop order (including same-timestamp FIFO tie-breaks),
 //! identical cancellation semantics (including post-cancellation
@@ -16,7 +16,7 @@
 use simcore::check::forall;
 use simcore::{
     EventId, HeapQueue, HeapSimulator, RngStream, SchedQueue, SimTime, Simulator, StepBudget,
-    WheelQueue, WheelSimulator, World,
+    WheelQueue, World,
 };
 
 /// The observable log both backends must produce identically: one
@@ -233,12 +233,11 @@ fn budgeted_runs_match_across_backends() {
     });
 }
 
-/// Sanity: the type aliases really pin their backends regardless of
-/// the `heap-sched` feature, so the differential suite means what it
-/// says under either default.
+/// Sanity: the default simulator and the `HeapSimulator` alias both
+/// run, so the differential suite compares two working backends.
 #[test]
 fn pinned_aliases_execute() {
-    let mut w: WheelSimulator<Log> = Simulator::new();
+    let mut w: Simulator<Log> = Simulator::new();
     let mut h: HeapSimulator<Log> = Simulator::new();
     let mut a = Log::default();
     let mut b = Log::default();
