@@ -579,7 +579,6 @@ pub struct Testbed {
     rng_dvfs: RngStream,
     rng_wake: RngStream,
     nic_window_rx: u64,
-    send_horizon: SimTime,
     /// Generation counter for the arrival chain: bumping it kills the
     /// previously scheduled send chain (used by [`switch_load`]).
     ///
@@ -761,7 +760,6 @@ impl Testbed {
             rng_dvfs: RngStream::derive(seed, "dvfs", 0),
             rng_wake: RngStream::derive(seed, "wake", 0),
             nic_window_rx: 0,
-            send_horizon: SimTime::MAX,
             arrival_gen: 0,
             measure_start: SimTime::ZERO,
             measure_start_energy: 0.0,
@@ -856,11 +854,6 @@ impl Testbed {
     /// The application model in use.
     pub fn app(&self) -> &AppModel {
         &self.app
-    }
-
-    /// Stops generating new requests after `t` (drain at run end).
-    pub fn stop_sends_at(&mut self, t: SimTime) {
-        self.send_horizon = t;
     }
 
     /// Marks the start of the measured interval: clears client
@@ -980,8 +973,8 @@ impl Testbed {
 
     fn ev_client_send(&mut self, sim: &mut Simulator<Testbed>, gen: u64) {
         let now = sim.now();
-        if gen != self.arrival_gen || now > self.send_horizon {
-            return; // stale chain (load switched) or run winding down
+        if gen != self.arrival_gen {
+            return; // stale chain: the load switched
         }
         let pkt = self.client.build_request(now, &mut self.rng_client);
         self.ledger.credit(Account::RequestsSent, 1);
@@ -990,9 +983,7 @@ impl Testbed {
         sim.schedule_in(delay, TestbedEvent::ServerRx(pkt));
         let mut rng = self.rng_arrival.clone();
         if let Some(t) = self.arrivals.next_after(now, &mut rng) {
-            if t <= self.send_horizon {
-                sim.schedule_at(t, TestbedEvent::ClientSend { gen });
-            }
+            sim.schedule_at(t, TestbedEvent::ClientSend { gen });
         }
         self.rng_arrival = rng;
     }
@@ -1007,9 +998,7 @@ impl Testbed {
         let gen = self.arrival_gen;
         let mut rng = self.rng_arrival.clone();
         if let Some(t) = self.arrivals.next_after(now, &mut rng) {
-            if t <= self.send_horizon {
-                sim.schedule_at(t, TestbedEvent::ClientSend { gen });
-            }
+            sim.schedule_at(t, TestbedEvent::ClientSend { gen });
         }
         self.rng_arrival = rng;
     }
@@ -1018,7 +1007,7 @@ impl Testbed {
         let now = sim.now();
         self.wire_responses_in_flight -= 1;
         let core = self.nic.rss_queue(pkt.flow).0;
-        if self.faults.wire_drop(now, core).is_some() {
+        if self.faults.wire_drop(now, core) {
             // The response dies on the wire. Its attribution entry
             // stays pending (neither measured nor attributed time is
             // credited), so the latency identities keep balancing.
@@ -1110,7 +1099,7 @@ impl Testbed {
         let now = sim.now();
         let q = self.nic.rss_queue(pkt.flow);
         self.wire_requests_in_flight -= 1;
-        if self.faults.wire_drop(now, q.0).is_some() {
+        if self.faults.wire_drop(now, q.0) {
             // The request dies on the wire before the NIC sees it:
             // accounted explicitly so conservation holds under loss.
             self.faults.note_wire_request_dropped();
@@ -2066,9 +2055,6 @@ impl Testbed {
     /// back-to-back at the scope start.
     fn ev_fault_incast(&mut self, sim: &mut Simulator<Testbed>, requests: u32) {
         let now = sim.now();
-        if now > self.send_horizon {
-            return;
-        }
         for _ in 0..requests {
             let pkt = self.client.build_request(now, &mut self.rng_client);
             self.ledger.credit(Account::RequestsSent, 1);
@@ -2583,6 +2569,12 @@ mod tests {
         LoadSpec::custom(rps, SimDuration::from_millis(100), 0.4, 0.3)
     }
 
+    /// Stops the client's send chain, as a load switch does, so the
+    /// pipeline can drain.
+    fn stop_sends(tb: &mut Testbed) {
+        tb.arrival_gen += 1;
+    }
+
     fn build(rps: f64, governor: Box<dyn PStateGovernor>) -> (Simulator<Testbed>, Testbed) {
         let cfg = TestbedConfig::new(AppModel::memcached(), small_load(rps)).with_seed(123);
         let cores = cfg.profile.cores;
@@ -2723,7 +2715,7 @@ mod tests {
             .expect("audit enabled")
             .assert_balanced();
         // After drain: stop sends and let the pipeline empty.
-        tb.stop_sends_at(sim.now());
+        stop_sends(&mut tb);
         sim.run_until(&mut tb, SimTime::from_millis(400));
         let report = tb.audit_report(sim.now()).expect("audit enabled");
         report.assert_balanced();
@@ -2893,7 +2885,7 @@ mod tests {
         sim.run_until(&mut tb, SimTime::from_millis(150));
         tb.audit_report(sim.now()).unwrap().assert_balanced();
         sim.run_until(&mut tb, SimTime::from_millis(300));
-        tb.stop_sends_at(sim.now());
+        stop_sends(&mut tb);
         sim.run_until(&mut tb, SimTime::from_millis(600));
         let report = tb.audit_report(sim.now()).unwrap();
         report.assert_balanced();
@@ -2912,7 +2904,7 @@ mod tests {
         );
         let (mut sim, mut tb) = build_faulty(40_000.0, plan);
         sim.run_until(&mut tb, SimTime::from_millis(300));
-        tb.stop_sends_at(sim.now());
+        stop_sends(&mut tb);
         sim.run_until(&mut tb, SimTime::from_millis(600));
         tb.audit_report(sim.now()).unwrap().assert_balanced();
         assert!(

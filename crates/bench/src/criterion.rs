@@ -166,19 +166,6 @@ pub fn json_report_path() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("BENCH_repro.json"))
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders stats as the `BENCH_repro.json` document: a single
 /// `benchmarks` array of `{name, mean_ns, min_ns, p50_ns, p99_ns,
 /// samples}` objects, sorted by name for stable diffs.
@@ -191,8 +178,8 @@ pub fn render_json(stats: &[BenchStat]) -> String {
             out.push_str(",\n");
         }
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"mean_ns\":{},\"min_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"samples\":{}}}",
-            json_escape(&s.name),
+            "{{\"name\":{},\"mean_ns\":{},\"min_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"samples\":{}}}",
+            experiments::json::quote(&s.name),
             s.mean_ns,
             s.min_ns,
             s.p50_ns,

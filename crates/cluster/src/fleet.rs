@@ -55,9 +55,7 @@
 //! violation turns the run into
 //! [`SimError::Accounting`] instead of a silently wrong result.
 
-use std::collections::VecDeque;
 use std::mem;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use appsim::{AdmissionPolicy, AppModel, Testbed, TestbedConfig};
 use governors::DegradationStats;
@@ -78,12 +76,6 @@ use crate::ring::{flow_key, HashRing};
 mod pool;
 
 use pool::{ServerCore, ServerPool};
-
-/// Locks a mutex, shrugging off poisoning: a panicking worker must
-/// not cascade into every other thread that shares the sweep state.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Sleep policy every server runs.
 const SLEEP: SleepKind = SleepKind::Menu;
@@ -1053,17 +1045,21 @@ fn harvest(s: &mut ServerInstance, core: &mut ServerCore) {
     }
 }
 
+/// The fleet's latency sketch: every server's sketch merged, in
+/// server order (`None` for an empty fleet).
+fn merged_sketch(servers: &[ServerInstance]) -> Option<StreamingQuantiles> {
+    let (first, rest) = servers.split_first()?;
+    let mut merged = first.q.clone();
+    for s in rest {
+        merged.merge(&s.q);
+    }
+    Some(merged)
+}
+
 /// Recomputes the hedge delay from the merged fleet latency quantile.
 fn recompute_hedge_delay(w: &mut FleetWorld) {
     let Some(h) = w.cfg.hedge else { return };
-    let mut merged: Option<StreamingQuantiles> = None;
-    for s in &w.servers {
-        match &mut merged {
-            None => merged = Some(s.q.clone()),
-            Some(m) => m.merge(&s.q),
-        }
-    }
-    let q_ns = merged.map_or(0, |m| m.quantile(h.quantile));
+    let q_ns = merged_sketch(&w.servers).map_or(0, |m| m.quantile(h.quantile));
     w.hedge_delay = SimDuration::from_nanos(q_ns).max(h.floor);
 }
 
@@ -1540,13 +1536,7 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
     for s in &mut world.servers {
         s.q.advance_to(end);
     }
-    let mut merged: Option<StreamingQuantiles> = None;
-    for s in &world.servers {
-        match &mut merged {
-            None => merged = Some(s.q.clone()),
-            Some(m) => m.merge(&s.q),
-        }
-    }
+    let merged = merged_sketch(&world.servers);
     let (p99, p50) = merged.map_or((SimDuration::ZERO, SimDuration::ZERO), |m| {
         (
             SimDuration::from_nanos(m.p99_ns()),
@@ -1658,34 +1648,15 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
 /// fleet advances its servers inline (a zero-worker pool) rather than
 /// adding threads of its own; a single config runs like [`run_fleet`].
 pub fn run_fleet_many(configs: Vec<FleetConfig>) -> Vec<FleetResult> {
-    if configs.len() <= 1 {
-        return configs.into_iter().map(run_fleet).collect();
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(4)
-        .min(configs.len());
-    let jobs: Mutex<VecDeque<(usize, FleetConfig)>> =
-        Mutex::new(configs.into_iter().enumerate().collect());
-    let n = lock(&jobs).len();
-    let results: Mutex<Vec<Option<FleetResult>>> = Mutex::new(vec![None; n]);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let job = lock(&jobs).pop_front();
-                let Some((idx, cfg)) = job else { break };
-                let result =
-                    run_on_pool(cfg, &StepBudget::unlimited(), 0).expect("invalid FleetConfig");
-                lock(&results)[idx] = Some(result);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .map(|r| r.expect("worker skipped a job"))
-        .collect()
+    let lone = configs.len() == 1;
+    simcore::par::map_ordered(configs, |cfg| {
+        let workers = if lone {
+            pool::default_workers(cfg.servers)
+        } else {
+            0
+        };
+        run_on_pool(cfg, &StepBudget::unlimited(), workers).expect("invalid FleetConfig")
+    })
 }
 
 #[cfg(test)]

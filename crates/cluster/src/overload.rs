@@ -19,7 +19,7 @@
 //!   latency-critical traffic keeps its SLO while best-effort work
 //!   waits out the storm.
 
-use simcore::{SimDuration, SimError, SimTime};
+use simcore::{SimDuration, SimTime};
 
 /// Token-bucket retry budget, per client flow. Retries spend a whole
 /// token; successes refill a fraction of one, so the sustained
@@ -43,31 +43,6 @@ impl Default for RetryBudgetPolicy {
             cap: 5,
             refill_permille: 100,
         }
-    }
-}
-
-impl RetryBudgetPolicy {
-    /// Validates the policy's parameters.
-    pub fn validate(&self) -> Result<(), SimError> {
-        if self.cap == 0 {
-            return Err(SimError::invalid(
-                "retry_budget.cap",
-                "a zero-token cap denies every retry",
-            ));
-        }
-        if self.initial > self.cap {
-            return Err(SimError::invalid(
-                "retry_budget.initial",
-                "initial tokens exceed the cap",
-            ));
-        }
-        if self.refill_permille == 0 {
-            return Err(SimError::invalid(
-                "retry_budget.refill_permille",
-                "a zero refill starves the budget permanently",
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -131,25 +106,6 @@ impl Default for BreakerPolicy {
             probe_cap: 3,
             ok_threshold: 2,
         }
-    }
-}
-
-impl BreakerPolicy {
-    /// Validates the policy's parameters.
-    pub fn validate(&self) -> Result<(), SimError> {
-        if self.fail_threshold == 0 || self.ok_threshold == 0 || self.probe_cap == 0 {
-            return Err(SimError::invalid(
-                "breaker",
-                "fail_threshold, ok_threshold, and probe_cap must be ≥ 1",
-            ));
-        }
-        if self.cooldown.is_zero() {
-            return Err(SimError::invalid(
-                "breaker.cooldown",
-                "a zero cooldown makes the open state unreachable",
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -294,25 +250,6 @@ impl Default for BrownoutPolicy {
             threshold_permille: 700,
             restore_permille: 300,
         }
-    }
-}
-
-impl BrownoutPolicy {
-    /// Validates the policy's parameters.
-    pub fn validate(&self) -> Result<(), SimError> {
-        if self.threshold_permille > 1000 {
-            return Err(SimError::invalid(
-                "brownout.threshold_permille",
-                "saturation is a per-mille signal (≤ 1000)",
-            ));
-        }
-        if self.restore_permille > self.threshold_permille {
-            return Err(SimError::invalid(
-                "brownout.restore_permille",
-                "restore above threshold inverts the hysteresis band",
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -471,37 +408,5 @@ mod tests {
         b.observe(300);
         assert!(!b.active());
         assert_eq!(b.activations(), 1);
-    }
-
-    #[test]
-    fn policies_validate() {
-        assert!(RetryBudgetPolicy::default().validate().is_ok());
-        assert!(RetryBudgetPolicy {
-            cap: 0,
-            ..RetryBudgetPolicy::default()
-        }
-        .validate()
-        .is_err());
-        assert!(RetryBudgetPolicy {
-            initial: 9,
-            cap: 5,
-            ..RetryBudgetPolicy::default()
-        }
-        .validate()
-        .is_err());
-        assert!(BreakerPolicy::default().validate().is_ok());
-        assert!(BreakerPolicy {
-            probe_cap: 0,
-            ..BreakerPolicy::default()
-        }
-        .validate()
-        .is_err());
-        assert!(BrownoutPolicy::default().validate().is_ok());
-        assert!(BrownoutPolicy {
-            threshold_permille: 200,
-            restore_permille: 600,
-        }
-        .validate()
-        .is_err());
     }
 }

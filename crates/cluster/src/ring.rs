@@ -10,30 +10,25 @@
 //! little-endian bytes: a pure integer function, byte-identical on
 //! every platform.
 
+use simcore::hash::fnv1a;
+
 /// Virtual nodes per server. 64 arcs per server keeps the worst-case
 /// share imbalance in the few-percent range for single-digit fleets.
 const VNODES: u64 = 64;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+/// FNV-1a over the little-endian bytes of `words`.
+#[inline]
+fn hash_words<const N: usize>(words: [u64; N]) -> u64 {
+    fnv1a(words.into_iter().flat_map(u64::to_le_bytes))
 }
 
 /// Hashes a flow (plus its connection incarnation) to a ring key. A
 /// new incarnation models a reconnect: the new connection gets a
 /// fresh source port, so it lands on a fresh ring position. The fleet
 /// keeps every flow at incarnation 0.
+#[inline]
 pub fn flow_key(flow: u64, incarnation: u64) -> u64 {
-    fnv1a(&[flow, incarnation])
+    hash_words([flow, incarnation])
 }
 
 /// A consistent-hash ring over `servers` backends.
@@ -45,14 +40,14 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// A ring with [`VNODES`] virtual nodes per server. A zero-server
+    /// A ring with `VNODES` virtual nodes per server. A zero-server
     /// ring is valid but steers everything to server 0 (callers
     /// validate fleet sizes before building one).
     pub fn new(servers: usize) -> Self {
         let mut points = Vec::with_capacity(servers * VNODES as usize);
         for server in 0..servers {
             for replica in 0..VNODES {
-                points.push((fnv1a(&[server as u64, replica, 0x5e1f]), server));
+                points.push((hash_words([server as u64, replica, 0x5e1f]), server));
             }
         }
         points.sort_unstable();
@@ -184,5 +179,10 @@ mod tests {
     #[test]
     fn incarnation_changes_the_key() {
         assert_ne!(flow_key(9, 0), flow_key(9, 1));
+    }
+
+    #[test]
+    fn flow_key_is_pinned() {
+        assert_eq!(flow_key(7, 0), 0x9b25_de61_27c0_1ba2);
     }
 }

@@ -25,7 +25,6 @@ use simcore::SimTime;
 #[derive(Debug, Clone, Default)]
 pub struct RaplCounter {
     last_reading_j: f64,
-    total_read_j: f64,
     clamp_events: u64,
 }
 
@@ -59,13 +58,7 @@ impl RaplCounter {
             delta
         };
         self.last_reading_j = current;
-        self.total_read_j += delta;
         delta
-    }
-
-    /// Sum of all interval reads so far.
-    pub fn total_joules(&self) -> f64 {
-        self.total_read_j
     }
 
     /// Interval reads that observed a negative delta and clamped it
@@ -91,7 +84,6 @@ mod tests {
         assert!(a > 0.0);
         // Same workload (idle) → roughly the same energy per second.
         assert!((a - b).abs() < 1e-6 * a.max(1.0), "a={a} b={b}");
-        assert!((rapl.total_joules() - (a + b)).abs() < 1e-9);
     }
 
     #[test]

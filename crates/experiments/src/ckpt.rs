@@ -57,7 +57,7 @@ pub const CHECKPOINT_VERSION: u64 = 5;
 /// thresholds, fault plan — changes the key, so a stale checkpoint
 /// can never satisfy an edited sweep.
 pub fn cell_key(cfg: &RunConfig) -> u64 {
-    fnv1a(format!("{cfg:?}").as_bytes())
+    simcore::hash::fnv1a(format!("{cfg:?}").into_bytes())
 }
 
 /// Whether the file at `path` is empty or ends with a newline — i.e.
@@ -77,15 +77,6 @@ fn ends_with_newline(path: &Path) -> std::io::Result<bool> {
     let mut last = [0u8; 1];
     f.read_exact(&mut last)?;
     Ok(last[0] == b'\n')
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// A cell the supervisor retried to exhaustion and gave up on.
@@ -546,6 +537,19 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("nmap-ckpt-{name}-{}", std::process::id()));
         p
+    }
+
+    /// Cell keys must never move: a key change silently re-runs every
+    /// cell of an existing checkpoint.
+    #[test]
+    fn cell_key_is_pinned() {
+        let cfg = RunConfig::new(
+            AppKind::Memcached,
+            LoadSpec::preset(AppKind::Memcached, workload::LoadLevel::Medium),
+            GovernorKind::Ondemand,
+            Scale::Quick,
+        );
+        assert_eq!(cell_key(&cfg), 0x4482_99cc_addb_091c);
     }
 
     #[test]

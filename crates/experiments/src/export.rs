@@ -16,6 +16,7 @@
 //! experiments::export::write_traces_csv(&result, "out_dir").unwrap();
 //! ```
 
+use crate::json::quote;
 use crate::runner::RunResult;
 use simcore::{TraceBuffer, TraceCategory, TraceKind};
 use std::fmt::Write as _;
@@ -90,22 +91,6 @@ pub fn write_traces_csv(result: &RunResult, dir: impl AsRef<Path>) -> io::Result
     Ok(())
 }
 
-fn json_escape(s: &str) -> String {
-    // Trace names are static identifiers; escape defensively anyway.
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn category_index(cat: TraceCategory) -> usize {
     TraceCategory::ALL
         .iter()
@@ -164,8 +149,8 @@ pub fn perfetto_json_with_drops(trace: &TraceBuffer, extra_dropped: u64) -> Stri
             &mut out,
             format!(
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(cat.label())
+                 \"args\":{{\"name\":{}}}}}",
+                quote(cat.label())
             ),
         );
     }
@@ -173,26 +158,26 @@ pub fn perfetto_json_with_drops(trace: &TraceBuffer, extra_dropped: u64) -> Stri
         let pid = e.core + 1;
         let tid = category_index(e.category) + 1;
         let ts = e.time.as_nanos() as f64 / 1e3;
-        let name = json_escape(e.name);
-        let cat = json_escape(e.category.label());
+        let name = quote(e.name);
+        let cat = quote(e.category.label());
         let line = match e.kind {
             TraceKind::SpanBegin => format!(
                 "{{\"ph\":\"B\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts:.3},\
-                 \"cat\":\"{cat}\",\"name\":\"{name}\",\"args\":{{\"v\":{}}}}}",
+                 \"cat\":{cat},\"name\":{name},\"args\":{{\"v\":{}}}}}",
                 e.arg
             ),
             TraceKind::SpanEnd => format!(
                 "{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts:.3},\
-                 \"cat\":\"{cat}\",\"name\":\"{name}\"}}"
+                 \"cat\":{cat},\"name\":{name}}}"
             ),
             TraceKind::Instant => format!(
                 "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts:.3},\
-                 \"cat\":\"{cat}\",\"name\":\"{name}\",\"args\":{{\"v\":{}}}}}",
+                 \"cat\":{cat},\"name\":{name},\"args\":{{\"v\":{}}}}}",
                 e.arg
             ),
             TraceKind::Counter => format!(
                 "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts:.3},\
-                 \"name\":\"{name}\",\"args\":{{\"{name}\":{}}}}}",
+                 \"name\":{name},\"args\":{{{name}:{}}}}}",
                 e.arg
             ),
         };

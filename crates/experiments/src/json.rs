@@ -130,6 +130,13 @@ impl Value {
     }
 }
 
+/// `s` as a JSON string literal, quotes included.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_escaped(&mut out, s);
+    out
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

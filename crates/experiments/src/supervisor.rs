@@ -24,7 +24,6 @@
 use crate::ckpt::{Checkpoint, QuarantineRecord};
 use crate::runner::{self, RunConfig, RunResult};
 use simcore::{SimError, StepBudget};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -269,33 +268,7 @@ impl Supervisor {
     /// cell goes through the failure policy, so one bad cell costs a
     /// placeholder, not the sweep.
     pub fn run_many(&self, configs: Vec<RunConfig>) -> Vec<RunResult> {
-        if configs.len() <= 1 {
-            return configs.into_iter().map(|c| self.run_one(c)).collect();
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(4)
-            .min(configs.len());
-        let jobs: Mutex<VecDeque<(usize, RunConfig)>> =
-            Mutex::new(configs.into_iter().enumerate().collect());
-        let n = lock(&jobs).len();
-        let results: Mutex<Vec<Option<RunResult>>> = Mutex::new(vec![None; n]);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let job = lock(&jobs).pop_front();
-                    let Some((idx, cfg)) = job else { break };
-                    let result = self.run_one(cfg);
-                    lock(&results)[idx] = Some(result);
-                });
-            }
-        });
-        results
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            .map(|r| r.expect("worker skipped a job"))
-            .collect()
+        simcore::par::map_ordered(configs, |c| self.run_one(c))
     }
 }
 

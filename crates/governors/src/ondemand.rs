@@ -25,6 +25,12 @@ use cpusim::pstate::PStateTable;
 use cpusim::{CoreId, PState};
 use simcore::{SimDuration, SimTime};
 
+/// Utilization at or above which the governor escalates (the
+/// kernel's micro-accounting default).
+const UP_THRESHOLD: f64 = 0.95;
+/// Sampling period.
+const INTERVAL: SimDuration = SimDuration::from_millis(10);
+
 /// Per-core utilization-driven DVFS.
 ///
 /// # Examples
@@ -56,8 +62,6 @@ pub struct Ondemand {
     /// Current frequency believed per core (kept for introspection
     /// and NMAP's override bookkeeping).
     current: Vec<PState>,
-    up_threshold: f64,
-    interval: SimDuration,
 }
 
 impl Ondemand {
@@ -68,8 +72,6 @@ impl Ondemand {
         Ondemand {
             table,
             current: vec![slowest; cores],
-            up_threshold: 0.95,
-            interval: SimDuration::from_millis(10),
         }
     }
 
@@ -77,7 +79,7 @@ impl Ondemand {
     /// core's current state. Exposed for NMAP's CPU-utilization
     /// fallback mode.
     pub fn decide(&self, current: PState, util: f64) -> PState {
-        let desired = if util >= self.up_threshold {
+        let desired = if util >= UP_THRESHOLD {
             PState::P0
         } else {
             // od_update's range mapping: f_min + load · (f_max − f_min).
@@ -114,7 +116,7 @@ impl PStateGovernor for Ondemand {
     }
 
     fn sampling_interval(&self) -> SimDuration {
-        self.interval
+        INTERVAL
     }
 
     fn on_core_sample(

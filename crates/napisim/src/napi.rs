@@ -107,8 +107,6 @@ pub struct NapiContext {
     // --- counters ---
     total_intr_pkts: u64,
     total_poll_pkts: u64,
-    window_intr_pkts: u64,
-    window_poll_pkts: u64,
     mode_log: EventLog<NapiMode>,
     intr_pkt_log: EventLog<u64>,
     poll_pkt_log: EventLog<u64>,
@@ -128,8 +126,6 @@ impl NapiContext {
             ksoftirqd_running: false,
             total_intr_pkts: 0,
             total_poll_pkts: 0,
-            window_intr_pkts: 0,
-            window_poll_pkts: 0,
             mode_log: EventLog::new(),
             intr_pkt_log: EventLog::new(),
             poll_pkt_log: EventLog::new(),
@@ -213,14 +209,12 @@ impl NapiContext {
         match class {
             PollClass::Interrupt => {
                 self.total_intr_pkts += rx as u64;
-                self.window_intr_pkts += rx as u64;
                 if rx > 0 {
                     self.intr_pkt_log.push(now, rx as u64);
                 }
             }
             PollClass::Polling => {
                 self.total_poll_pkts += rx as u64;
-                self.window_poll_pkts += rx as u64;
                 if rx > 0 {
                     self.poll_pkt_log.push(now, rx as u64);
                 }
@@ -289,15 +283,6 @@ impl NapiContext {
     /// Cumulative packets processed in polling mode.
     pub fn total_polling_packets(&self) -> u64 {
         self.total_poll_pkts
-    }
-
-    /// Returns and resets the per-window counters `(intr, poll)` —
-    /// Algorithm 1 lines 9-12.
-    pub fn take_window_counts(&mut self) -> (u64, u64) {
-        let counts = (self.window_intr_pkts, self.window_poll_pkts);
-        self.window_intr_pkts = 0;
-        self.window_poll_pkts = 0;
-        counts
     }
 
     /// Log of mode transitions `(time, new mode)`.
@@ -470,14 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn window_counters_reset_on_take() {
+    fn totals_split_packets_by_poll_class() {
         let mut n = ctx();
         n.on_irq(t(0));
         n.record_poll(64, 0, false, false, ProcContext::SoftIrq, t(60));
         n.record_poll(40, 0, true, false, ProcContext::SoftIrq, t(120));
-        assert_eq!(n.take_window_counts(), (64, 40));
-        assert_eq!(n.take_window_counts(), (0, 0));
-        // Totals are unaffected.
         assert_eq!(n.total_interrupt_packets(), 64);
         assert_eq!(n.total_polling_packets(), 40);
     }

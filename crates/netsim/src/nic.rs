@@ -26,18 +26,6 @@ use simcore::{EventLog, SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueueId(pub usize);
 
-/// Interrupt-moderation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItrMode {
-    /// Fixed minimum interrupt spacing (the 82599's hardware floor is
-    /// 10 µs — the figure §5.1's per-request-DVFS argument rests on).
-    Fixed(SimDuration),
-    /// `ixgbe`-style adaptive moderation: the spacing grows with the
-    /// observed descriptor rate (10 µs in the low-latency regime,
-    /// 25 µs at bulk, 50 µs at line-rate-ish loads).
-    Adaptive,
-}
-
 /// NIC construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct NicConfig {
@@ -47,8 +35,6 @@ pub struct NicConfig {
     pub rx_ring_size: usize,
     /// Tx-completion ring size per queue.
     pub tx_ring_size: usize,
-    /// Interrupt-moderation policy.
-    pub itr: ItrMode,
 }
 
 impl NicConfig {
@@ -59,15 +45,6 @@ impl NicConfig {
             queues,
             rx_ring_size: 1024,
             tx_ring_size: 1024,
-            itr: ItrMode::Adaptive,
-        }
-    }
-
-    /// Fixed-ITR variant (latency-tuned, §5.1's 10 µs floor).
-    pub fn intel_82599_fixed_itr(queues: usize, itr: SimDuration) -> Self {
-        NicConfig {
-            itr: ItrMode::Fixed(itr),
-            ..Self::intel_82599(queues)
         }
     }
 }
@@ -248,19 +225,14 @@ impl Nic {
     /// the shape of ixgbe's `ixgbe_update_itr` buckets.
     fn update_itr(&mut self, q: QueueId, window: SimDuration) {
         let queue = &mut self.queues[q.0];
-        let new_itr = match self.config.itr {
-            ItrMode::Fixed(itr) => itr,
-            ItrMode::Adaptive => {
-                let secs = window.as_secs_f64().max(1e-6);
-                let rate = queue.descs_since_irq as f64 / secs;
-                if rate < 20_000.0 {
-                    SimDuration::from_micros(10) // lowest latency
-                } else if rate < 100_000.0 {
-                    SimDuration::from_micros(25) // low latency
-                } else {
-                    SimDuration::from_micros(50) // bulk
-                }
-            }
+        let secs = window.as_secs_f64().max(1e-6);
+        let rate = queue.descs_since_irq as f64 / secs;
+        let new_itr = if rate < 20_000.0 {
+            SimDuration::from_micros(10) // lowest latency
+        } else if rate < 100_000.0 {
+            SimDuration::from_micros(25) // low latency
+        } else {
+            SimDuration::from_micros(50) // bulk
         };
         queue.current_itr = self.itr_override.unwrap_or(new_itr);
         queue.descs_since_irq = 0;
@@ -661,7 +633,6 @@ mod tests {
             queues: 1,
             rx_ring_size: 2,
             tx_ring_size: 2,
-            itr: ItrMode::Fixed(SimDuration::from_micros(10)),
         });
         let q = QueueId(0);
         for i in 0..5 {
@@ -711,17 +682,23 @@ mod tests {
     }
 
     #[test]
-    fn fixed_itr_never_adapts() {
-        let mut n = Nic::new(NicConfig::intel_82599_fixed_itr(
-            1,
-            SimDuration::from_micros(10),
-        ));
+    fn itr_override_pins_spacing_until_cleared() {
+        let mut n = Nic::new(NicConfig::intel_82599(1));
+        n.set_itr_override(Some(SimDuration::from_micros(10)));
         let q = QueueId(0);
         for i in 0..200 {
             n.enqueue_rx(q, pkt(i), SimTime::from_micros(i));
         }
         n.irq_fired(q, SimTime::from_micros(200));
         assert_eq!(n.current_itr(q), SimDuration::from_micros(10));
+        // Cleared: the next IRQ re-derives the spacing from the load.
+        n.set_itr_override(None);
+        n.poll(q, 256);
+        for i in 300..500 {
+            n.enqueue_rx(q, pkt(i), SimTime::from_micros(i));
+        }
+        n.irq_fired(q, SimTime::from_micros(500));
+        assert_eq!(n.current_itr(q), SimDuration::from_micros(50));
     }
 
     #[test]
@@ -790,9 +767,10 @@ mod tests {
         // Drive a long arrival train through the full IRQ cycle and
         // check the hardware guarantee directly: consecutive delivered
         // IRQs are never closer than the ITR in force when the second
-        // one was armed (10 µs fixed here — §5.1's floor).
+        // one was armed (pinned to 10 µs here — §5.1's floor).
         let itr = SimDuration::from_micros(10);
-        let mut n = Nic::new(NicConfig::intel_82599_fixed_itr(1, itr));
+        let mut n = Nic::new(NicConfig::intel_82599(1));
+        n.set_itr_override(Some(itr));
         let q = QueueId(0);
         let mut fired = Vec::new();
         let mut pending: Option<SimTime> = None;
@@ -832,7 +810,6 @@ mod tests {
             queues: 1,
             rx_ring_size: 4,
             tx_ring_size: 4,
-            itr: ItrMode::Fixed(SimDuration::from_micros(10)),
         });
         let q = QueueId(0);
         // 4 accepted, 3 dropped (of which the ack is not a request).

@@ -526,18 +526,6 @@ impl<W: World<Q>, Q: SchedQueue> Simulator<W, Q> {
         }
         Ok(self.executed - start)
     }
-
-    /// Runs until the queue drains, or until `max_events` have run.
-    /// Returns the number of events executed.
-    pub fn run_to_completion(&mut self, world: &mut W, max_events: u64) -> u64 {
-        let start = self.executed;
-        while self.executed - start < max_events {
-            if !self.step(world) {
-                break;
-            }
-        }
-        self.executed - start
-    }
 }
 
 impl<W: World<Q>, Q: SchedQueue> std::fmt::Debug for Simulator<W, Q> {
@@ -839,16 +827,6 @@ mod tests {
         );
         sim.run_until(&mut w, SimTime::from_micros(20));
         assert_eq!(w.0, vec![0, 1]);
-    }
-
-    #[test]
-    fn run_to_completion_respects_cap() {
-        let mut sim: Simulator<Log> = Simulator::new();
-        let mut w = Log::default();
-        sim.schedule_in(SimDuration::from_nanos(1), Ev::Perpetual);
-        let n = sim.run_to_completion(&mut w, 100);
-        assert_eq!(n, 100);
-        assert_eq!(w.0.len(), 100);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! let mut inj = FaultInjector::from_plan(&plan, 7);
 //! assert!(inj.is_active());
 //! // Outside every scope the query is a cheap miss.
-//! assert!(inj.wire_drop(SimTime::from_millis(20), 0).is_none());
+//! assert!(!inj.wire_drop(SimTime::from_millis(20), 0));
 //! ```
 
 use crate::rng::RngStream;
@@ -43,13 +43,6 @@ pub enum FaultKind {
     /// `prob` per packet.
     WireDrop {
         /// Per-packet drop probability.
-        prob: f64,
-    },
-    /// Corrupt a wire packet with probability `prob`; a corrupted
-    /// packet fails its checksum and is discarded like a drop, but is
-    /// counted separately.
-    WireCorrupt {
-        /// Per-packet corruption probability.
         prob: f64,
     },
     /// A delivered IRQ is lost with probability `prob` (the vector
@@ -179,7 +172,6 @@ impl FaultKind {
     pub const fn label(self) -> &'static str {
         match self {
             FaultKind::WireDrop { .. } => "wire-drop",
-            FaultKind::WireCorrupt { .. } => "wire-corrupt",
             FaultKind::IrqLoss { .. } => "irq-loss",
             FaultKind::SpuriousIrq { .. } => "spurious-irq",
             FaultKind::StuckIrqMask => "stuck-irq-mask",
@@ -299,8 +291,9 @@ impl FaultPlan {
     /// window, a core index off the end of the topology, a
     /// probability outside `[0, 1]`, a zero injection period (which
     /// would livelock the event queue), or a zero capacity/budget
-    /// clamp — is a typed [`SimError::InvalidConfig`] instead of a
-    /// downstream panic or hang.
+    /// clamp — is a typed
+    /// [`SimError::InvalidConfig`](crate::SimError::InvalidConfig)
+    /// instead of a downstream panic or hang.
     pub fn validate(&self, cores: usize) -> Result<(), crate::error::SimError> {
         use crate::error::SimError;
         let prob_ok = |p: f64| p.is_finite() && (0.0..=1.0).contains(&p);
@@ -338,7 +331,6 @@ impl FaultPlan {
             };
             match spec.kind {
                 FaultKind::WireDrop { prob }
-                | FaultKind::WireCorrupt { prob }
                 | FaultKind::IrqLoss { prob }
                 | FaultKind::NapiSignalLoss { prob } => {
                     if !prob_ok(prob) {
@@ -402,9 +394,9 @@ impl FaultPlan {
 /// reference fault totals without `cfg` noise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Request packets dropped or corrupted on the wire.
+    /// Request packets dropped on the wire.
     pub wire_requests_dropped: u64,
-    /// Response packets dropped or corrupted on the wire.
+    /// Response packets dropped on the wire.
     pub wire_responses_dropped: u64,
     /// Delivered IRQs lost before the core saw them.
     pub irqs_lost: u64,
@@ -479,15 +471,6 @@ impl FaultStats {
     pub fn wire_dropped(&self) -> u64 {
         self.wire_requests_dropped + self.wire_responses_dropped
     }
-}
-
-/// The outcome of a wire-level fault query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireFault {
-    /// The packet is silently dropped.
-    Dropped,
-    /// The packet arrives corrupted and is discarded at the receiver.
-    Corrupted,
 }
 
 /// Upper bound on retained injection-log entries; applications keep
@@ -565,32 +548,25 @@ impl FaultInjector {
     /// [`note_wire_request_dropped`]: Self::note_wire_request_dropped
     /// [`note_wire_response_dropped`]: Self::note_wire_response_dropped
     #[inline]
-    pub fn wire_drop(&mut self, now: SimTime, core: usize) -> Option<WireFault> {
+    pub fn wire_drop(&mut self, now: SimTime, core: usize) -> bool {
         if !self.is_active() {
-            return None;
+            return false;
         }
         let FaultInjector { plan, rng, log, .. } = self;
         for spec in &plan.specs {
             if !spec.scope.covers(now, Some(core)) {
                 continue;
             }
-            match spec.kind {
-                FaultKind::WireDrop { prob } if rng.chance(prob) => {
+            if let FaultKind::WireDrop { prob } = spec.kind {
+                if rng.chance(prob) {
                     if log.len() < LOG_CAP {
                         log.push((now, "wire-drop", core as u32));
                     }
-                    return Some(WireFault::Dropped);
+                    return true;
                 }
-                FaultKind::WireCorrupt { prob } if rng.chance(prob) => {
-                    if log.len() < LOG_CAP {
-                        log.push((now, "wire-corrupt", core as u32));
-                    }
-                    return Some(WireFault::Corrupted);
-                }
-                _ => {}
             }
         }
-        None
+        false
     }
 
     /// Records a request lost to [`wire_drop`](Self::wire_drop).
@@ -1062,7 +1038,7 @@ mod tests {
     fn empty_plan_is_inert() {
         let mut inj = FaultInjector::from_plan(&FaultPlan::new(), 1);
         assert!(!inj.is_active());
-        assert!(inj.wire_drop(ms(1), 0).is_none());
+        assert!(!inj.wire_drop(ms(1), 0));
         assert!(!inj.irq_lost(ms(1), 0));
         assert!(inj.wake_delay(ms(1), 0).is_none());
         assert_eq!(inj.stats().total(), 0);
@@ -1088,10 +1064,10 @@ mod tests {
             FaultScope::window(ms(10), ms(20)),
         );
         let mut inj = FaultInjector::from_plan(&plan, 3);
-        assert!(inj.wire_drop(ms(5), 0).is_none());
-        assert_eq!(inj.wire_drop(ms(15), 0), Some(WireFault::Dropped));
+        assert!(!inj.wire_drop(ms(5), 0));
+        assert!(inj.wire_drop(ms(15), 0));
         inj.note_wire_request_dropped();
-        assert!(inj.wire_drop(ms(25), 0).is_none());
+        assert!(!inj.wire_drop(ms(25), 0));
         assert_eq!(inj.stats().wire_requests_dropped, 1);
         assert_eq!(inj.log().len(), 1);
     }
@@ -1197,7 +1173,6 @@ mod tests {
     fn labels_are_unique() {
         let kinds = [
             FaultKind::WireDrop { prob: 0.0 },
-            FaultKind::WireCorrupt { prob: 0.0 },
             FaultKind::IrqLoss { prob: 0.0 },
             FaultKind::SpuriousIrq {
                 period: SimDuration::ZERO,

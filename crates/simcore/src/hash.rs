@@ -1,4 +1,5 @@
-//! A small, seedless hasher for integer-keyed lookup tables.
+//! Seedless hashes: a multiplicative hasher for integer-keyed lookup
+//! tables, and FNV-1a for stable keys derived from bytes.
 //!
 //! The simulator keeps several tables keyed by request ids (in-flight
 //! latency attribution, the fleet's open-request table). They are hit
@@ -71,6 +72,21 @@ impl Hasher for IdHasher {
 /// its iteration order reach a result.
 pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
+/// FNV-1a, 64-bit, over `bytes`: a pure integer function, identical on
+/// every platform and in every process. It keys the RNG streams, the
+/// fleet's hash ring and the sweep checkpoint's cells, so its output
+/// must never change.
+///
+/// ```
+/// assert_eq!(simcore::hash::fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[inline]
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,6 +96,14 @@ mod tests {
         let mut h = IdHasher::default();
         v.hash(&mut h);
         h.finish()
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(*b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(*b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a("foobar".bytes()), fnv1a(*b"foobar"));
     }
 
     #[test]

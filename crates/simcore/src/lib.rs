@@ -3,8 +3,8 @@
 //! The foundation for the NMAP reproduction: a deterministic
 //! discrete-event simulator with integer-nanosecond virtual time,
 //! cancellable events, seeded random-number streams, and the
-//! statistics toolkit (histograms, CDFs, time series) used by every
-//! experiment in the paper.
+//! statistics toolkit (histograms, CDFs) used by every experiment in
+//! the paper.
 //!
 //! # Examples
 //!
@@ -53,6 +53,7 @@ pub mod error;
 pub mod fault;
 pub mod hash;
 pub mod obs;
+pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -66,7 +67,6 @@ pub use engine::{
 pub use error::{BudgetKind, SimError};
 pub use fault::{
     FaultInjector, FaultKind, FaultPlan, FaultScope, FaultSpec, FaultStats, RecoverySummary,
-    WireFault,
 };
 pub use hash::{IdHashMap, IdHasher};
 pub use obs::attrib::{
@@ -89,6 +89,5 @@ pub use stats::cdf::Cdf;
 pub use stats::histogram::Histogram;
 pub use stats::running::RunningStats;
 pub use stats::streaming::{SloWatchdog, StreamingQuantiles, WatchdogEvent, WatchdogReport};
-pub use stats::timeseries::TimeSeries;
 pub use time::{SimDuration, SimTime};
 pub use trace::EventLog;

@@ -1,10 +1,8 @@
 //! Statistics toolkit used by the experiment harness: latency
 //! histograms with percentile queries, exact CDFs, running
-//! mean/stdev, and time-series recording for the paper's timeline
-//! figures.
+//! mean/stdev, and streaming percentiles with the SLO watchdog.
 
 pub mod cdf;
 pub mod histogram;
 pub mod running;
 pub mod streaming;
-pub mod timeseries;

@@ -1,6 +1,6 @@
 //! Streaming percentile estimation and the online SLO watchdog.
 //!
-//! The post-hoc [`Cdf`](crate::Cdf)/[`Histogram`](crate::Histogram)
+//! The post-hoc [`Cdf`](crate::Cdf)/[`Histogram`]
 //! pipeline answers "what was P99 over the run" — after the run. The
 //! paper's argument, though, is about *reaction time*: how long a
 //! governor lets the tail sit above the SLO before its signal catches

@@ -4,7 +4,7 @@
 //! wake-ups, C-state entries, mode transitions — preserving the exact
 //! times the paper's timeline figures (Fig 2, 7, 9) plot as marks.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// An append-only log of timestamped markers.
 ///
@@ -69,30 +69,6 @@ impl<T> EventLog<T> {
             .filter(move |(t, _)| *t >= start && *t < end)
     }
 
-    /// Number of markers per fixed-width bin over `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or `end < start`.
-    pub fn binned_count(&self, start: SimTime, end: SimTime, width: SimDuration) -> Vec<u64> {
-        assert!(!width.is_zero(), "bin width must be positive");
-        assert!(end >= start, "window must be non-negative");
-        let nbins = end
-            .saturating_since(start)
-            .as_nanos()
-            .div_ceil(width.as_nanos());
-        let mut bins = vec![0u64; nbins as usize];
-        for (t, _) in &self.entries {
-            if *t >= start && *t < end {
-                let idx = (t.saturating_since(start) / width) as usize;
-                if idx < bins.len() {
-                    bins[idx] += 1;
-                }
-            }
-        }
-        bins
-    }
-
     /// Clears the log.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -131,23 +107,6 @@ mod tests {
             .map(|&(_, m)| m)
             .collect();
         assert_eq!(hits, vec![2]);
-    }
-
-    #[test]
-    fn binned_counts() {
-        let log: EventLog<()> = [
-            (SimTime::from_millis(0), ()),
-            (SimTime::from_millis(0), ()),
-            (SimTime::from_millis(2), ()),
-        ]
-        .into_iter()
-        .collect();
-        let bins = log.binned_count(
-            SimTime::ZERO,
-            SimTime::from_millis(3),
-            SimDuration::from_millis(1),
-        );
-        assert_eq!(bins, vec![2, 0, 1]);
     }
 
     #[test]

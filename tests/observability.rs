@@ -125,20 +125,20 @@ fn slo_track_matches_its_pinned_digest() {
             "no nonzero {name} counter on the SLO track"
         );
     }
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for e in &slo {
-        let line = format!(
-            "{} {:?} {} {} {}\n",
-            e.time.as_nanos(),
-            e.kind,
-            e.core,
-            e.name,
-            e.arg
-        );
-        for b in line.bytes() {
-            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
+    let rendered: String = slo
+        .iter()
+        .map(|e| {
+            format!(
+                "{} {:?} {} {} {}\n",
+                e.time.as_nanos(),
+                e.kind,
+                e.core,
+                e.name,
+                e.arg
+            )
+        })
+        .collect();
+    let digest = simcore::hash::fnv1a(rendered.into_bytes());
     assert_eq!((slo.len(), digest), (860, 0x7057_51fb_00da_4ca1));
 }
 
