@@ -526,7 +526,9 @@ pub struct Testbed {
     pub governor: Box<dyn PStateGovernor>,
     /// The sleep policy under test.
     pub sleep: Box<dyn SleepPolicy>,
-    /// Per-core ksoftirqd wake (`true`) / sleep (`false`) marks.
+    /// Per-core ksoftirqd wake (`true`) / sleep (`false`) marks:
+    /// `len()` counts every mark, entries are kept only while the
+    /// trace buffer records.
     pub ksoftirqd_log: Vec<EventLog<bool>>,
     /// Optional per-poll-batch observer (threshold profiling).
     #[allow(clippy::type_complexity)]
@@ -593,6 +595,8 @@ pub struct Testbed {
     actions: Vec<Action>,
     /// Executed-event counts per handler kind (indexed by `EvKind`).
     ev_counts: [u64; EvKind::COUNT],
+    /// ksoftirqd wake marks across all cores (`ksoftirqd.wakes`).
+    ksoftirqd_wakes: u64,
     /// Per-core interrupt-chain timestamps for the attribution
     /// profiler's ring-interval decomposition.
     marks: Vec<ChainMarks>,
@@ -711,27 +715,36 @@ impl Testbed {
         config.validate()?;
         let cores = config.profile.cores;
         let queues = config.nic_queues.unwrap_or(cores).min(cores);
-        let processor = Processor::new(config.profile.clone(), config.scope);
+        let mut processor = Processor::new(config.profile.clone(), config.scope);
         let mut nic = Nic::new(NicConfig::intel_82599(queues));
+        let stack = stack_for(config.app.kind);
+        let mut napi: Vec<NapiContext> = (0..cores).map(|_| NapiContext::new(stack)).collect();
+        let mut ksoftirqd_log: Vec<EventLog<bool>> =
+            (0..cores).map(|_| EventLog::counting()).collect();
         let trace = simcore::TraceBuffer::with_capacity(config.trace_capacity);
-        // Per-event logs that only traces read follow the trace switch.
+        // Per-event logs that only traces read follow the trace switch:
+        // untraced runs count transitions and keep no entries.
         let mut client = Client::new(CLIENT_FLOWS, config.app.request_size);
         if trace.is_recording() {
-            nic.set_irq_log_enabled(true);
+            nic.set_log_recording(true);
+            napi.iter_mut().for_each(|n| n.set_log_recording(true));
+            for i in 0..cores {
+                processor.core_mut(CoreId(i)).set_log_recording(true);
+            }
+            ksoftirqd_log.iter_mut().for_each(|l| l.set_recording(true));
             client.set_response_log_enabled(true);
         }
         let arrivals = config.load.arrivals();
         let seed = config.seed;
         let faults = FaultInjector::from_plan(&config.fault_plan, seed);
-        let stack = stack_for(config.app.kind);
         let mut tb = Testbed {
             processor,
             nic,
-            napi: (0..cores).map(|_| NapiContext::new(stack)).collect(),
+            napi,
             client,
             governor,
             sleep,
-            ksoftirqd_log: (0..cores).map(|_| EventLog::new()).collect(),
+            ksoftirqd_log,
             poll_observer: None,
             ledger: ConservationLedger::new(),
             trace,
@@ -766,6 +779,7 @@ impl Testbed {
             measure_start_samples: 0,
             actions: Vec::new(),
             ev_counts: [0; EvKind::COUNT],
+            ksoftirqd_wakes: 0,
             marks: vec![ChainMarks::default(); cores],
             watchdog_events: Vec::new(),
             base_load: config.load,
@@ -1446,6 +1460,7 @@ impl Testbed {
     fn note_ksoftirqd(&mut self, sim: &mut Simulator<Testbed>, core: CoreId, awake: bool) {
         let now = sim.now();
         self.ksoftirqd_log[core.0].push(now, awake);
+        self.ksoftirqd_wakes += u64::from(awake);
         let mut actions = std::mem::take(&mut self.actions);
         self.governor.on_ksoftirqd(core, awake, now, &mut actions);
         self.apply_actions(sim, &mut actions, DecisionTrigger::Ksoftirqd);
@@ -2489,13 +2504,7 @@ impl Testbed {
         self.governor.record_metrics(&mut m);
         m.set_counter("client.sent", self.client.sent());
         m.set_counter("client.received", self.client.received());
-        m.set_counter(
-            "ksoftirqd.wakes",
-            self.ksoftirqd_log
-                .iter()
-                .map(|l| l.iter().filter(|&&(_, awake)| awake).count() as u64)
-                .sum(),
-        );
+        m.set_counter("ksoftirqd.wakes", self.ksoftirqd_wakes);
         for kind in EvKind::ALL {
             m.set_counter(kind.key(), self.ev_counts[kind as usize]);
         }
@@ -2972,7 +2981,18 @@ mod tests {
         // core forces softirq overruns.
         let table = ProcessorProfile::xeon_gold_6134().pstates;
         let slowest = table.slowest();
-        let (mut sim, mut tb) = build(600_000.0, Box::new(governors::Userspace::new(slowest)));
+        // Recording traces keeps the ksoftirqd marks this test reads.
+        let cfg = TestbedConfig::new(AppModel::memcached(), small_load(600_000.0))
+            .with_seed(123)
+            .with_trace_capacity(1024);
+        let cores = cfg.profile.cores;
+        let mut sim = Simulator::new();
+        let mut tb = Testbed::new(
+            cfg,
+            Box::new(governors::Userspace::new(slowest)),
+            Box::new(MenuPolicy::new(cores)),
+            &mut sim,
+        );
         sim.run_until(&mut tb, SimTime::from_millis(500));
         let wakes: usize = tb
             .ksoftirqd_log

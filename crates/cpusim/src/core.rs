@@ -108,7 +108,13 @@ pub struct Core {
     // --- lifetime counters & traces ---
     total_busy: SimDuration,
     c6_entries: u64,
+    /// Count-only until [`Core::set_log_recording`]: only traces read
+    /// the entries.
     pstate_log: EventLog<PState>,
+    /// Always recording: perfbench's `box_counts` walks these entries
+    /// to count wakes and CC6 wakes. Once `box_counts` reads counters
+    /// instead (ROADMAP item 2), this log can follow the trace switch
+    /// like `pstate_log`.
     cstate_log: EventLog<CState>,
 }
 
@@ -134,7 +140,7 @@ impl Core {
             c0_in_window: SimDuration::ZERO,
             total_busy: SimDuration::ZERO,
             c6_entries: 0,
-            pstate_log: EventLog::new(),
+            pstate_log: EventLog::counting(),
             cstate_log: EventLog::new(),
         }
     }
@@ -495,7 +501,14 @@ impl Core {
         self.c6_entries
     }
 
-    /// Trace of P-state changes `(time, new state)`.
+    /// Turns keeping P-state log entries on or off (off by default;
+    /// the count is kept either way). The C-state log always records.
+    pub fn set_log_recording(&mut self, on: bool) {
+        self.pstate_log.set_recording(on);
+    }
+
+    /// Trace of P-state changes `(time, new state)`: `len()` counts
+    /// every change, entries are kept only while recording.
     pub fn pstate_log(&self) -> &EventLog<PState> {
         &self.pstate_log
     }
@@ -789,6 +802,7 @@ mod tests {
     #[test]
     fn pstate_log_records_changes() {
         let (p, mut c, mut rng) = setup();
+        c.set_log_recording(true);
         let TransitionOutcome::Started {
             completes_at,
             token,

@@ -19,11 +19,15 @@
 //! * **checkpoint resumability** — with a [`Checkpoint`] attached,
 //!   completed cells stream to `checkpoint.jsonl` as they finish and
 //!   a re-invoked sweep serves them from disk, reproducing the merged
-//!   artifact byte-identically after a crash or SIGKILL.
+//!   artifact byte-identically after a crash or SIGKILL;
+//! * **one run per distinct cell** — without a checkpoint, a cell that
+//!   already finished under this supervisor (sweeps share baseline
+//!   configs) is served from memory instead of simulated again.
 
 use crate::ckpt::{Checkpoint, QuarantineRecord};
 use crate::runner::{self, RunConfig, RunResult};
 use simcore::{SimError, StepBudget};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -76,6 +80,9 @@ pub enum CellOutcome {
     Completed { attempts: u32 },
     /// Served from the checkpoint; no simulation ran.
     Resumed,
+    /// Served from memory: the same cell already finished under this
+    /// supervisor, which has no checkpoint; no simulation ran.
+    Reused,
     /// Quarantined this invocation (or in a previous one).
     Quarantined { error: String, attempts: u32 },
 }
@@ -90,6 +97,10 @@ pub struct Supervisor {
     runner: Box<CellRunner>,
     quarantine_log: Mutex<Vec<QuarantineRecord>>,
     resumed_cells: Mutex<usize>,
+    /// Untraced cells finished by this supervisor, by
+    /// [`cell_key`](crate::ckpt::cell_key), when no checkpoint holds
+    /// them.
+    finished: Mutex<HashMap<u64, RunResult>>,
 }
 
 impl std::fmt::Debug for Supervisor {
@@ -117,6 +128,7 @@ impl Supervisor {
             runner: Box::new(|cfg, budget| runner::try_run_budgeted(cfg.clone(), budget)),
             quarantine_log: Mutex::new(Vec::new()),
             resumed_cells: Mutex::new(0),
+            finished: Mutex::new(HashMap::new()),
         }
     }
 
@@ -176,7 +188,9 @@ impl Supervisor {
     }
 
     /// Like [`run_one`](Self::run_one), also reporting how the cell
-    /// concluded.
+    /// concluded. An untraced cell that already finished under this
+    /// supervisor is not simulated again: the checkpoint serves it
+    /// (counted as resumed) when one is attached, memory otherwise.
     pub fn run_cell(&self, cfg: RunConfig) -> (RunResult, CellOutcome) {
         if let Some(ck) = &self.checkpoint {
             let ck = lock(ck);
@@ -196,6 +210,10 @@ impl Supervisor {
                 lock(&self.quarantine_log).push(record);
                 return (placeholder(&cfg), outcome);
             }
+        } else if !cfg.collect_traces {
+            if let Some(result) = lock(&self.finished).get(&crate::ckpt::cell_key(&cfg)) {
+                return (result.clone(), CellOutcome::Reused);
+            }
         }
         let max_attempts = self.policy.max_attempts.max(1);
         let mut attempt = 0u32;
@@ -210,6 +228,8 @@ impl Supervisor {
                         // A full disk mid-sweep degrades resumability,
                         // not correctness: the result is still returned.
                         let _ = lock(ck).record(&cfg, &result);
+                    } else if !cfg.collect_traces {
+                        lock(&self.finished).insert(crate::ckpt::cell_key(&cfg), result.clone());
                     }
                     return (result, CellOutcome::Completed { attempts: attempt });
                 }
@@ -484,5 +504,30 @@ mod tests {
         assert_eq!(second, first, "resumed results identical");
         assert_eq!(sup.cells_resumed(), 3);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_config_shared_across_sweeps_runs_once() {
+        let calls = std::sync::Arc::new(AtomicU32::new(0));
+        let seen = calls.clone();
+        let sup = Supervisor::new()
+            .with_policy(fast_policy())
+            .with_runner(move |cfg, _| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                Ok(RunResult {
+                    sent: cfg.seed,
+                    ..placeholder(cfg)
+                })
+            });
+        let first = sup.run_many(vec![tiny(1), tiny(2)]);
+        let second = sup.run_many(vec![tiny(2), tiny(3)]);
+        assert_eq!(calls.load(Ordering::SeqCst), 3, "tiny(2) ran once");
+        assert_eq!(second[0], first[1], "the shared cell's result is reused");
+        assert_eq!(second[1].sent, 3);
+        assert_eq!(sup.run_cell(tiny(1)).1, CellOutcome::Reused);
+        assert_eq!(sup.cells_resumed(), 0, "a reuse is not a resume");
+        // Traced cells always run: their traces are never kept.
+        sup.run_one(tiny(1).with_traces());
+        assert_eq!(calls.load(Ordering::SeqCst), 4);
     }
 }

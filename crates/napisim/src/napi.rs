@@ -3,8 +3,8 @@
 //! One [`NapiContext`] exists per NIC queue (and therefore per core
 //! with one-queue-per-core affinity). It tracks:
 //!
-//! * the current **mode** — interrupt vs polling — with a transition
-//!   log (the signal NMAP consumes);
+//! * the current **mode** — interrupt vs polling — with a counted
+//!   transition log (the signal NMAP consumes);
 //! * per-mode packet counters (Fig 2's stacked bars, Algorithm 1's
 //!   `pkt_poll` / `pkt_intr`);
 //! * the softirq handoff conditions that wake **ksoftirqd**.
@@ -107,13 +107,17 @@ pub struct NapiContext {
     // --- counters ---
     total_intr_pkts: u64,
     total_poll_pkts: u64,
+    // Count-only until `set_log_recording(true)`: only traces read
+    // the entries.
     mode_log: EventLog<NapiMode>,
     intr_pkt_log: EventLog<u64>,
     poll_pkt_log: EventLog<u64>,
 }
 
 impl NapiContext {
-    /// Creates a context in interrupt mode.
+    /// Creates a context in interrupt mode. Its logs count every
+    /// transition and batch but keep no entries until
+    /// [`set_log_recording`](Self::set_log_recording) turns them on.
     pub fn new(params: StackParams) -> Self {
         NapiContext {
             params,
@@ -126,9 +130,9 @@ impl NapiContext {
             ksoftirqd_running: false,
             total_intr_pkts: 0,
             total_poll_pkts: 0,
-            mode_log: EventLog::new(),
-            intr_pkt_log: EventLog::new(),
-            poll_pkt_log: EventLog::new(),
+            mode_log: EventLog::counting(),
+            intr_pkt_log: EventLog::counting(),
+            poll_pkt_log: EventLog::counting(),
         }
     }
 
@@ -285,17 +289,30 @@ impl NapiContext {
         self.total_poll_pkts
     }
 
-    /// Log of mode transitions `(time, new mode)`.
+    /// Turns keeping entries in the mode and batch logs on or off
+    /// (off by default); their counts are kept either way.
+    pub fn set_log_recording(&mut self, on: bool) {
+        self.mode_log.set_recording(on);
+        self.intr_pkt_log.set_recording(on);
+        self.poll_pkt_log.set_recording(on);
+    }
+
+    /// Log of mode transitions `(time, new mode)`: `len()` counts
+    /// every transition, entries are kept only while recording.
     pub fn mode_log(&self) -> &EventLog<NapiMode> {
         &self.mode_log
     }
 
-    /// Log of interrupt-mode packet batches `(time, count)`.
+    /// Log of non-empty interrupt-mode packet batches
+    /// `(time, count)`: `len()` counts every such batch, entries are
+    /// kept only while recording.
     pub fn interrupt_packet_log(&self) -> &EventLog<u64> {
         &self.intr_pkt_log
     }
 
-    /// Log of polling-mode packet batches `(time, count)`.
+    /// Log of non-empty polling-mode packet batches `(time, count)`:
+    /// `len()` counts every such batch, entries are kept only while
+    /// recording.
     pub fn polling_packet_log(&self) -> &EventLog<u64> {
         &self.poll_pkt_log
     }
@@ -367,6 +384,7 @@ mod tests {
     #[test]
     fn sustained_work_enters_polling_mode() {
         let mut n = ctx();
+        n.set_log_recording(true);
         n.on_irq(t(0));
         let o1 = n.record_poll(64, 0, false, false, ProcContext::SoftIrq, t(60));
         assert_eq!(o1.class, PollClass::Interrupt);
@@ -526,6 +544,7 @@ mod tests {
     #[test]
     fn packet_logs_record_batches() {
         let mut n = ctx();
+        n.set_log_recording(true);
         n.on_irq(t(0));
         n.record_poll(64, 0, false, false, ProcContext::SoftIrq, t(50));
         n.record_poll(32, 0, true, false, ProcContext::SoftIrq, t(100));
@@ -533,5 +552,19 @@ mod tests {
         assert_eq!(n.polling_packet_log().len(), 1);
         assert_eq!(n.interrupt_packet_log().entries()[0].1, 64);
         assert_eq!(n.polling_packet_log().entries()[0].1, 32);
+    }
+
+    #[test]
+    fn logs_count_without_keeping_entries_by_default() {
+        let mut n = ctx();
+        n.on_irq(t(0));
+        n.record_poll(64, 0, false, false, ProcContext::SoftIrq, t(50));
+        n.record_poll(32, 0, true, false, ProcContext::SoftIrq, t(100));
+        assert_eq!(n.interrupt_packet_log().len(), 1);
+        assert_eq!(n.polling_packet_log().len(), 1);
+        assert_eq!(n.mode_log().len(), 2);
+        assert!(n.interrupt_packet_log().entries().is_empty());
+        assert!(n.polling_packet_log().entries().is_empty());
+        assert!(n.mode_log().entries().is_empty());
     }
 }

@@ -59,8 +59,8 @@ pub struct RxOutcome {
     pub irq_at: Option<SimTime>,
 }
 
-/// An interrupt-vector state change, recorded per queue when the IRQ
-/// log is enabled (see [`Nic::set_irq_log_enabled`]).
+/// An interrupt-vector state change, counted per queue and kept while
+/// the IRQ log records (see [`Nic::set_log_recording`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IrqMark {
     /// An IRQ was delivered to the queue's core.
@@ -111,8 +111,8 @@ struct Queue {
     current_itr: SimDuration,
     /// Deepest Rx-ring occupancy ever observed.
     rx_high_water: usize,
-    /// IRQ fire/mask/unmask marks with Rx occupancy, recorded only
-    /// when the owning NIC's IRQ log is enabled.
+    /// IRQ fire/mask/unmask marks with Rx occupancy: counted always,
+    /// kept only while recording.
     irq_log: EventLog<(IrqMark, u32)>,
 }
 
@@ -129,12 +129,8 @@ impl Queue {
 /// See the crate-level example.
 #[derive(Debug, Clone)]
 pub struct Nic {
-    config: NicConfig,
     queues: Vec<Queue>,
     rss: RssHasher,
-    /// Whether per-queue IRQ marks are recorded (off by default so
-    /// non-tracing runs pay no log growth).
-    irq_log_enabled: bool,
     /// Fault-injected ITR misconfiguration: while set, moderation uses
     /// this spacing on every queue regardless of mode.
     itr_override: Option<SimDuration>,
@@ -164,14 +160,12 @@ impl Nic {
                 descs_since_irq: 0,
                 current_itr: SimDuration::from_micros(10),
                 rx_high_water: 0,
-                irq_log: EventLog::new(),
+                irq_log: EventLog::counting(),
             })
             .collect();
         Nic {
             queues,
             rss: RssHasher::new(config.queues),
-            config,
-            irq_log_enabled: false,
             itr_override: None,
             rx_capacity_clamp: None,
         }
@@ -199,11 +193,6 @@ impl Nic {
     /// Number of queues.
     pub fn num_queues(&self) -> usize {
         self.queues.len()
-    }
-
-    /// The configuration this NIC was built with.
-    pub fn config(&self) -> &NicConfig {
-        &self.config
     }
 
     /// The RSS queue for a flow.
@@ -316,10 +305,8 @@ impl Nic {
         };
         queue.last_irq = Some(now);
         queue.irqs_raised += 1;
-        if self.irq_log_enabled {
-            let backlog = queue.rx.len() as u32;
-            queue.irq_log.push(now, (IrqMark::Fired, backlog));
-        }
+        let backlog = queue.rx.len() as u32;
+        queue.irq_log.push(now, (IrqMark::Fired, backlog));
         self.update_itr(q, window);
         true
     }
@@ -333,10 +320,8 @@ impl Nic {
     pub fn disable_irq(&mut self, q: QueueId, now: SimTime) {
         let queue = &mut self.queues[q.0];
         queue.irq_enabled = false;
-        if self.irq_log_enabled {
-            let backlog = queue.rx.len() as u32;
-            queue.irq_log.push(now, (IrqMark::Masked, backlog));
-        }
+        let backlog = queue.rx.len() as u32;
+        queue.irq_log.push(now, (IrqMark::Masked, backlog));
     }
 
     /// NAPI re-enables `q`'s IRQ on leaving polling mode. If work
@@ -345,10 +330,8 @@ impl Nic {
     pub fn enable_irq(&mut self, q: QueueId, now: SimTime) -> Option<SimTime> {
         let queue = &mut self.queues[q.0];
         queue.irq_enabled = true;
-        if self.irq_log_enabled {
-            let backlog = queue.rx.len() as u32;
-            queue.irq_log.push(now, (IrqMark::Unmasked, backlog));
-        }
+        let backlog = queue.rx.len() as u32;
+        queue.irq_log.push(now, (IrqMark::Unmasked, backlog));
         self.maybe_arm_irq(q, now)
     }
 
@@ -444,15 +427,18 @@ impl Nic {
             .sum()
     }
 
-    /// Turns per-queue IRQ mark recording on or off. Off by default:
-    /// a non-tracing run keeps every log empty.
-    pub fn set_irq_log_enabled(&mut self, enabled: bool) {
-        self.irq_log_enabled = enabled;
+    /// Turns keeping every queue's IRQ log entries on or off. Off by
+    /// default: a non-tracing run counts the marks and keeps none.
+    pub fn set_log_recording(&mut self, on: bool) {
+        for q in &mut self.queues {
+            q.irq_log.set_recording(on);
+        }
     }
 
-    /// The IRQ fire/mask/unmask marks recorded on `q` (empty unless
-    /// [`set_irq_log_enabled`](Nic::set_irq_log_enabled) was called).
-    /// Each mark carries the Rx-ring occupancy at that instant.
+    /// The IRQ fire/mask/unmask marks on `q`: `len()` counts every
+    /// mark, entries are kept only while recording (see
+    /// [`set_log_recording`](Nic::set_log_recording)). Each mark
+    /// carries the Rx-ring occupancy at that instant.
     pub fn irq_log(&self, q: QueueId) -> &EventLog<(IrqMark, u32)> {
         &self.queues[q.0].irq_log
     }
@@ -713,16 +699,17 @@ mod tests {
     }
 
     #[test]
-    fn irq_log_records_marks_only_when_enabled() {
+    fn irq_log_keeps_marks_only_while_recording() {
         let mut n = nic();
         let q = QueueId(0);
-        // Disabled by default: nothing is recorded.
+        // Off by default: the mark is counted, not kept.
         let fire = n.enqueue_rx(q, pkt(1), SimTime::ZERO).irq_at.unwrap();
         n.irq_fired(q, fire);
-        assert!(n.irq_log(q).is_empty());
-        // Enabled: fire → mask → unmask marks land in order with the
+        assert_eq!(n.irq_log(q).len(), 1);
+        assert!(n.irq_log(q).entries().is_empty());
+        // Recording: fire → mask → unmask marks land in order with the
         // ring occupancy attached.
-        n.set_irq_log_enabled(true);
+        n.set_log_recording(true);
         let fire = n
             .enqueue_rx(q, pkt(2), SimTime::from_micros(100))
             .irq_at

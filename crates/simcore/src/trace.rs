@@ -1,12 +1,21 @@
 //! Typed event logs for timeline figures.
 //!
-//! An [`EventLog<T>`] records `(time, T)` markers — ksoftirqd
-//! wake-ups, C-state entries, mode transitions — preserving the exact
-//! times the paper's timeline figures (Fig 2, 7, 9) plot as marks.
+//! An [`EventLog<T>`] counts `(time, T)` markers — ksoftirqd
+//! wake-ups, C-state entries, mode transitions — and, while it
+//! records, keeps them at the exact times the paper's timeline
+//! figures (Fig 2, 7, 9) plot as marks. Untraced runs need only the
+//! count, so their logs keep no entries and stay flat in run length.
 
 use crate::time::SimTime;
 
-/// An append-only log of timestamped markers.
+/// An append-only log of timestamped markers that always counts them
+/// and keeps their entries only while recording.
+///
+/// [`new`](EventLog::new) records; [`counting`](EventLog::counting)
+/// starts with recording off. [`len`](EventLog::len) counts every
+/// [`push`](EventLog::push) either way, while
+/// [`entries`](EventLog::entries) holds only the markers pushed while
+/// recording.
 ///
 /// # Examples
 ///
@@ -17,10 +26,17 @@ use crate::time::SimTime;
 /// log.push(SimTime::from_micros(9), "sleep");
 /// assert_eq!(log.len(), 2);
 /// assert_eq!(log.iter().next().unwrap().1, "wake");
+///
+/// let mut count_only: EventLog<&str> = EventLog::counting();
+/// count_only.push(SimTime::from_micros(3), "wake");
+/// assert_eq!(count_only.len(), 1);
+/// assert!(count_only.entries().is_empty());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventLog<T> {
     entries: Vec<(SimTime, T)>,
+    pushed: usize,
+    recording: bool,
 }
 
 impl<T> Default for EventLog<T> {
@@ -30,62 +46,61 @@ impl<T> Default for EventLog<T> {
 }
 
 impl<T> EventLog<T> {
-    /// Creates an empty log.
+    /// Creates an empty log that records its entries.
     pub fn new() -> Self {
         EventLog {
             entries: Vec::new(),
+            pushed: 0,
+            recording: true,
         }
     }
 
-    /// Appends a marker at time `t`.
+    /// Creates an empty log that only counts until
+    /// [`set_recording`](Self::set_recording) turns recording on.
+    pub fn counting() -> Self {
+        EventLog {
+            recording: false,
+            ..Self::new()
+        }
+    }
+
+    /// Turns keeping entries on or off; the count is unaffected.
+    pub fn set_recording(&mut self, on: bool) {
+        self.recording = on;
+    }
+
+    /// True if pushed markers are kept as entries.
+    pub fn is_recording(&self) -> bool {
+        self.recording
+    }
+
+    /// Counts a marker at time `t`, keeping it if recording.
+    #[inline]
     pub fn push(&mut self, t: SimTime, marker: T) {
-        self.entries.push((t, marker));
+        self.pushed += 1;
+        if self.recording {
+            self.entries.push((t, marker));
+        }
     }
 
-    /// Number of markers.
+    /// Number of markers pushed, recorded or not.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.pushed
     }
 
-    /// True if the log holds no markers.
+    /// True if no marker was ever pushed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.pushed == 0
     }
 
-    /// All entries in insertion order.
+    /// The kept entries in insertion order.
     pub fn entries(&self) -> &[(SimTime, T)] {
         &self.entries
     }
 
-    /// Iterator over `(time, marker)` pairs.
+    /// Iterator over the kept `(time, marker)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = &(SimTime, T)> {
         self.entries.iter()
-    }
-
-    /// Entries with time in `[start, end)`.
-    pub fn window(&self, start: SimTime, end: SimTime) -> impl Iterator<Item = &(SimTime, T)> {
-        self.entries
-            .iter()
-            .filter(move |(t, _)| *t >= start && *t < end)
-    }
-
-    /// Clears the log.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-impl<T> FromIterator<(SimTime, T)> for EventLog<T> {
-    fn from_iter<I: IntoIterator<Item = (SimTime, T)>>(iter: I) -> Self {
-        EventLog {
-            entries: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl<T> Extend<(SimTime, T)> for EventLog<T> {
-    fn extend<I: IntoIterator<Item = (SimTime, T)>>(&mut self, iter: I) {
-        self.entries.extend(iter);
     }
 }
 
@@ -94,26 +109,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn window_filters() {
-        let log: EventLog<u32> = [
-            (SimTime::from_micros(1), 1),
-            (SimTime::from_micros(5), 2),
-            (SimTime::from_micros(9), 3),
-        ]
-        .into_iter()
-        .collect();
-        let hits: Vec<u32> = log
-            .window(SimTime::from_micros(2), SimTime::from_micros(9))
-            .map(|&(_, m)| m)
-            .collect();
-        assert_eq!(hits, vec![2]);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut log: EventLog<u8> = EventLog::new();
+    fn counting_log_counts_every_push_and_keeps_only_recorded_ones() {
+        let mut log: EventLog<u8> = EventLog::counting();
         log.push(SimTime::ZERO, 1);
-        log.clear();
-        assert!(log.is_empty());
+        assert_eq!(log.len(), 1);
+        assert!(!log.is_empty());
+        assert!(log.entries().is_empty());
+        log.set_recording(true);
+        log.push(SimTime::from_micros(5), 2);
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.entries(), &[(SimTime::from_micros(5), 2)]);
     }
 }

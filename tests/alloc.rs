@@ -5,17 +5,21 @@
 //! mode, the regime where per-packet costs dominate) runs its measured
 //! window. Scheduling an event, polling the NIC, tracking a request's
 //! latency attribution and completing it must all reuse storage grown
-//! during warm-up; only amortized growth of run-length logs may
-//! allocate, which keeps the count far below one per hundred events.
-//! The same box must not retain its raw per-response series, which
-//! only traced runs and the fleet read.
+//! during warm-up; only amortized growth of run-length storage every
+//! run keeps (the latency samples, the C-state log perfbench reads)
+//! may allocate, which keeps the count far below one per hundred
+//! events. The same box must not retain its raw per-response series,
+//! which only traced runs and the fleet read, nor any per-transition
+//! entries: its NAPI, P-state, ksoftirqd and IRQ logs count
+//! transitions exactly as a traced twin's do and keep no entries.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use appsim::{AppModel, Testbed, TestbedConfig};
 use experiments::{GovernorKind, RunConfig, Scale};
-use simcore::{SimDuration, SimTime, Simulator};
+use netsim::QueueId;
+use simcore::{SimTime, Simulator};
 use workload::{AppKind, LoadLevel, LoadSpec};
 
 struct Counting;
@@ -61,8 +65,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn measured_window_allocates_under_one_percent_of_events() {
+/// An NMAP box at memcached's high preset, seed 42; `trace_capacity`
+/// 0 leaves it untraced.
+fn polling_box(trace_capacity: usize) -> (Simulator<Testbed>, Testbed) {
     let app_kind = AppKind::Memcached;
     let cfg = RunConfig::new(
         app_kind,
@@ -76,13 +81,21 @@ fn measured_window_allocates_under_one_percent_of_events() {
     let tb_cfg = TestbedConfig::new(app, cfg.load)
         .with_seed(cfg.seed)
         .with_profile(profile.clone())
-        .with_timeline(cfg.timeline);
+        .with_timeline(cfg.timeline)
+        .with_trace_capacity(trace_capacity);
     let (governor, sleep) = cluster::build_policies(&cfg.governor, cfg.sleep, &profile, &app);
     let mut sim = Simulator::new();
-    let mut tb = Testbed::try_new(tb_cfg, governor, sleep, &mut sim).expect("valid config");
+    let tb = Testbed::try_new(tb_cfg, governor, sleep, &mut sim).expect("valid config");
+    (sim, tb)
+}
 
-    let warmup_end = SimTime::ZERO + SimDuration::from_millis(50);
-    let end = warmup_end + SimDuration::from_millis(100);
+const WARMUP_END: SimTime = SimTime::from_millis(50);
+const END: SimTime = SimTime::from_millis(150);
+
+#[test]
+fn measured_window_allocates_under_one_percent_of_events() {
+    let (mut sim, mut tb) = polling_box(0);
+    let (warmup_end, end) = (WARMUP_END, END);
     sim.run_until(&mut tb, warmup_end);
     tb.begin_measurement(warmup_end);
     let (allocs_before, events_before) = (allocs(), sim.events_executed());
@@ -107,4 +120,75 @@ fn measured_window_allocates_under_one_percent_of_events() {
         "an untraced run retained {} responses",
         tb.client.response_log().len()
     );
+}
+
+/// Per-log `(len, kept entries)` of every run-length transition log
+/// that follows the trace switch, labelled for failure messages.
+fn transition_logs(tb: &Testbed) -> Vec<(String, usize, usize)> {
+    let mut logs = Vec::new();
+    for (i, napi) in tb.napi.iter().enumerate() {
+        let (m, ip, pp) = (
+            napi.mode_log(),
+            napi.interrupt_packet_log(),
+            napi.polling_packet_log(),
+        );
+        logs.push((format!("napi[{i}].mode"), m.len(), m.entries().len()));
+        logs.push((format!("napi[{i}].intr"), ip.len(), ip.entries().len()));
+        logs.push((format!("napi[{i}].poll"), pp.len(), pp.entries().len()));
+    }
+    for core in tb.processor.cores() {
+        let log = core.pstate_log();
+        let label = format!("core[{}].pstate", core.id().0);
+        logs.push((label, log.len(), log.entries().len()));
+    }
+    for (i, log) in tb.ksoftirqd_log.iter().enumerate() {
+        logs.push((format!("ksoftirqd[{i}]"), log.len(), log.entries().len()));
+    }
+    for q in 0..tb.nic.num_queues() {
+        let log = tb.nic.irq_log(QueueId(q));
+        logs.push((format!("irq[{q}]"), log.len(), log.entries().len()));
+    }
+    logs
+}
+
+#[test]
+fn untraced_box_counts_transitions_without_keeping_entries() {
+    let (mut sim, mut untraced) = polling_box(0);
+    let (mut twin_sim, mut traced) = polling_box(1 << 16);
+    for (sim, tb) in [(&mut sim, &mut untraced), (&mut twin_sim, &mut traced)] {
+        sim.run_until(tb, WARMUP_END);
+        tb.begin_measurement(WARMUP_END);
+        sim.run_until(tb, END);
+        tb.collect_metrics(END);
+    }
+
+    let (plain, twin) = (transition_logs(&untraced), transition_logs(&traced));
+    assert_eq!(plain.len(), twin.len());
+    for ((label, len, kept), (_, twin_len, twin_kept)) in plain.iter().zip(&twin) {
+        assert_eq!(*kept, 0, "untraced {label} kept {kept} of {len} entries");
+        assert_eq!(
+            len, twin_len,
+            "{label}: untraced count differs from the traced twin's"
+        );
+        assert_eq!(twin_kept, twin_len, "traced {label} must keep every entry");
+    }
+    // The box is busy enough that every family of log saw traffic.
+    for family in ["mode", "intr", "poll", "pstate", "ksoftirqd", "irq"] {
+        let total: usize = plain
+            .iter()
+            .filter(|(label, ..)| label.contains(family))
+            .map(|&(_, len, _)| len)
+            .sum();
+        assert!(total > 0, "no {family} transitions counted");
+    }
+
+    for key in ["napi.mode_transitions", "ksoftirqd.wakes"] {
+        let value = untraced.metrics.counter(key);
+        assert!(value > 0, "{key} is 0");
+        assert_eq!(
+            value,
+            traced.metrics.counter(key),
+            "{key} differs from the traced twin's"
+        );
+    }
 }

@@ -214,7 +214,10 @@ fn nmap_full_pipeline_boosts_and_relaxes() {
     let table = ProcessorProfile::xeon_gold_6134().pstates;
     let gov = NmapGovernor::new(table, 8, NmapConfig::new(16, 0.5));
     let load = LoadSpec::preset(AppKind::Memcached, LoadLevel::High);
-    let cfg = TestbedConfig::new(AppModel::memcached(), load).with_seed(5);
+    // Recording traces keeps the P-state log entries read below.
+    let cfg = TestbedConfig::new(AppModel::memcached(), load)
+        .with_seed(5)
+        .with_trace_capacity(1024);
     let mut sim = Simulator::new();
     let mut tb = Testbed::new(cfg, Box::new(gov), Box::new(MenuPolicy::new(8)), &mut sim);
     sim.run_until(&mut tb, SimTime::from_millis(500));
