@@ -1660,10 +1660,11 @@ impl Testbed {
 
     /// Telemetry-bus tick: reads one row of per-core gauges into the
     /// timeline sampler, then offers the read side to the governor.
-    /// Strictly read-only against the simulation state — no RNG
-    /// draws, no energy-integral advance, no sampling-window reset —
-    /// so enabling the timeline cannot perturb the run's trajectory.
-    /// Reschedules at the sampler's *current* interval, which doubles
+    /// The sampling itself is read-only — no RNG draws, no
+    /// energy-integral advance, no sampling-window reset — but the
+    /// governor's `on_telemetry` actions are applied, so a governor
+    /// that acts on the tap (NMAP's shed-before-downclock hold) runs
+    /// differently with the timeline off. Reschedules at the sampler's *current* interval, which doubles
     /// on every decimation, so the tick rate decays with the buffer.
     fn ev_timeline_tick(&mut self, sim: &mut Simulator<Testbed>) {
         let now = sim.now();

@@ -1662,7 +1662,7 @@ pub fn run_fleet_many(configs: Vec<FleetConfig>) -> Vec<FleetResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::{BudgetKind, FaultScope};
+    use simcore::FaultScope;
 
     fn quick(servers: usize, governor: GovernorKind) -> FleetConfig {
         FleetConfig::new(servers, AppKind::Memcached, 6_000.0, governor)
@@ -1844,10 +1844,7 @@ mod tests {
             Some(4_754),
             Some(50_000),
         ]
-        .map(|max_events| StepBudget {
-            max_events,
-            max_wall: None,
-        });
+        .map(|max_events| StepBudget { max_events });
         // What the fleet returned before it had a pool, so the inline
         // and threaded schedules cannot drift from it together.
         let serial = [
@@ -1857,13 +1854,12 @@ mod tests {
         for (label, cfg) in cases {
             for budget in &budgets {
                 let inline = run_on_pool(cfg.clone(), budget, 0);
-                if budget.is_unlimited() {
+                if budget.max_events.is_none() {
                     assert!(inline.is_ok(), "{label}: {inline:?}");
                 }
                 for &(_, limit, ns) in serial.iter().filter(|&&(l, ..)| l == label) {
                     if budget.max_events == Some(limit) {
                         let err = SimError::BudgetExceeded {
-                            kind: BudgetKind::Events,
                             limit,
                             events_executed: limit,
                             sim_time: SimTime::from_nanos(ns),

@@ -12,17 +12,17 @@
 //!   --trace-out DIR   also rerun each artifact's representative cell
 //!                     with tracing and write DIR/<id>.trace.json
 //!                     (Perfetto-loadable)
-//!   --checkpoint FILE stream finished sweep cells to FILE (append-only
+//!   --checkpoint FILE stream concluded sweep cells to FILE (append-only
 //!                     JSONL); re-running with the same FILE after a
-//!                     crash or Ctrl-C skips completed cells and
+//!                     crash or Ctrl-C skips concluded cells and
 //!                     produces byte-identical artifacts
 //!   --list            print the available artifact ids
 //! ```
 //!
-//! Sweeps run under a [`Supervisor`]: cells that fail transiently are
-//! retried with backoff, persistently failing cells are quarantined
-//! (reported at the end, with placeholder rows rendered as `n/a` in
-//! the affected tables) and the rest of the sweep still completes.
+//! Sweeps run under a [`Supervisor`]: each distinct cell runs once,
+//! and a cell whose run fails is quarantined (reported at the end,
+//! with placeholder rows rendered as `n/a` in the affected tables)
+//! while the rest of the sweep still completes.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
@@ -141,13 +141,13 @@ fn main() {
     if !quarantined.is_empty() {
         let mut section = String::from(
             "QUARANTINED CELLS\n\
-             The following sweep cells failed persistently and were \
+             The following sweep cells failed and were \
              excluded (their rows render as zeros / n/a):\n",
         );
         for q in &quarantined {
             section.push_str(&format!(
-                "  cell {:016x} [{}] after {} attempt(s): {}\n",
-                q.key, q.governor, q.attempts, q.error
+                "  cell {:016x} [{}]: {}\n",
+                q.key, q.governor, q.error
             ));
         }
         eprint!("{section}");

@@ -1,17 +1,22 @@
-//! Crash-safe sweep checkpointing: completed cells stream to an
-//! append-only `checkpoint.jsonl`, keyed by a content hash of their
-//! [`RunConfig`], so a re-invoked sweep skips finished cells and
-//! reproduces a byte-identical merged artifact.
+//! The sweep supervisor's outcome table, optionally backed by a
+//! crash-safe checkpoint file.
+//!
+//! A [`Checkpoint`] maps each concluded cell, keyed by a content hash
+//! of its [`RunConfig`], to its result or its quarantine record.
+//! [`Checkpoint::default`] keeps the table in memory only;
+//! [`Checkpoint::open`] loads an append-only `checkpoint.jsonl` and
+//! streams every later outcome to it, so a re-invoked sweep skips
+//! concluded cells and reproduces a byte-identical merged artifact.
 //!
 //! # File format
 //!
 //! One JSON object per line (JSONL):
 //!
-//! * `{"kind":"header","version":5}` — first line of a fresh file;
+//! * `{"kind":"header","version":6}` — first line of a fresh file;
 //! * `{"kind":"cell","key":<u64>,"result":{...}}` — one completed
 //!   cell, floats as IEEE-754 bit patterns for exact round-trips;
 //! * `{"kind":"quarantine","record":{"key":<u64>,"governor":...,
-//!   "error":...,"attempts":N}}` — a cell the supervisor gave up on.
+//!   "error":...}}` — a cell whose run failed.
 //!
 //! Every encoded type has one schema, written once: its field names
 //! are the JSON keys, and the same field list drives both encoding
@@ -26,8 +31,8 @@
 //! Loading tolerates torn tails and corrupt lines: anything that is
 //! not UTF-8 or fails to parse or decode is skipped (and counted),
 //! because a crash mid-append must not invalidate the finished
-//! prefix. Cells that collect traces are never checkpointed — traces
-//! are too large to persist and re-run deterministically anyway.
+//! prefix. Results of cells that collect traces are never stored —
+//! traces are too large to keep and re-run deterministically anyway.
 
 use crate::json::{self, Value};
 use crate::runner::{RunConfig, RunResult};
@@ -41,7 +46,7 @@ use simcore::{
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Current checkpoint format version. Version 2 added the energy
 /// attribution and flight-recorder summaries to each cell; version 3
@@ -49,8 +54,9 @@ use std::path::{Path, PathBuf};
 /// widened the timeline stride with the saturation gauge and added
 /// admission-bypass fault stats; version 5 made every struct field's
 /// name its JSON key (one schema per type) and stored cell keys as
-/// integers. Older files simply re-run their cells.
-pub const CHECKPOINT_VERSION: u64 = 5;
+/// integers; version 6 dropped the quarantine record's attempt count
+/// (a cell runs once). Older files simply re-run their cells.
+pub const CHECKPOINT_VERSION: u64 = 6;
 
 /// Stable content key for a sweep cell: FNV-1a 64 over the config's
 /// `Debug` rendering. Any field change — seed, load, governor,
@@ -79,17 +85,15 @@ fn ends_with_newline(path: &Path) -> std::io::Result<bool> {
     Ok(last[0] == b'\n')
 }
 
-/// A cell the supervisor retried to exhaustion and gave up on.
+/// A cell whose run failed with an error or a panic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantineRecord {
     /// The cell's content key.
     pub key: u64,
     /// The governor label, for the artifact's quarantine section.
     pub governor: String,
-    /// Display of the final error.
+    /// Display of the error.
     pub error: String,
-    /// Attempts spent before quarantining.
-    pub attempts: u32,
 }
 
 /// Decode failure inside an otherwise parseable line.
@@ -315,7 +319,7 @@ codec! {
         attributed, recovered, unrecovered, unattributed, mean_recovery_ns, max_recovery_ns,
     }
     DegradationStats { degradations, recoveries, degraded_cores }
-    QuarantineRecord { key, governor, error, attempts }
+    QuarantineRecord { key, governor, error }
 }
 
 /// Encodes a trace-free [`RunResult`] for a checkpoint line.
@@ -329,18 +333,19 @@ pub fn decode_result(v: &Value) -> Result<RunResult, DecodeError> {
 }
 
 // ---------------------------------------------------------------------
-// The checkpoint file
+// The outcome table and its file
 // ---------------------------------------------------------------------
 
-/// An append-only sweep checkpoint.
+/// A sweep's outcome table: finished cells and quarantine records.
 ///
-/// Open with [`Checkpoint::open`]; every line is flushed as it is
+/// [`Checkpoint::default`] is an in-memory table. [`Checkpoint::open`]
+/// attaches an append-only file; every line is flushed as it is
 /// appended, so the finished prefix survives a crash or SIGKILL at
 /// any point.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Checkpoint {
-    path: PathBuf,
-    file: File,
+    /// The attached file, if any.
+    file: Option<File>,
     cells: HashMap<u64, RunResult>,
     quarantined: HashMap<u64, QuarantineRecord>,
     skipped_lines: usize,
@@ -352,14 +357,14 @@ impl Checkpoint {
     /// Corrupt, torn and stale lines are skipped and counted in
     /// [`skipped_lines`](Self::skipped_lines).
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Checkpoint> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         let mut cells = HashMap::new();
         let mut quarantined = HashMap::new();
         let mut skipped = 0usize;
         // Whether the most recent header carries this version: it
         // gates every cell and quarantine line that follows it.
         let mut current = false;
-        if let Ok(existing) = File::open(&path) {
+        if let Ok(existing) = File::open(path) {
             for line in BufReader::new(existing).split(b'\n') {
                 let line = line?;
                 let Ok(line) = std::str::from_utf8(&line) else {
@@ -385,28 +390,24 @@ impl Checkpoint {
                 }
             }
         }
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
         // A kill mid-append can leave a torn final line with no
         // newline. Appending straight after it would splice the next
         // record onto the torn bytes and corrupt it too — start on a
         // fresh line so only the torn line is lost.
-        if !ends_with_newline(&path)? {
+        if !ends_with_newline(path)? {
             writeln!(file)?;
         }
-        if !current {
-            append(
-                &mut file,
-                "header",
-                vec![("version", CHECKPOINT_VERSION.enc())],
-            )?;
-        }
-        Ok(Checkpoint {
-            path,
-            file,
+        let mut ck = Checkpoint {
+            file: Some(file),
             cells,
             quarantined,
             skipped_lines: skipped,
-        })
+        };
+        if !current {
+            ck.append("header", vec![("version", CHECKPOINT_VERSION.enc())])?;
+        }
+        Ok(ck)
     }
 
     fn load_line(line: &str) -> Result<Line, DecodeError> {
@@ -422,9 +423,9 @@ impl Checkpoint {
         }
     }
 
-    /// The checkpoint's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Whether a file backs the table.
+    pub fn is_on_disk(&self) -> bool {
+        self.file.is_some()
     }
 
     /// Lines skipped while loading (torn tail, corruption, stale
@@ -443,8 +444,8 @@ impl Checkpoint {
         self.cells.is_empty()
     }
 
-    /// The stored result for `cfg`, if this exact config finished in
-    /// an earlier invocation. Trace-collecting cells never hit.
+    /// The stored result for `cfg`, if this exact config finished
+    /// earlier. Trace-collecting cells never hit.
     pub fn lookup(&self, cfg: &RunConfig) -> Option<&RunResult> {
         if cfg.collect_traces {
             return None;
@@ -458,52 +459,47 @@ impl Checkpoint {
     }
 
     /// All quarantine records, key-ascending.
-    pub fn quarantined(&self) -> Vec<&QuarantineRecord> {
-        let mut records: Vec<_> = self.quarantined.values().collect();
+    pub fn quarantined(&self) -> Vec<QuarantineRecord> {
+        let mut records: Vec<_> = self.quarantined.values().cloned().collect();
         records.sort_by_key(|r| r.key);
         records
     }
 
-    /// Streams one completed cell to disk (append + flush). Cells
-    /// with traces are skipped silently — they re-run on resume.
+    /// Stores one completed cell, streaming it to the file (append +
+    /// flush) when one is attached. Cells with traces are skipped
+    /// silently — they always re-run.
     pub fn record(&mut self, cfg: &RunConfig, result: &RunResult) -> std::io::Result<()> {
         if cfg.collect_traces {
             return Ok(());
         }
         let key = cell_key(cfg);
-        append(
-            &mut self.file,
-            "cell",
-            vec![("key", key.enc()), ("result", result.enc())],
-        )?;
         self.cells.insert(key, result.clone());
-        Ok(())
+        self.append("cell", vec![("key", key.enc()), ("result", result.enc())])
     }
 
-    /// Streams one quarantine decision to disk (append + flush).
-    pub fn record_quarantine(
-        &mut self,
-        cfg: &RunConfig,
-        error: &str,
-        attempts: u32,
-    ) -> std::io::Result<()> {
+    /// Stores one quarantine decision, streaming it to the file
+    /// (append + flush) when one is attached.
+    pub fn record_quarantine(&mut self, cfg: &RunConfig, error: &str) -> std::io::Result<()> {
         let record = QuarantineRecord {
             key: cell_key(cfg),
             governor: cfg.governor.label().to_string(),
             error: error.to_string(),
-            attempts,
         };
-        append(&mut self.file, "quarantine", vec![("record", record.enc())])?;
+        let line = vec![("record", record.enc())];
         self.quarantined.insert(record.key, record);
-        Ok(())
+        self.append("quarantine", line)
     }
-}
 
-/// Appends one `{"kind":<kind>, ...fields}` line and flushes it.
-fn append(file: &mut File, kind: &str, mut fields: Vec<(&str, Value)>) -> std::io::Result<()> {
-    fields.insert(0, ("kind", Value::Str(kind.to_string())));
-    writeln!(file, "{}", Value::obj(fields).to_json())?;
-    file.flush()
+    /// Appends one `{"kind":<kind>, ...fields}` line to the attached
+    /// file and flushes it; a no-op for an in-memory table.
+    fn append(&mut self, kind: &str, mut fields: Vec<(&str, Value)>) -> std::io::Result<()> {
+        let Some(file) = &mut self.file else {
+            return Ok(());
+        };
+        fields.insert(0, ("kind", Value::Str(kind.to_string())));
+        writeln!(file, "{}", Value::obj(fields).to_json())?;
+        file.flush()
+    }
 }
 
 enum Line {
@@ -533,7 +529,7 @@ mod tests {
         .with_seed(seed)
     }
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("nmap-ckpt-{name}-{}", std::process::id()));
         p
@@ -861,14 +857,13 @@ mod tests {
         let cfg = tiny(17);
         {
             let mut ck = Checkpoint::open(&path).expect("open");
-            ck.record_quarantine(&cfg, "wall-clock budget exceeded", 3)
+            ck.record_quarantine(&cfg, "event-count budget exceeded")
                 .expect("record");
         }
         let ck = Checkpoint::open(&path).expect("reopen");
         let record = ck.lookup_quarantine(&cfg).expect("present");
-        assert_eq!(record.attempts, 3);
         assert_eq!(record.governor, "ondemand");
-        assert!(record.error.contains("wall-clock"));
+        assert!(record.error.contains("event-count"));
         assert_eq!(ck.quarantined().len(), 1);
         let _ = std::fs::remove_file(&path);
     }

@@ -83,16 +83,17 @@ pub fn all_ids() -> Vec<&'static str> {
 /// sweep and are produced together; the requested one is returned
 /// along with any siblings computed for free).
 ///
-/// Runs under an ephemeral [`Supervisor`] (no checkpoint, default
-/// retry/quarantine policy); use [`generate_with`] to supply one that
-/// checkpoints or budgets the sweep cells.
+/// Runs under an ephemeral [`Supervisor`] (no checkpoint); use
+/// [`generate_with`] to supply one that checkpoints or budgets the
+/// sweep cells.
 pub fn generate(id: &str, scale: Scale) -> Vec<FigureReport> {
     generate_with(id, scale, &Supervisor::new())
 }
 
 /// [`generate`], with every multi-cell sweep driven through `sup` —
-/// cells are retried/quarantined per its policy and, when it carries a
-/// checkpoint, skipped on resume. Trace-collecting single-cell figures
+/// each distinct cell runs once, a failing one is quarantined, and
+/// cells `sup` already holds (from its checkpoint, or an earlier
+/// sweep sharing the config) are not run again. Trace-collecting single-cell figures
 /// (fig2-4, fig7, fig9-11, fig16) run directly: their results embed
 /// full event traces, which are never checkpointed.
 pub fn generate_with(id: &str, scale: Scale, sup: &Supervisor) -> Vec<FigureReport> {

@@ -1,113 +1,70 @@
 //! The crash-safe sweep supervisor.
 //!
-//! [`Supervisor`] drives sweep cells ([`RunConfig`]s) to completion
-//! under a per-cell failure policy:
+//! [`Supervisor`] drives sweep cells ([`RunConfig`]s) to completion.
+//! A cell's outcome is a pure function of its config (every run is
+//! seeded and event-budgeted, never paced by host time), so:
 //!
-//! * **budget watchdog** — each attempt runs under the policy's
-//!   [`StepBudget`]; a runaway cell (livelocked event chain, wedged
-//!   host) aborts with [`SimError::BudgetExceeded`] instead of
-//!   hanging the sweep;
-//! * **retry with capped exponential backoff** — transient failures
-//!   (panics, wall-clock budget aborts, accounting violations) replay
-//!   the cell with its seed untouched, sleeping
-//!   `base * 2^(attempt-1)` (capped) between attempts;
-//! * **quarantine** — deterministic failures (invalid configs,
-//!   event-count budget aborts) and cells that exhaust their retries
-//!   are quarantined: the sweep completes, the cell yields a zeroed
-//!   placeholder result, and the record lands in the artifact's
-//!   quarantine section;
-//! * **checkpoint resumability** — with a [`Checkpoint`] attached,
-//!   completed cells stream to `checkpoint.jsonl` as they finish and
-//!   a re-invoked sweep serves them from disk, reproducing the merged
-//!   artifact byte-identically after a crash or SIGKILL;
-//! * **one run per distinct cell** — without a checkpoint, a cell that
-//!   already finished under this supervisor (sweeps share baseline
-//!   configs) is served from memory instead of simulated again.
+//! * **one run per distinct cell** — a cell's result or failure lands
+//!   in one outcome table (a [`Checkpoint`]) keyed by
+//!   [`cell_key`](crate::ckpt::cell_key), and a later request for the
+//!   same config (sweeps share baseline configs) is served from the
+//!   table instead of simulated again;
+//! * **quarantine on first failure** — a typed [`SimError`] or a
+//!   caught panic quarantines the cell at once, since a retry would
+//!   replay the identical simulation: the sweep completes, the cell
+//!   yields a zeroed placeholder result, and the record lands in the
+//!   artifact's quarantine section;
+//! * **checkpoint resumability** — with a file attached to the table,
+//!   finished and quarantined cells stream to `checkpoint.jsonl` as
+//!   they conclude, and a re-invoked sweep serves them from disk,
+//!   reproducing the merged artifact byte-identically after a crash
+//!   or SIGKILL.
+//!
+//! Cells that collect traces always run and are never stored: their
+//! traces are too large to keep and re-run deterministically anyway.
 
 use crate::ckpt::{Checkpoint, QuarantineRecord};
 use crate::runner::{self, RunConfig, RunResult};
-use simcore::{SimError, StepBudget};
-use std::collections::HashMap;
+use simcore::SimError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Retry/backoff/budget policy for one sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorPolicy {
-    /// Attempts per cell before quarantining (at least 1).
-    pub max_attempts: u32,
-    /// Backoff before retry `n` is `backoff_base * 2^(n-1)`.
-    pub backoff_base: Duration,
-    /// Ceiling on any single backoff sleep.
-    pub backoff_cap: Duration,
-    /// Per-attempt step/wall-clock budget (the runaway-cell guard).
-    pub budget: StepBudget,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        SupervisorPolicy {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
-            budget: StepBudget::unlimited(),
-        }
-    }
-}
-
-impl SupervisorPolicy {
-    /// The backoff before retry attempt `next_attempt` (2-based: no
-    /// sleep precedes the first attempt), exponential and capped.
-    pub fn backoff(&self, next_attempt: u32) -> Duration {
-        let doublings = next_attempt.saturating_sub(2).min(20);
-        let exp = self
-            .backoff_base
-            .saturating_mul(2u32.saturating_pow(doublings));
-        exp.min(self.backoff_cap)
-    }
-}
-
 /// How one cell concluded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellOutcome {
-    /// Ran to completion this invocation (after `attempts` tries).
-    Completed { attempts: u32 },
-    /// Served from the checkpoint; no simulation ran.
+    /// Ran to completion this invocation.
+    Completed,
+    /// Served from the checkpoint file; no simulation ran.
     Resumed,
     /// Served from memory: the same cell already finished under this
-    /// supervisor, which has no checkpoint; no simulation ran.
+    /// supervisor, which has no checkpoint file; no simulation ran.
     Reused,
-    /// Quarantined this invocation (or in a previous one).
-    Quarantined { error: String, attempts: u32 },
+    /// Failed, this invocation or in a previous one (then served from
+    /// the table without running).
+    Quarantined { error: String },
 }
 
-type CellRunner = dyn Fn(&RunConfig, &StepBudget) -> Result<RunResult, SimError> + Send + Sync;
+type CellRunner = dyn Fn(&RunConfig) -> Result<RunResult, SimError> + Send + Sync;
 
 /// The sweep supervisor. Cheap to construct; share one per sweep
 /// (methods take `&self`, all mutability is internal).
 pub struct Supervisor {
-    policy: SupervisorPolicy,
-    checkpoint: Option<Mutex<Checkpoint>>,
+    /// Every cell this supervisor has concluded or loaded, by key.
+    table: Mutex<Checkpoint>,
     runner: Box<CellRunner>,
-    quarantine_log: Mutex<Vec<QuarantineRecord>>,
-    resumed_cells: Mutex<usize>,
-    /// Untraced cells finished by this supervisor, by
-    /// [`cell_key`](crate::ckpt::cell_key), when no checkpoint holds
-    /// them.
-    finished: Mutex<HashMap<u64, RunResult>>,
+    resumed_cells: AtomicUsize,
 }
 
 impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
-            .field("policy", &self.policy)
-            .field("checkpointed", &self.checkpoint.is_some())
+            .field("checkpointed", &lock(&self.table).is_on_disk())
             .finish()
     }
 }
@@ -119,174 +76,90 @@ impl Default for Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor with the default policy, no checkpoint, and the
-    /// real cell runner ([`runner::try_run_budgeted`]).
+    /// A supervisor with an in-memory outcome table and the real cell
+    /// runner ([`runner::try_run`]).
     pub fn new() -> Self {
         Supervisor {
-            policy: SupervisorPolicy::default(),
-            checkpoint: None,
-            runner: Box::new(|cfg, budget| runner::try_run_budgeted(cfg.clone(), budget)),
-            quarantine_log: Mutex::new(Vec::new()),
-            resumed_cells: Mutex::new(0),
-            finished: Mutex::new(HashMap::new()),
+            table: Mutex::new(Checkpoint::default()),
+            runner: Box::new(|cfg| runner::try_run(cfg.clone())),
+            resumed_cells: AtomicUsize::new(0),
         }
     }
 
-    /// Overrides the failure policy.
-    pub fn with_policy(mut self, policy: SupervisorPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Attaches (creating or resuming) the checkpoint at `path`.
+    /// Backs the outcome table with the checkpoint file at `path`
+    /// (creating or resuming it).
     pub fn with_checkpoint(mut self, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        self.checkpoint = Some(Mutex::new(Checkpoint::open(path)?));
+        self.table = Mutex::new(Checkpoint::open(path)?);
         Ok(self)
     }
 
     /// Replaces the cell runner — the failure-injection seam for
-    /// supervisor tests.
+    /// supervisor tests, and the place to impose an event budget
+    /// (call [`runner::try_run_budgeted`] inside the closure).
     pub fn with_runner(
         mut self,
-        runner: impl Fn(&RunConfig, &StepBudget) -> Result<RunResult, SimError> + Send + Sync + 'static,
+        runner: impl Fn(&RunConfig) -> Result<RunResult, SimError> + Send + Sync + 'static,
     ) -> Self {
         self.runner = Box::new(runner);
         self
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &SupervisorPolicy {
-        &self.policy
-    }
-
-    /// Cells served from the checkpoint so far.
+    /// Cells served from the checkpoint file so far.
     pub fn cells_resumed(&self) -> usize {
-        *lock(&self.resumed_cells)
+        self.resumed_cells.load(Ordering::Relaxed)
     }
 
-    /// Quarantine records accumulated by this supervisor, plus any
-    /// already present in the attached checkpoint, key-ascending and
-    /// deduplicated.
+    /// Every quarantine record in the table — this invocation's and
+    /// any loaded from the checkpoint file — key-ascending.
     pub fn quarantined(&self) -> Vec<QuarantineRecord> {
-        let mut records: Vec<QuarantineRecord> = lock(&self.quarantine_log).clone();
-        if let Some(ck) = &self.checkpoint {
-            let ck = lock(ck);
-            for r in ck.quarantined() {
-                records.push(r.clone());
-            }
-        }
-        records.sort_by_key(|r| r.key);
-        records.dedup_by_key(|r| r.key);
-        records
+        lock(&self.table).quarantined()
     }
 
-    /// Drives one cell to a result under the failure policy. Never
-    /// panics and never hangs past the budget: the worst case is a
+    /// Drives one cell to a result. Never panics: the worst case is a
     /// quarantine placeholder.
     pub fn run_one(&self, cfg: RunConfig) -> RunResult {
         self.run_cell(cfg).0
     }
 
     /// Like [`run_one`](Self::run_one), also reporting how the cell
-    /// concluded. An untraced cell that already finished under this
-    /// supervisor is not simulated again: the checkpoint serves it
-    /// (counted as resumed) when one is attached, memory otherwise.
+    /// concluded. A cell already in the table is not run again: a
+    /// finished one counts as resumed when the table has a checkpoint
+    /// file and as reused otherwise.
     pub fn run_cell(&self, cfg: RunConfig) -> (RunResult, CellOutcome) {
-        if let Some(ck) = &self.checkpoint {
-            let ck = lock(ck);
-            if let Some(result) = ck.lookup(&cfg) {
-                let result = result.clone();
-                drop(ck);
-                *lock(&self.resumed_cells) += 1;
-                return (result, CellOutcome::Resumed);
-            }
-            if let Some(record) = ck.lookup_quarantine(&cfg) {
-                let outcome = CellOutcome::Quarantined {
-                    error: record.error.clone(),
-                    attempts: record.attempts,
-                };
-                let record = record.clone();
-                drop(ck);
-                lock(&self.quarantine_log).push(record);
-                return (placeholder(&cfg), outcome);
-            }
-        } else if !cfg.collect_traces {
-            if let Some(result) = lock(&self.finished).get(&crate::ckpt::cell_key(&cfg)) {
+        {
+            let table = lock(&self.table);
+            if let Some(result) = table.lookup(&cfg) {
+                if table.is_on_disk() {
+                    self.resumed_cells.fetch_add(1, Ordering::Relaxed);
+                    return (result.clone(), CellOutcome::Resumed);
+                }
                 return (result.clone(), CellOutcome::Reused);
             }
-        }
-        let max_attempts = self.policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        let final_error: String = loop {
-            attempt += 1;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                (self.runner)(&cfg, &self.policy.budget)
-            }));
-            match outcome {
-                Ok(Ok(result)) => {
-                    if let Some(ck) = &self.checkpoint {
-                        // A full disk mid-sweep degrades resumability,
-                        // not correctness: the result is still returned.
-                        let _ = lock(ck).record(&cfg, &result);
-                    } else if !cfg.collect_traces {
-                        lock(&self.finished).insert(crate::ckpt::cell_key(&cfg), result.clone());
-                    }
-                    return (result, CellOutcome::Completed { attempts: attempt });
-                }
-                Ok(Err(err)) => {
-                    // Deterministic failures cannot be retried away:
-                    // invalid configs fail validation identically, and
-                    // an event-count budget abort replays identically
-                    // (virtual time is host-independent).
-                    let deterministic = err.is_config()
-                        || matches!(
-                            err,
-                            SimError::BudgetExceeded {
-                                kind: simcore::BudgetKind::Events,
-                                ..
-                            }
-                        );
-                    if deterministic || attempt >= max_attempts {
-                        break err.to_string();
-                    }
-                }
-                Err(payload) => {
-                    // A panicking cell is retried too (defense in
-                    // depth; the library crates are lint-walled
-                    // panic-free, but a sweep must survive anything).
-                    if attempt >= max_attempts {
-                        break panic_message(payload.as_ref());
-                    }
-                }
+            if let Some(record) = table.lookup_quarantine(&cfg) {
+                let error = record.error.clone();
+                return (placeholder(&cfg), CellOutcome::Quarantined { error });
             }
-            std::thread::sleep(self.policy.backoff(attempt + 1));
-        };
-        self.quarantine(&cfg, &final_error, attempt);
-        (
-            placeholder(&cfg),
-            CellOutcome::Quarantined {
-                error: final_error,
-                attempts: attempt,
-            },
-        )
-    }
-
-    fn quarantine(&self, cfg: &RunConfig, error: &str, attempts: u32) {
-        if let Some(ck) = &self.checkpoint {
-            let _ = lock(ck).record_quarantine(cfg, error, attempts);
         }
-        lock(&self.quarantine_log).push(QuarantineRecord {
-            key: crate::ckpt::cell_key(cfg),
-            governor: cfg.governor.label().to_string(),
-            error: error.to_string(),
-            attempts,
-        });
+        // A panicking cell is caught too (defense in depth; the
+        // library crates are lint-walled panic-free, but a sweep must
+        // survive anything). A full disk mid-sweep degrades
+        // resumability, not correctness, so append errors are dropped.
+        let error = match catch_unwind(AssertUnwindSafe(|| (self.runner)(&cfg))) {
+            Ok(Ok(result)) => {
+                let _ = lock(&self.table).record(&cfg, &result);
+                return (result, CellOutcome::Completed);
+            }
+            Ok(Err(err)) => err.to_string(),
+            Err(payload) => panic_message(payload.as_ref()),
+        };
+        let _ = lock(&self.table).record_quarantine(&cfg, &error);
+        (placeholder(&cfg), CellOutcome::Quarantined { error })
     }
 
     /// Supervised replacement for [`runner::run_many`]: the same
     /// worker-pool fan-out and input-order preservation, but every
-    /// cell goes through the failure policy, so one bad cell costs a
-    /// placeholder, not the sweep.
+    /// cell goes through [`run_cell`](Self::run_cell), so one bad cell
+    /// costs a placeholder, not the sweep.
     pub fn run_many(&self, configs: Vec<RunConfig>) -> Vec<RunResult> {
         simcore::par::map_ordered(configs, |c| self.run_one(c))
     }
@@ -317,8 +190,9 @@ pub fn placeholder(cfg: &RunConfig) -> RunResult {
 mod tests {
     use super::*;
     use crate::runner::{GovernorKind, Scale};
-    use simcore::SimDuration;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use simcore::{SimDuration, StepBudget};
+    use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
     use workload::{AppKind, LoadSpec};
 
     fn tiny(seed: u64) -> RunConfig {
@@ -335,128 +209,74 @@ mod tests {
         .with_seed(seed)
     }
 
-    fn fast_policy() -> SupervisorPolicy {
-        SupervisorPolicy {
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(4),
-            ..SupervisorPolicy::default()
-        }
+    /// A supervisor around `runner`, and the count of its calls.
+    fn counted(
+        runner: impl Fn(&RunConfig) -> Result<RunResult, SimError> + Send + Sync + 'static,
+    ) -> (Supervisor, Arc<AtomicU32>) {
+        let calls = Arc::new(AtomicU32::new(0));
+        let seen = calls.clone();
+        let sup = Supervisor::new().with_runner(move |cfg| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            runner(cfg)
+        });
+        (sup, calls)
     }
 
     #[test]
-    fn backoff_is_exponential_and_capped() {
-        let policy = SupervisorPolicy {
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_millis(150),
-            ..SupervisorPolicy::default()
-        };
-        assert_eq!(policy.backoff(2), Duration::from_millis(50));
-        assert_eq!(policy.backoff(3), Duration::from_millis(100));
-        assert_eq!(policy.backoff(4), Duration::from_millis(150), "capped");
-        assert_eq!(policy.backoff(30), Duration::from_millis(150));
-    }
-
-    #[test]
-    fn transient_failure_retries_with_seed_preserved() {
-        let calls = AtomicU32::new(0);
-        let sup = Supervisor::new()
-            .with_policy(fast_policy())
-            .with_runner(move |cfg, budget| {
-                assert_eq!(cfg.seed, 42, "replay must preserve the seed");
-                if calls.fetch_add(1, Ordering::SeqCst) < 2 {
+    fn a_failing_cell_runs_once_and_is_quarantined() {
+        let mut invalid = tiny(3);
+        invalid.duration = SimDuration::ZERO;
+        let cases = [
+            (
+                counted(|_| {
                     Err(SimError::Accounting {
                         context: "test",
-                        reason: "transient".into(),
+                        reason: "always broken".into(),
                     })
-                } else {
-                    runner::try_run_budgeted(cfg.clone(), budget)
+                }),
+                tiny(1),
+                "accounting error in test: always broken",
+            ),
+            (
+                counted(|_| panic!("cell exploded")),
+                tiny(2),
+                "panic: cell exploded",
+            ),
+            (
+                counted(|cfg| runner::try_run(cfg.clone())),
+                invalid,
+                "invalid config: ",
+            ),
+        ];
+        for ((sup, calls), cfg, expected) in cases {
+            for ask in 1..=2 {
+                let (result, outcome) = sup.run_cell(cfg.clone());
+                match outcome {
+                    CellOutcome::Quarantined { error } => {
+                        assert!(error.starts_with(expected), "{error}")
+                    }
+                    other => panic!("expected quarantine, got {other:?}"),
                 }
-            });
-        let (result, outcome) = sup.run_cell(tiny(42));
-        assert_eq!(outcome, CellOutcome::Completed { attempts: 3 });
-        assert!(result.received > 0);
-        assert!(sup.quarantined().is_empty());
-    }
-
-    #[test]
-    fn persistent_failure_quarantines_after_max_attempts() {
-        let calls = AtomicU32::new(0);
-        let sup = Supervisor::new()
-            .with_policy(fast_policy())
-            .with_runner(move |_, _| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                Err(SimError::Accounting {
-                    context: "test",
-                    reason: "always broken".into(),
-                })
-            });
-        let (result, outcome) = sup.run_cell(tiny(1));
-        assert_eq!(
-            outcome,
-            CellOutcome::Quarantined {
-                error: "accounting error in test: always broken".into(),
-                attempts: 3,
+                assert_eq!(result, placeholder(&cfg), "placeholder");
+                assert_eq!(
+                    calls.load(Ordering::SeqCst),
+                    1,
+                    "{expected}: ask {ask} must not run the cell again"
+                );
             }
-        );
-        assert_eq!(result.received, 0, "placeholder");
-        assert_eq!(result.governor, "ondemand");
-        assert_eq!(sup.quarantined().len(), 1);
-    }
-
-    #[test]
-    fn panicking_cell_is_caught_and_quarantined() {
-        let sup = Supervisor::new()
-            .with_policy(fast_policy())
-            .with_runner(|_, _| panic!("cell exploded"));
-        let (_, outcome) = sup.run_cell(tiny(2));
-        match outcome {
-            CellOutcome::Quarantined { error, attempts } => {
-                assert!(error.contains("cell exploded"), "{error}");
-                assert_eq!(attempts, 3);
-            }
-            other => panic!("expected quarantine, got {other:?}"),
+            let quarantined = sup.quarantined();
+            assert_eq!(quarantined.len(), 1);
+            assert_eq!(quarantined[0].governor, "ondemand");
         }
     }
 
     #[test]
-    fn config_errors_quarantine_without_retry() {
-        let calls = std::sync::Arc::new(AtomicU32::new(0));
-        let seen = calls.clone();
-        let sup = Supervisor::new()
-            .with_policy(fast_policy())
-            .with_runner(move |cfg, budget| {
-                seen.fetch_add(1, Ordering::SeqCst);
-                runner::try_run_budgeted(cfg.clone(), budget)
-            });
-        let mut cfg = tiny(3);
-        cfg.duration = SimDuration::ZERO;
-        let (_, outcome) = sup.run_cell(cfg);
-        assert!(matches!(
-            outcome,
-            CellOutcome::Quarantined { attempts: 1, .. }
-        ));
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "no retry for configs");
-    }
-
-    #[test]
-    fn event_budget_exhaustion_quarantines_without_retry() {
-        let calls = std::sync::Arc::new(AtomicU32::new(0));
-        let seen = calls.clone();
-        let sup = Supervisor::new()
-            .with_policy(SupervisorPolicy {
-                budget: StepBudget::unlimited().with_max_events(5_000),
-                ..fast_policy()
-            })
-            .with_runner(move |cfg, budget| {
-                seen.fetch_add(1, Ordering::SeqCst);
-                runner::try_run_budgeted(cfg.clone(), budget)
-            });
+    fn event_budget_exhaustion_quarantines_the_cell() {
+        let budget = StepBudget::unlimited().with_max_events(5_000);
+        let (sup, calls) = counted(move |cfg| runner::try_run_budgeted(cfg.clone(), &budget));
         let (_, outcome) = sup.run_cell(tiny(4));
         match outcome {
-            CellOutcome::Quarantined { error, attempts } => {
-                assert!(error.contains("event-count"), "{error}");
-                assert_eq!(attempts, 1, "event budgets replay identically");
-            }
+            CellOutcome::Quarantined { error } => assert!(error.contains("event-count"), "{error}"),
             other => panic!("expected quarantine, got {other:?}"),
         }
         assert_eq!(calls.load(Ordering::SeqCst), 1);
@@ -464,18 +284,16 @@ mod tests {
 
     #[test]
     fn sweep_completes_around_a_quarantined_cell() {
-        let sup = Supervisor::new()
-            .with_policy(fast_policy())
-            .with_runner(|cfg, budget| {
-                if cfg.seed == 99 {
-                    Err(SimError::Accounting {
-                        context: "test",
-                        reason: "poisoned cell".into(),
-                    })
-                } else {
-                    runner::try_run_budgeted(cfg.clone(), budget)
-                }
-            });
+        let sup = Supervisor::new().with_runner(|cfg| {
+            if cfg.seed == 99 {
+                Err(SimError::Accounting {
+                    context: "test",
+                    reason: "poisoned cell".into(),
+                })
+            } else {
+                runner::try_run(cfg.clone())
+            }
+        });
         let results = sup.run_many(vec![tiny(1), tiny(99), tiny(5)]);
         assert_eq!(results.len(), 3, "order and length preserved");
         assert!(results[0].received > 0);
@@ -485,40 +303,40 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_skips_finished_cells() {
+    fn checkpoint_resume_skips_finished_and_quarantined_cells() {
         let mut path = std::env::temp_dir();
         path.push(format!("nmap-sup-resume-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let configs = vec![tiny(1), tiny(2), tiny(3)];
+        let configs = vec![tiny(1), tiny(2), tiny(99), tiny(3)];
         let first = {
             let sup = Supervisor::new()
                 .with_checkpoint(&path)
-                .expect("checkpoint");
+                .expect("checkpoint")
+                .with_runner(|cfg| match cfg.seed {
+                    99 => Err(SimError::invalid("test", "poisoned cell")),
+                    _ => runner::try_run(cfg.clone()),
+                });
             sup.run_many(configs.clone())
         };
         let sup = Supervisor::new()
             .with_checkpoint(&path)
             .expect("checkpoint")
-            .with_runner(|_, _| panic!("must not re-run a finished cell"));
+            .with_runner(|_| panic!("must not re-run a concluded cell"));
         let second = sup.run_many(configs);
         assert_eq!(second, first, "resumed results identical");
         assert_eq!(sup.cells_resumed(), 3);
+        assert_eq!(sup.quarantined().len(), 1, "the quarantine is loaded");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn a_config_shared_across_sweeps_runs_once() {
-        let calls = std::sync::Arc::new(AtomicU32::new(0));
-        let seen = calls.clone();
-        let sup = Supervisor::new()
-            .with_policy(fast_policy())
-            .with_runner(move |cfg, _| {
-                seen.fetch_add(1, Ordering::SeqCst);
-                Ok(RunResult {
-                    sent: cfg.seed,
-                    ..placeholder(cfg)
-                })
-            });
+        let (sup, calls) = counted(|cfg| {
+            Ok(RunResult {
+                sent: cfg.seed,
+                ..placeholder(cfg)
+            })
+        });
         let first = sup.run_many(vec![tiny(1), tiny(2)]);
         let second = sup.run_many(vec![tiny(2), tiny(3)]);
         assert_eq!(calls.load(Ordering::SeqCst), 3, "tiny(2) ran once");

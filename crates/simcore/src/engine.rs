@@ -48,7 +48,7 @@
 //! workspace, golden fixtures included, is thus also an ordering
 //! test of the wheel. Release builds compile the check out.
 
-use crate::error::{BudgetKind, SimError};
+use crate::error::SimError;
 use crate::time::{SimDuration, SimTime};
 
 mod arena;
@@ -138,21 +138,14 @@ pub trait World<Q: SchedQueue = WheelQueue>: Sized {
     fn handle(&mut self, ev: Self::Event, sim: &mut Simulator<Self, Q>);
 }
 
-/// How often [`Simulator::run_until_budgeted`] consults the host
-/// clock: every this-many executed events. Event budgets are exact;
-/// wall-clock budgets have this much slack by design, so the guard
-/// costs one `Instant::now()` per few thousand events.
-const WALL_CHECK_INTERVAL: u64 = 8_192;
-
 /// A per-run abort guard for [`Simulator::run_until_budgeted`].
 ///
-/// Both limits are optional; [`StepBudget::unlimited`] disables the
-/// guard entirely. The event limit counts *total* events executed by
-/// the simulator (cells own their simulator, so this is per-cell),
-/// which makes the guard robust against livelocked event chains that
-/// never advance virtual time. The wall limit catches everything
-/// else — pathological queue growth, host contention, or model code
-/// that is merely catastrophically slow.
+/// The one limit is optional; [`StepBudget::unlimited`] disables the
+/// guard entirely. It counts *total* events executed by the simulator
+/// (cells own their simulator, so this is per-cell), which makes the
+/// guard robust against livelocked event chains that never advance
+/// virtual time. The count is a function of the run alone, so a
+/// budgeted run aborts at the same event on every host.
 ///
 /// # Examples
 ///
@@ -181,13 +174,10 @@ const WALL_CHECK_INTERVAL: u64 = 8_192;
 pub struct StepBudget {
     /// Abort once this many events have executed in total.
     pub max_events: Option<u64>,
-    /// Abort once this much host wall-clock time has elapsed, counted
-    /// from the first budgeted call on the simulator.
-    pub max_wall: Option<std::time::Duration>,
 }
 
 impl StepBudget {
-    /// No limits: `run_until_budgeted` behaves like `run_until`.
+    /// No limit: `run_until_budgeted` behaves like `run_until`.
     pub fn unlimited() -> Self {
         StepBudget::default()
     }
@@ -196,17 +186,6 @@ impl StepBudget {
     pub fn with_max_events(mut self, max_events: u64) -> Self {
         self.max_events = Some(max_events);
         self
-    }
-
-    /// Sets the host wall-clock ceiling.
-    pub fn with_max_wall(mut self, max_wall: std::time::Duration) -> Self {
-        self.max_wall = Some(max_wall);
-        self
-    }
-
-    /// True if neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_events.is_none() && self.max_wall.is_none()
     }
 }
 
@@ -279,10 +258,6 @@ where
     executed: u64,
     cancelled: u64,
     max_pending: usize,
-    /// Epoch of the first budgeted call; wall-clock budgets count
-    /// from here so a budget spans multiple `run_until_budgeted`
-    /// calls on the same simulator (warm-up + measured window).
-    budget_epoch: Option<std::time::Instant>,
     /// `(time, seq)` of the last dispatched event: the self-check's
     /// reference point.
     #[cfg(debug_assertions)]
@@ -327,7 +302,6 @@ impl<W: World<Q>, Q: SchedQueue> Simulator<W, Q> {
             executed: 0,
             cancelled: 0,
             max_pending: 0,
-            budget_epoch: None,
             #[cfg(debug_assertions)]
             last_popped: None,
         }
@@ -468,54 +442,29 @@ impl<W: World<Q>, Q: SchedQueue> Simulator<W, Q> {
     }
 
     /// Like [`run_until`](Simulator::run_until), but aborts with
-    /// [`SimError::BudgetExceeded`] once `budget`'s event or
-    /// wall-clock ceiling is crossed, instead of hanging the caller
-    /// on a runaway world.
+    /// [`SimError::BudgetExceeded`] once `budget`'s event ceiling is
+    /// reached, instead of hanging the caller on a runaway world.
     ///
-    /// The event ceiling counts *total* events this simulator has
-    /// executed (across calls), so a budget naturally spans a
-    /// warm-up phase plus a measured window. The wall-clock ceiling
-    /// is measured from the first budgeted call and checked every
-    /// few thousand events; see [`StepBudget`].
+    /// The ceiling counts *total* events this simulator has executed
+    /// (across calls), so a budget naturally spans a warm-up phase
+    /// plus a measured window; see [`StepBudget`].
     pub fn run_until_budgeted(
         &mut self,
         world: &mut W,
         deadline: SimTime,
         budget: &StepBudget,
     ) -> Result<u64, SimError> {
-        if budget.is_unlimited() {
+        let Some(max_events) = budget.max_events else {
             return Ok(self.run_until(world, deadline));
-        }
-        let epoch = *self
-            .budget_epoch
-            .get_or_insert_with(std::time::Instant::now);
+        };
         let start = self.executed;
-        let mut next_wall_check = self
-            .executed
-            .saturating_add(WALL_CHECK_INTERVAL.min(budget.max_events.unwrap_or(u64::MAX)));
         loop {
-            if let Some(max_events) = budget.max_events {
-                if self.executed >= max_events {
-                    return Err(SimError::BudgetExceeded {
-                        kind: BudgetKind::Events,
-                        limit: max_events,
-                        events_executed: self.executed,
-                        sim_time: self.now,
-                    });
-                }
-            }
-            if let Some(max_wall) = budget.max_wall {
-                if self.executed >= next_wall_check {
-                    next_wall_check = self.executed.saturating_add(WALL_CHECK_INTERVAL);
-                    if epoch.elapsed() > max_wall {
-                        return Err(SimError::BudgetExceeded {
-                            kind: BudgetKind::WallClock,
-                            limit: max_wall.as_millis().min(u64::MAX as u128) as u64,
-                            events_executed: self.executed,
-                            sim_time: self.now,
-                        });
-                    }
-                }
+            if self.executed >= max_events {
+                return Err(SimError::BudgetExceeded {
+                    limit: max_events,
+                    events_executed: self.executed,
+                    sim_time: self.now,
+                });
             }
             if !self.dispatch_next(world, deadline) {
                 break;
@@ -857,7 +806,6 @@ mod tests {
             .unwrap_err();
         match err {
             SimError::BudgetExceeded {
-                kind: BudgetKind::Events,
                 limit,
                 events_executed,
                 ..
@@ -884,32 +832,8 @@ mod tests {
         let err = sim
             .run_until_budgeted(&mut w, SimTime::MAX, &budget)
             .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::BudgetExceeded {
-                kind: BudgetKind::Events,
-                ..
-            }
-        ));
+        assert!(matches!(err, SimError::BudgetExceeded { .. }));
         assert_eq!(w.0.len(), 100);
-    }
-
-    #[test]
-    fn wall_budget_aborts_runaway_chain() {
-        let mut sim: Simulator<Log> = Simulator::new();
-        let mut w = Log::default();
-        sim.schedule_in(SimDuration::from_nanos(1), Ev::Perpetual);
-        let budget = StepBudget::unlimited().with_max_wall(std::time::Duration::ZERO);
-        let err = sim
-            .run_until_budgeted(&mut w, SimTime::MAX, &budget)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::BudgetExceeded {
-                kind: BudgetKind::WallClock,
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -934,9 +858,7 @@ mod tests {
         let mut sim: Simulator<Log> = Simulator::new();
         let mut w = Log::default();
         sim.schedule_at(t(5), Ev::Push(1));
-        let budget = StepBudget::unlimited()
-            .with_max_events(1_000)
-            .with_max_wall(std::time::Duration::from_secs(60));
+        let budget = StepBudget::unlimited().with_max_events(1_000);
         let n = sim
             .run_until_budgeted(&mut w, SimTime::from_micros(1), &budget)
             .expect("tiny run fits any sane budget");

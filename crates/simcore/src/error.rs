@@ -3,33 +3,14 @@
 //! The library crates are panic-free on arbitrary inputs: degenerate
 //! configurations surface as [`SimError::InvalidConfig`] from a
 //! `validate()` entry point before any model is built, and runaway
-//! cells are aborted by the engine's step/wall-clock budget guard as
-//! [`SimError::BudgetExceeded`] instead of hanging a sweep. The sweep
-//! supervisor in `experiments` keys its retry/quarantine policy on
-//! these variants.
+//! cells are aborted by the engine's event-count budget guard as
+//! [`SimError::BudgetExceeded`] instead of hanging a sweep. Every
+//! variant is a deterministic function of the run's config, so the
+//! sweep supervisor in `experiments` quarantines a failed cell on its
+//! first and only run.
 
 use crate::time::SimTime;
 use std::fmt;
-
-/// Which budget dimension a run exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetKind {
-    /// The executed-event count crossed the configured ceiling — the
-    /// signature of a livelocked or degenerate cell (e.g. a
-    /// zero-interval self-perpetuating event chain).
-    Events,
-    /// Host wall-clock time crossed the configured ceiling.
-    WallClock,
-}
-
-impl fmt::Display for BudgetKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BudgetKind::Events => write!(f, "event-count"),
-            BudgetKind::WallClock => write!(f, "wall-clock"),
-        }
-    }
-}
 
 /// A typed, non-panicking simulation failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,12 +22,11 @@ pub enum SimError {
         /// Human-readable explanation of the constraint it violated.
         reason: String,
     },
-    /// The engine's step or wall-clock budget guard aborted the run.
+    /// The executed-event count crossed the budget's ceiling — the
+    /// signature of a livelocked or degenerate cell (e.g. a
+    /// zero-interval self-perpetuating event chain).
     BudgetExceeded {
-        /// Which budget was exhausted.
-        kind: BudgetKind,
-        /// The configured limit (events, or whole milliseconds for
-        /// wall-clock budgets).
+        /// The configured event limit.
         limit: u64,
         /// Events executed when the guard fired.
         events_executed: u64,
@@ -73,15 +53,15 @@ impl SimError {
         }
     }
 
-    /// True for configuration errors (retrying cannot help).
+    /// True for configuration errors: the config failed validation
+    /// before any model was built.
     pub fn is_config(&self) -> bool {
         matches!(self, SimError::InvalidConfig { .. })
     }
 
-    /// True for budget aborts (a retry with a bigger budget may help;
-    /// a retry with the same budget will not, since runs are
-    /// deterministic in virtual time — only the wall-clock dimension
-    /// is host-dependent).
+    /// True for event-budget aborts. The same config under the same
+    /// budget aborts at the same event and virtual time; only a bigger
+    /// budget can let it finish.
     pub fn is_budget(&self) -> bool {
         matches!(self, SimError::BudgetExceeded { .. })
     }
@@ -94,13 +74,12 @@ impl fmt::Display for SimError {
                 write!(f, "invalid config: {field}: {reason}")
             }
             SimError::BudgetExceeded {
-                kind,
                 limit,
                 events_executed,
                 sim_time,
             } => write!(
                 f,
-                "{kind} budget exceeded (limit {limit}) after {events_executed} events \
+                "event-count budget exceeded (limit {limit}) after {events_executed} events \
                  at sim time {sim_time:?}"
             ),
             SimError::Accounting { context, reason } => {
@@ -127,7 +106,6 @@ mod tests {
     #[test]
     fn budget_display_names_the_kind() {
         let e = SimError::BudgetExceeded {
-            kind: BudgetKind::Events,
             limit: 100,
             events_executed: 100,
             sim_time: SimTime::from_micros(3),

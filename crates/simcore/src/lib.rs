@@ -64,7 +64,7 @@ pub use engine::{
     EngineProfile, EventId, HeapQueue, HeapSimulator, SchedQueue, Simulator, StepBudget,
     WheelQueue, World,
 };
-pub use error::{BudgetKind, SimError};
+pub use error::SimError;
 pub use fault::{
     FaultInjector, FaultKind, FaultPlan, FaultScope, FaultSpec, FaultStats, RecoverySummary,
 };

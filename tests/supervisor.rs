@@ -3,16 +3,16 @@
 //! * an interrupted sweep (half its cells checkpointed, torn tail
 //!   bytes on the file) resumes without re-running finished cells and
 //!   produces a byte-identical artifact;
-//! * per-cell event budgets abort runaway cells with a typed error
-//!   and quarantine them without retry, while the rest of the sweep
-//!   completes;
+//! * a per-cell event budget, imposed through the runner seam, aborts
+//!   runaway cells with a typed error and quarantines them, while the
+//!   rest of the sweep completes;
 //! * quarantined cells surface placeholder rows, never panics.
 //!
 //! The real process-kill rehearsal (SIGTERM on `repro --checkpoint`,
 //! resume, `diff` the artifacts) runs in CI — see
 //! `.github/workflows/ci.yml`.
 
-use experiments::{cell_key, GovernorKind, RunConfig, Scale, Supervisor, SupervisorPolicy};
+use experiments::{cell_key, try_run_budgeted, GovernorKind, RunConfig, Scale, Supervisor};
 use simcore::{SimDuration, StepBudget};
 use std::io::Write;
 use workload::{AppKind, LoadSpec};
@@ -107,25 +107,21 @@ fn interrupted_sweep_resumes_byte_identically() {
 }
 
 /// A per-cell event budget aborts runaway cells with a typed
-/// `BudgetExceeded` — deterministic, so no retry — and quarantines
-/// them; the sweep still completes with placeholder rows.
+/// `BudgetExceeded` and quarantines them; the sweep still completes
+/// with placeholder rows.
 #[test]
 fn event_budget_quarantines_runaway_cells_but_sweep_completes() {
     let configs = sweep_configs();
     let n = configs.len();
-    let sup = Supervisor::new().with_policy(SupervisorPolicy {
-        // Far too few events for even a Quick window: every cell
-        // exceeds the budget. Retrying a deterministic overrun would
-        // reproduce it, so each cell must be quarantined on attempt 1.
-        budget: StepBudget::unlimited().with_max_events(500),
-        ..SupervisorPolicy::default()
-    });
+    // Far too few events for even a Quick window: every cell exceeds
+    // the budget.
+    let budget = StepBudget::unlimited().with_max_events(500);
+    let sup = Supervisor::new().with_runner(move |cfg| try_run_budgeted(cfg.clone(), &budget));
     let results = sup.run_many(configs);
     assert_eq!(results.len(), n, "sweep must complete around quarantines");
     let quarantined = sup.quarantined();
     assert_eq!(quarantined.len(), n, "every cell overran the budget");
     for q in &quarantined {
-        assert_eq!(q.attempts, 1, "budget overruns are not retried");
         assert!(
             q.error.contains("budget"),
             "quarantine must carry the typed reason: {}",
