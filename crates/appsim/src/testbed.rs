@@ -13,6 +13,13 @@
 //! client receive (end-to-end latency recorded)
 //! ```
 //!
+//! The request's link hop costs no event of its own. Every request
+//! is the same size, so its link delay `D` is one constant, and the
+//! client's arrival chain runs shifted by `D`: one event, at the
+//! instant the request reaches the NIC, builds it stamped with its
+//! send instant `t`, enqueues it, and schedules the chain's next
+//! send at `t' + D`. Only the response hop is an event.
+//!
 //! Governor hooks fire exactly where the paper's mechanisms live:
 //! per poll batch (NMAP's monitor), on ksoftirqd wake/sleep
 //! (NMAP-simpl), per sampling tick (ondemand/intel_pstate/NCAP), and
@@ -308,16 +315,25 @@ impl TestbedConfig {
 /// other variants are the testbed's own continuations.
 #[derive(Debug, Clone, Copy)]
 pub enum TestbedEvent {
-    /// The client sends the next request of arrival chain `gen`
-    /// (stale chains, killed by a load switch, do nothing).
+    /// The next request of arrival chain `gen` reaches the NIC, one
+    /// request link delay after the client sent it: it is built,
+    /// enqueued, and the chain's next send is drawn (stale chains,
+    /// killed by a load switch, do nothing).
     ClientSend {
         /// Arrival-chain generation.
         gen: u64,
     },
+    /// Requests the client sent at `sent_at` outside the arrival
+    /// chain reach the NIC: an incast burst, or a send of the old
+    /// chain still on the wire when the load switched.
+    ClientSendAt {
+        /// The client send instant the requests are stamped with.
+        sent_at: SimTime,
+        /// Requests sent at that instant.
+        requests: u32,
+    },
     /// A response reaches the client.
     ClientRecv(Packet),
-    /// A request reaches the NIC.
-    ServerRx(Packet),
     /// A queue's Rx IRQ fires.
     IrqFire(QueueId),
     /// A C-state wake transition ended: the hardirq for `q` starts.
@@ -374,12 +390,14 @@ pub enum TestbedEvent {
 
 impl TestbedEvent {
     /// The counter this event is tallied under. Incast and churn
-    /// share the fault-tick counter with the periodic fault chain.
+    /// share the fault-tick counter with the periodic fault chain, and
+    /// sends outside the chain count as client sends.
     const fn kind(&self) -> EvKind {
         match self {
-            TestbedEvent::ClientSend { .. } => EvKind::ClientSend,
+            TestbedEvent::ClientSend { .. } | TestbedEvent::ClientSendAt { .. } => {
+                EvKind::ClientSend
+            }
             TestbedEvent::ClientRecv(_) => EvKind::ClientRecv,
-            TestbedEvent::ServerRx(_) => EvKind::ServerRx,
             TestbedEvent::IrqFire(_) => EvKind::IrqFire,
             TestbedEvent::WakeHardirq { .. } => EvKind::WakeHardirq,
             TestbedEvent::ExecDone { .. } => EvKind::ExecDone,
@@ -403,7 +421,6 @@ impl TestbedEvent {
 enum EvKind {
     ClientSend,
     ClientRecv,
-    ServerRx,
     IrqFire,
     ExecDone,
     SleepTick,
@@ -419,14 +436,13 @@ enum EvKind {
 }
 
 impl EvKind {
-    const COUNT: usize = 15;
+    const COUNT: usize = 14;
 
     /// Metrics-snapshot counter key.
     const fn key(self) -> &'static str {
         match self {
             EvKind::ClientSend => "engine.ev.client_send",
             EvKind::ClientRecv => "engine.ev.client_recv",
-            EvKind::ServerRx => "engine.ev.server_rx",
             EvKind::IrqFire => "engine.ev.irq_fire",
             EvKind::ExecDone => "engine.ev.exec_done",
             EvKind::SleepTick => "engine.ev.sleep_tick",
@@ -445,7 +461,6 @@ impl EvKind {
     const ALL: [EvKind; EvKind::COUNT] = [
         EvKind::ClientSend,
         EvKind::ClientRecv,
-        EvKind::ServerRx,
         EvKind::IrqFire,
         EvKind::ExecDone,
         EvKind::SleepTick,
@@ -586,6 +601,17 @@ pub struct Testbed {
     ///
     /// [`switch_load`]: Testbed::switch_load
     arrival_gen: u64,
+    /// The send instant of the chain's pending request, which reaches
+    /// the NIC at `next_send + request_delay`.
+    next_send: Option<SimTime>,
+    /// One-way link delay of a request (every request is the same
+    /// size): how far the arrival chain runs behind its send instants.
+    request_delay: SimDuration,
+    /// Connection churns `(instant, shift)` not yet applied to the
+    /// client. A request is built when it reaches the NIC, one
+    /// `request_delay` after its send, so a churn applies from the
+    /// first request sent at or after its instant.
+    pending_churn: VecDeque<(SimTime, u64)>,
     measure_start: SimTime,
     measure_start_energy: f64,
     /// Ledger latency-sample balance at measurement start, so the
@@ -611,9 +637,6 @@ pub struct Testbed {
     stuck_masked: Vec<bool>,
     /// Last poll-batch signal per core, for stale-signal replay.
     last_poll_signal: Vec<Option<(PollClass, u64)>>,
-    /// Request packets sent but not yet arrived at the NIC (the wire
-    /// conservation identity counts fault drops against these).
-    wire_requests_in_flight: u64,
     /// Response packets sent but not yet received by the client.
     wire_responses_in_flight: u64,
     /// RAPL-like interval counter, read once per sampling tick; a
@@ -665,8 +688,10 @@ impl World for Testbed {
         self.ev_counts[ev.kind() as usize] += 1;
         match ev {
             TestbedEvent::ClientSend { gen } => self.ev_client_send(sim, gen),
+            TestbedEvent::ClientSendAt { sent_at, requests } => {
+                self.requests_at_nic(sim, sent_at, requests)
+            }
             TestbedEvent::ClientRecv(pkt) => self.ev_client_recv(sim, pkt),
-            TestbedEvent::ServerRx(pkt) => self.ev_server_rx(sim, pkt),
             TestbedEvent::IrqFire(q) => self.ev_irq_fire(sim, q),
             TestbedEvent::WakeHardirq { core, q } => self.begin_hardirq(sim, core, q),
             TestbedEvent::ExecDone { core, seq } => self.ev_exec_done(sim, core, seq),
@@ -686,8 +711,8 @@ impl World for Testbed {
 }
 
 impl Testbed {
-    /// Builds the world and schedules its initial events (first client
-    /// send, first governor sampling tick).
+    /// Builds the world and schedules its initial events (first
+    /// request arrival, first governor sampling tick).
     ///
     /// # Panics
     ///
@@ -725,6 +750,8 @@ impl Testbed {
         // Per-event logs that only traces read follow the trace switch:
         // untraced runs count transitions and keep no entries.
         let mut client = Client::new(CLIENT_FLOWS, config.app.request_size);
+        let link = LinkModel::ten_gbe();
+        let request_delay = link.delay_bytes(client.request_size());
         if trace.is_recording() {
             nic.set_log_recording(true);
             napi.iter_mut().for_each(|n| n.set_log_recording(true));
@@ -758,7 +785,7 @@ impl Testbed {
             app: config.app,
             service: config.app.service_sampler(),
             stack,
-            link: LinkModel::ten_gbe(),
+            link,
             scope: config.scope,
             arrivals,
             runqueues: (0..cores).map(|_| RunQueue::new()).collect(),
@@ -774,6 +801,9 @@ impl Testbed {
             rng_wake: RngStream::derive(seed, "wake", 0),
             nic_window_rx: 0,
             arrival_gen: 0,
+            next_send: None,
+            request_delay,
+            pending_churn: VecDeque::new(),
             measure_start: SimTime::ZERO,
             measure_start_energy: 0.0,
             measure_start_samples: 0,
@@ -786,7 +816,6 @@ impl Testbed {
             load_factor_applied: 1.0,
             stuck_masked: vec![false; cores],
             last_poll_signal: vec![None; cores],
-            wire_requests_in_flight: 0,
             wire_responses_in_flight: 0,
             rapl: RaplCounter::new(),
             // 4096 decisions ≈ tens of seconds of history at typical
@@ -815,12 +844,7 @@ impl Testbed {
             tb.core_idle[i] = false; // force the transition below
             tb.go_idle(sim, CoreId(i));
         }
-        // First arrival.
-        let mut rng = tb.rng_arrival.clone();
-        if let Some(t) = tb.arrivals.next_after(SimTime::ZERO, &mut rng) {
-            sim.schedule_at(t, TestbedEvent::ClientSend { gen: 0 });
-        }
-        tb.rng_arrival = rng;
+        tb.start_arrival_chain(sim, SimTime::ZERO);
         // Governor sampling tick.
         let interval = tb.governor.sampling_interval();
         sim.schedule_at(SimTime::ZERO + interval, TestbedEvent::SampleTick);
@@ -985,36 +1009,55 @@ impl Testbed {
     // Client events
     // ------------------------------------------------------------------
 
+    /// The chain's pending request reaches the NIC; the chain goes on
+    /// from its send instant.
     fn ev_client_send(&mut self, sim: &mut Simulator<Testbed>, gen: u64) {
-        let now = sim.now();
         if gen != self.arrival_gen {
             return; // stale chain: the load switched
         }
-        let pkt = self.client.build_request(now, &mut self.rng_client);
-        self.ledger.credit(Account::RequestsSent, 1);
-        self.wire_requests_in_flight += 1;
-        let delay = self.link.delay(&pkt);
-        sim.schedule_in(delay, TestbedEvent::ServerRx(pkt));
-        let mut rng = self.rng_arrival.clone();
-        if let Some(t) = self.arrivals.next_after(now, &mut rng) {
-            sim.schedule_at(t, TestbedEvent::ClientSend { gen });
+        let sent_at = sim.now() - self.request_delay;
+        debug_assert_eq!(self.next_send, Some(sent_at));
+        self.requests_at_nic(sim, sent_at, 1);
+        self.start_arrival_chain(sim, sent_at);
+    }
+
+    /// Draws the chain's first send after `after` and schedules its
+    /// arrival at the NIC.
+    fn start_arrival_chain(&mut self, sim: &mut Simulator<Testbed>, after: SimTime) {
+        self.next_send = self.arrivals.next_after(after, &mut self.rng_arrival);
+        if let Some(t) = self.next_send {
+            let gen = self.arrival_gen;
+            sim.schedule_at(t + self.request_delay, TestbedEvent::ClientSend { gen });
         }
-        self.rng_arrival = rng;
+    }
+
+    /// Ends the arrival chain at `now`. Its sends up to `now` are on
+    /// the wire already and still reach the NIC; drawing them draws
+    /// the chain on to its first send after `now`, so `rng_arrival`
+    /// sees the same draws as if every send had run at its instant.
+    fn stop_arrival_chain(&mut self, sim: &mut Simulator<Testbed>, now: SimTime) {
+        self.arrival_gen += 1;
+        while let Some(sent_at) = self.next_send.filter(|&t| t <= now) {
+            sim.schedule_at(
+                sent_at + self.request_delay,
+                TestbedEvent::ClientSendAt {
+                    sent_at,
+                    requests: 1,
+                },
+            );
+            self.next_send = self.arrivals.next_after(sent_at, &mut self.rng_arrival);
+        }
+        self.next_send = None;
     }
 
     /// Switches the offered load mid-run (Fig 16's varying-load
-    /// workload). The old arrival chain dies; a fresh chain starts
-    /// from the new spec immediately.
+    /// workload). The old arrival chain stops sending; a fresh chain
+    /// starts from the new spec immediately.
     pub fn switch_load(&mut self, sim: &mut Simulator<Testbed>, load: LoadSpec) {
         let now = sim.now();
+        self.stop_arrival_chain(sim, now);
         self.arrivals = load.arrivals();
-        self.arrival_gen += 1;
-        let gen = self.arrival_gen;
-        let mut rng = self.rng_arrival.clone();
-        if let Some(t) = self.arrivals.next_after(now, &mut rng) {
-            sim.schedule_at(t, TestbedEvent::ClientSend { gen });
-        }
-        self.rng_arrival = rng;
+        self.start_arrival_chain(sim, now);
     }
 
     fn ev_client_recv(&mut self, sim: &mut Simulator<Testbed>, pkt: Packet) {
@@ -1109,10 +1152,30 @@ impl Testbed {
     // NIC events
     // ------------------------------------------------------------------
 
-    fn ev_server_rx(&mut self, sim: &mut Simulator<Testbed>, pkt: Packet) {
+    /// `requests` requests the client sent at `sent_at` reach the NIC
+    /// now: each is built stamped with its send instant, counted as
+    /// sent, and enqueued.
+    fn requests_at_nic(&mut self, sim: &mut Simulator<Testbed>, sent_at: SimTime, requests: u32) {
+        while let Some(&(at, shift)) = self.pending_churn.front() {
+            if at > sent_at {
+                break;
+            }
+            self.client.churn_flows(shift);
+            self.pending_churn.pop_front();
+        }
+        for _ in 0..requests {
+            let pkt = self.client.build_request(sent_at, &mut self.rng_client);
+            debug_assert_eq!(self.link.delay(&pkt), self.request_delay);
+            self.ledger.credit(Account::RequestsSent, 1);
+            self.request_rx(sim, pkt);
+        }
+    }
+
+    /// A request reaches the NIC: the wire may still drop it; if not,
+    /// it and its companion packets are enqueued on its RSS queue.
+    fn request_rx(&mut self, sim: &mut Simulator<Testbed>, pkt: Packet) {
         let now = sim.now();
         let q = self.nic.rss_queue(pkt.flow);
-        self.wire_requests_in_flight -= 1;
         if self.faults.wire_drop(now, q.0) {
             // The request dies on the wire before the NIC sees it:
             // accounted explicitly so conservation holds under loss.
@@ -2068,24 +2131,26 @@ impl Testbed {
     }
 
     /// An incast burst: `requests` extra requests hit the wire
-    /// back-to-back at the scope start.
+    /// back-to-back at the scope start and reach the NIC together.
     fn ev_fault_incast(&mut self, sim: &mut Simulator<Testbed>, requests: u32) {
         let now = sim.now();
         for _ in 0..requests {
-            let pkt = self.client.build_request(now, &mut self.rng_client);
-            self.ledger.credit(Account::RequestsSent, 1);
-            self.wire_requests_in_flight += 1;
             self.faults.note_incast_request(now);
-            let delay = self.link.delay(&pkt);
-            sim.schedule_in(delay, TestbedEvent::ServerRx(pkt));
         }
+        sim.schedule_in(
+            self.request_delay,
+            TestbedEvent::ClientSendAt {
+                sent_at: now,
+                requests,
+            },
+        );
     }
 
     /// Connection churn: the client's flow space rotates, remapping
-    /// RSS placement. In-flight requests keep their old flow ids, as
-    /// live connections would.
+    /// RSS placement for requests sent from now on. In-flight requests
+    /// keep their old flow ids, as live connections would.
     fn ev_fault_churn(&mut self, sim: &mut Simulator<Testbed>, shift: u64) {
-        self.client.churn_flows(shift);
+        self.pending_churn.push_back((sim.now(), shift));
         self.faults.note_flow_churn(sim.now());
     }
 
@@ -2311,12 +2376,12 @@ impl Testbed {
             l.balance(Account::PacketsFaultDropped),
             self.faults.stats().wire_dropped(),
         );
+        // A request counts as sent when it reaches the server's end
+        // of the link, so none is in flight on the way in.
         report.check_exact(
-            "wire: requests sent == arrived + fault-dropped + in flight",
+            "wire: requests sent == arrived + fault-dropped",
             l.balance(Account::RequestsSent),
-            l.balance(Account::RequestsArrivedAtNic)
-                + l.balance(Account::RequestsFaultDropped)
-                + self.wire_requests_in_flight,
+            l.balance(Account::RequestsArrivedAtNic) + l.balance(Account::RequestsFaultDropped),
         );
         report.check_exact(
             "wire: responses completed == received + fault-dropped + in flight",
@@ -2581,8 +2646,8 @@ mod tests {
 
     /// Stops the client's send chain, as a load switch does, so the
     /// pipeline can drain.
-    fn stop_sends(tb: &mut Testbed) {
-        tb.arrival_gen += 1;
+    fn stop_sends(sim: &mut Simulator<Testbed>, tb: &mut Testbed) {
+        tb.stop_arrival_chain(sim, sim.now());
     }
 
     fn build(rps: f64, governor: Box<dyn PStateGovernor>) -> (Simulator<Testbed>, Testbed) {
@@ -2725,7 +2790,7 @@ mod tests {
             .expect("audit enabled")
             .assert_balanced();
         // After drain: stop sends and let the pipeline empty.
-        stop_sends(&mut tb);
+        stop_sends(&mut sim, &mut tb);
         sim.run_until(&mut tb, SimTime::from_millis(400));
         let report = tb.audit_report(sim.now()).expect("audit enabled");
         report.assert_balanced();
@@ -2895,7 +2960,7 @@ mod tests {
         sim.run_until(&mut tb, SimTime::from_millis(150));
         tb.audit_report(sim.now()).unwrap().assert_balanced();
         sim.run_until(&mut tb, SimTime::from_millis(300));
-        stop_sends(&mut tb);
+        stop_sends(&mut sim, &mut tb);
         sim.run_until(&mut tb, SimTime::from_millis(600));
         let report = tb.audit_report(sim.now()).unwrap();
         report.assert_balanced();
@@ -2903,6 +2968,133 @@ mod tests {
         assert!(dropped > 0, "a 20% drop window must lose packets");
         assert_eq!(dropped, tb.faults.stats().wire_dropped());
         assert!(tb.client.received() < tb.client.sent());
+    }
+
+    /// The sends after `from` and up to `until`, drawn straight from
+    /// `load`'s arrival process; the first send after `until` is drawn
+    /// too, as the testbed's chain draws it.
+    fn direct_sends(
+        load: LoadSpec,
+        from: SimTime,
+        until: SimTime,
+        rng: &mut RngStream,
+    ) -> Vec<SimTime> {
+        let mut arrivals = load.arrivals();
+        let mut sends = Vec::new();
+        let mut t = from;
+        while let Some(next) = arrivals.next_after(t, rng).filter(|&next| next <= until) {
+            sends.push(next);
+            t = next;
+        }
+        sends
+    }
+
+    #[test]
+    fn load_switch_delivers_the_old_chains_sends_on_the_wire() {
+        let load = small_load(80_000.0);
+        let switched = small_load(120_000.0);
+        let cfg = TestbedConfig::new(AppModel::memcached(), load)
+            .with_seed(123)
+            .with_trace_capacity(1); // keeps the client's response log
+        let cores = cfg.profile.cores;
+        let mut sim = Simulator::new();
+        let mut tb = Testbed::new(
+            cfg,
+            Box::new(Performance::new()),
+            Box::new(MenuPolicy::new(cores)),
+            &mut sim,
+        );
+        let (switch, stop) = (SimTime::from_millis(20), SimTime::from_millis(30));
+        sim.schedule_at(switch, TestbedEvent::SwitchLoad(switched));
+        sim.run_until(&mut tb, stop);
+        stop_sends(&mut sim, &mut tb);
+        sim.run_until(&mut tb, SimTime::from_millis(60));
+        assert_eq!(tb.client.received(), tb.client.sent(), "no request lost");
+        let mut stamps: Vec<SimTime> = tb
+            .client
+            .response_log()
+            .iter()
+            .map(|&(at, latency)| at - latency)
+            .collect();
+        stamps.sort();
+        // The old process up to the switch (its first send after the
+        // switch is drawn, then dropped), then the new one.
+        let mut rng = RngStream::derive(123, "arrival", 0);
+        let mut expected = direct_sends(load, SimTime::ZERO, switch, &mut rng);
+        let on_wire = expected
+            .iter()
+            .filter(|&&t| t + tb.request_delay > switch)
+            .count();
+        assert!(on_wire > 0, "some send must be on the wire at the switch");
+        expected.extend(direct_sends(switched, switch, stop, &mut rng));
+        assert_eq!(stamps, expected);
+    }
+
+    #[test]
+    fn requests_sent_before_a_churn_keep_the_old_flows() {
+        use simcore::FaultScope;
+        let churn = SimTime::from_millis(20);
+        let plan = FaultPlan::new().inject(
+            FaultKind::ConnectionChurn { shift: 7 },
+            FaultScope::window(churn, churn + SimDuration::from_millis(1)),
+        );
+        let (mut sim, mut tb) = build_faulty(80_000.0, plan);
+        let delay = tb.request_delay;
+        let mut built_after_churn = 0;
+        while sim.now() < churn + delay + delay {
+            let sent = tb.client.sent();
+            assert!(sim.step(&mut tb));
+            if tb.client.sent() == sent {
+                continue;
+            }
+            // A chain request is built one request delay after its
+            // send, with the flow offset it leaves behind.
+            let sent_at = sim.now() - delay;
+            let offset = if sent_at < churn { 0 } else { 7 };
+            assert_eq!(tb.client.flow_offset(), offset, "sent at {sent_at:?}");
+            if sent_at < churn && sim.now() > churn {
+                built_after_churn += 1;
+            }
+        }
+        assert!(
+            built_after_churn > 0,
+            "some send must be on the wire at the churn"
+        );
+    }
+
+    #[test]
+    fn incast_requests_follow_every_chain_send_before_the_burst() {
+        use simcore::FaultScope;
+        let incast = SimTime::from_millis(20);
+        let plan = FaultPlan::new().inject(
+            FaultKind::IncastBurst { requests: 50 },
+            FaultScope::window(incast, incast + SimDuration::from_millis(1)),
+        );
+        let (mut sim, mut tb) = build_faulty(80_000.0, plan);
+        let mut rng = RngStream::derive(123, "arrival", 0);
+        let before: Vec<SimTime> =
+            direct_sends(small_load(80_000.0), SimTime::ZERO, incast, &mut rng)
+                .into_iter()
+                .filter(|&t| t < incast)
+                .collect();
+        let on_wire = before
+            .iter()
+            .filter(|&&t| t + tb.request_delay > incast)
+            .count();
+        assert!(on_wire > 0, "some send must be on the wire at the burst");
+        loop {
+            let sent = tb.client.sent();
+            assert!(sim.step(&mut tb));
+            assert!(
+                sim.now() <= incast + tb.request_delay,
+                "the burst never arrived"
+            );
+            if tb.client.sent() - sent == 50 {
+                // The burst's ids start right after the chain's.
+                assert_eq!(sent, before.len() as u64);
+                break;
+            }
+        }
     }
 
     #[test]
@@ -2914,7 +3106,7 @@ mod tests {
         );
         let (mut sim, mut tb) = build_faulty(40_000.0, plan);
         sim.run_until(&mut tb, SimTime::from_millis(300));
-        stop_sends(&mut tb);
+        stop_sends(&mut sim, &mut tb);
         sim.run_until(&mut tb, SimTime::from_millis(600));
         tb.audit_report(sim.now()).unwrap().assert_balanced();
         assert!(

@@ -1820,7 +1820,7 @@ mod tests {
                 "0 ms warm-up, 5 servers",
                 quick(5, GovernorKind::Ondemand).with_window(SimDuration::ZERO, ms(60)),
             ),
-            // At 90 events a server fails before the boundary and the
+            // At 85 events a server fails before the boundary and the
             // LB after it, so the boundary's harvest shows in the
             // error: harvesting the servers past the failed one (which
             // ran ahead on their workers) moves it.
@@ -1830,7 +1830,7 @@ mod tests {
                     .with_window(ms(12), ms(60)),
             ),
         ];
-        // 90 and 382 events each fail a server mid-run and the LB
+        // 85 and 382 events each fail a server mid-run and the LB
         // later, so the LB's error shows which servers a failed join
         // still harvested and re-targeted. (The counts follow the
         // servers' executed events: a woken core's sleep tick is
@@ -1838,18 +1838,18 @@ mod tests {
         let budgets = [
             None,
             Some(1),
-            Some(90),
+            Some(85),
             Some(382),
             Some(1_000),
             Some(4_754),
             Some(50_000),
         ]
         .map(|max_events| StepBudget { max_events });
-        // What the fleet returned before it had a pool, so the inline
-        // and threaded schedules cannot drift from it together.
+        // Pinned budget errors, so the inline and threaded schedules
+        // cannot drift together.
         let serial = [
             ("0 ms warm-up, 5 servers", 382, 32_554_980),
-            ("2 servers at 2 000 rps, 12 ms warm-up", 90, 22_358_828),
+            ("2 servers at 2 000 rps, 12 ms warm-up", 85, 20_160_218),
         ];
         for (label, cfg) in cases {
             for budget in &budgets {

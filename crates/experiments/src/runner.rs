@@ -273,7 +273,9 @@ pub struct RunResult {
     pub governor: String,
     /// Sleep policy display name.
     pub sleep: String,
-    /// Requests sent within the measured window.
+    /// Requests sent since time zero that reached the server's end of
+    /// the link by the end of the run (a request counts as sent when
+    /// it arrives, so the last link delay's sends are left out).
     pub sent: u64,
     /// Responses received within the measured window.
     pub received: u64,

@@ -30,7 +30,7 @@ use workload::{AppKind, LoadLevel, LoadSpec};
 /// Nothing is simulated here.
 pub fn nmap_config(app: AppKind) -> NmapConfig {
     let (ni_threshold, cu_bits) = match app {
-        AppKind::Memcached => (12, 0x3ff06d70c466b361),
+        AppKind::Memcached => (12, 0x3ff06ec921817459),
         AppKind::Nginx => (96, 0x3fd71d61f6d7ee29),
     };
     NmapConfig::new(ni_threshold, f64::from_bits(cu_bits))

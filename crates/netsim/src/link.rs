@@ -54,7 +54,13 @@ impl LinkModel {
     /// One-way delay for `pkt`.
     #[inline]
     pub fn delay(&self, pkt: &Packet) -> SimDuration {
-        self.base + self.per_byte * pkt.size_bytes as u64
+        self.delay_bytes(pkt.size_bytes)
+    }
+
+    /// One-way delay for a `bytes`-byte packet.
+    #[inline]
+    pub fn delay_bytes(&self, bytes: u32) -> SimDuration {
+        self.base + self.per_byte * bytes as u64
     }
 }
 

@@ -22,14 +22,16 @@
 //! * **Grain.** With a 1 ns level 0, an event a few microseconds out
 //!   was placed two or three times on its way down. At 64 ns, one
 //!   level-0 window covers 4 096 ns, so an event due within it (a
-//!   service completion, the next arrival) is placed once and one a
-//!   few tens of microseconds out (a link hop) cascades once. The
-//!   sorted walk is rare and short: counted over one pass each, 6.3%
-//!   of box_poll's level-0 inserts walk (1.4% of sweep13's, 3.4% of
-//!   fleet_chaos's), passing 0.07 entries on average (0.01, 0.05).
-//!   At box_poll's 3.5 events per µs a 64 ns grain holds about 0.2
-//!   events; a model far denser than that would make each walk cost
-//!   O(entries in the grain).
+//!   service completion) is placed once and one a few tens of
+//!   microseconds out (a request's arrival at the NIC, scheduled one
+//!   link delay ahead, or a response's link hop) cascades once:
+//!   box_poll places its events 1.66 times each. The sorted walk is
+//!   rare and short: counted over one pass each, 4.8% of box_poll's
+//!   level-0 inserts walk (1.2% of sweep13's, 1.8% of fleet_chaos's),
+//!   passing 0.05 entries per walk (0.01, 0.02). At box_poll's 2.75
+//!   events per µs a 64 ns grain holds about 0.2 events; a model far
+//!   denser than that would make each walk cost O(entries in the
+//!   grain).
 //! * **Occupancy bitmaps.** One `u64` per level marks non-empty
 //!   buckets; finding the next event is a handful of
 //!   `trailing_zeros` calls, never a scan over empty slots, so

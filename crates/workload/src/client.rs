@@ -69,15 +69,20 @@ impl Client {
         }
     }
 
-    /// Builds the next request, stamped with `now` as the client send
-    /// time, on a uniformly chosen flow.
+    /// Builds the next request, stamped with `sent_at` as the client
+    /// send time, on a uniformly chosen flow.
     #[inline]
-    pub fn build_request(&mut self, now: SimTime, rng: &mut RngStream) -> Packet {
+    pub fn build_request(&mut self, sent_at: SimTime, rng: &mut RngStream) -> Packet {
         let id = RequestId(self.next_id);
         self.next_id += 1;
         self.sent += 1;
         let flow = FlowId(self.flow_offset + rng.below(self.flows));
-        Packet::request(id, flow, self.request_size, now)
+        Packet::request(id, flow, self.request_size, sent_at)
+    }
+
+    /// The size of every request this client builds, in bytes.
+    pub fn request_size(&self) -> u32 {
+        self.request_size
     }
 
     /// Replaces the connection pool: every live flow id shifts by
@@ -112,7 +117,9 @@ impl Client {
         latency
     }
 
-    /// Requests sent so far.
+    /// Requests built so far. The testbed builds a request when it
+    /// reaches the server's end of the link, so this count leaves out
+    /// the requests still on the wire.
     pub fn sent(&self) -> u64 {
         self.sent
     }

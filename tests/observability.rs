@@ -139,7 +139,7 @@ fn slo_track_matches_its_pinned_digest() {
         })
         .collect();
     let digest = simcore::hash::fnv1a(rendered.into_bytes());
-    assert_eq!((slo.len(), digest), (860, 0x7057_51fb_00da_4ca1));
+    assert_eq!((slo.len(), digest), (861, 0xcf16_a829_aaf9_04cf));
 }
 
 #[test]
@@ -369,7 +369,7 @@ fn assert_event_kinds_sum_to_executed(r: &RunResult, label: &str) {
         .iter()
         .filter(|(k, _)| k.starts_with("engine.ev."))
         .collect();
-    assert_eq!(kinds.len(), 15, "{label}: one counter per event kind");
+    assert_eq!(kinds.len(), 14, "{label}: one counter per event kind");
     let sum: u64 = kinds.iter().map(|(_, n)| n).sum();
     assert_eq!(
         sum,
@@ -405,6 +405,27 @@ fn event_kinds_sum_to_events_executed_on_a_quick_cell() {
     });
     assert_event_kinds_sum_to_executed(&r, "load-switch cell");
     assert_eq!(r.metrics.counter("engine.ev.switch_load"), Some(2));
+}
+
+/// A request's way in costs one event: the arrival that reaches the
+/// NIC also stamps the send and credits the ledger, so no event stands
+/// for the client→NIC link hop.
+#[test]
+fn requests_reach_the_nic_in_one_event() {
+    let r = traced_nmap_run();
+    let m = &r.metrics;
+    assert_eq!(
+        m.counter("engine.ev.server_rx"),
+        None,
+        "no link-hop event kind"
+    );
+    let executed = m.counter("engine.events_executed").unwrap();
+    let per_request = executed as f64 / r.sent as f64;
+    assert!(
+        per_request < 3.8,
+        "{executed} events for {} requests ({per_request:.2} per request)",
+        r.sent
+    );
 }
 
 #[test]
