@@ -1,13 +1,12 @@
 //! A minimal, dependency-free stand-in for the `criterion` crate.
 //!
-//! The workspace builds without network access, so the bench targets
+//! The workspace builds without network access, so the bench target
 //! can't link the real criterion. This module re-implements the small
-//! API surface the suite uses — [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`], [`Bencher::iter`], [`black_box`],
-//! and the [`criterion_group!`]/[`criterion_main!`] macros — with
-//! wall-clock timing and a plain-text report. Numbers are indicative,
-//! not statistically rigorous; the point is that `cargo bench` keeps
-//! compiling and exercising every figure/table cell.
+//! API surface `benches/engine.rs` uses — [`Criterion::bench_function`],
+//! [`Bencher::iter`], [`black_box`], and the
+//! [`criterion_group!`]/[`criterion_main!`] macros — with wall-clock
+//! timing, a plain-text report, and a JSON report at
+//! [`json_report_path`] that `scripts/bench_gate.py` reads.
 //!
 //! A positional command-line argument acts as a substring filter on
 //! bench names, mirroring `cargo bench <filter>`.
@@ -16,7 +15,7 @@
 //! [`criterion_main!`]: crate::criterion_main
 
 pub use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -131,39 +130,19 @@ impl Criterion {
         let name = name.into();
         self.run_one(&name, f);
     }
-
-    /// Opens a named group; benches inside report as `group/name`.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            criterion: self,
-            prefix: name.into(),
-        }
-    }
 }
 
-/// A named collection of related benches.
-pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
-    prefix: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Runs one benchmark within the group.
-    pub fn bench_function(&mut self, name: impl Into<String>, f: impl FnMut(&mut Bencher)) {
-        let full = format!("{}/{}", self.prefix, name.into());
-        self.criterion.run_one(&full, f);
-    }
-
-    /// Ends the group (report lines are printed eagerly).
-    pub fn finish(self) {}
-}
-
-/// Where the JSON report lands: `$BENCH_JSON` if set, else
-/// `BENCH_repro.json` in the working directory.
+/// Where the JSON report lands: `BENCH_repro.json` at the workspace
+/// root, whatever the working directory (`cargo bench` runs a bench
+/// binary from its package root).
 pub fn json_report_path() -> PathBuf {
-    std::env::var_os("BENCH_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_repro.json"))
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // crates/bench → the workspace root.
+    manifest
+        .ancestors()
+        .nth(2)
+        .unwrap_or(manifest)
+        .join("BENCH_repro.json")
 }
 
 /// Renders stats as the `BENCH_repro.json` document: a single
@@ -191,82 +170,22 @@ pub fn render_json(stats: &[BenchStat]) -> String {
     out
 }
 
-/// Parses a document previously produced by [`render_json`]. Tolerant
-/// of unknown content: anything that doesn't scan as our own format
-/// yields an empty vector (the writer then just starts fresh).
-pub fn parse_json(doc: &str) -> Vec<BenchStat> {
-    let mut out = Vec::new();
-    for chunk in doc.split("{\"name\":\"").skip(1) {
-        // Scan the name respecting backslash escapes (`\"`, `\\`).
-        let mut name = String::new();
-        let mut closed = false;
-        let mut chars = chunk.chars();
-        while let Some(c) = chars.next() {
-            match c {
-                '\\' => name.extend(chars.next()),
-                '"' => {
-                    closed = true;
-                    break;
-                }
-                c => name.push(c),
-            }
-        }
-        if !closed {
-            continue;
-        }
-        let field = |key: &str| -> Option<u64> {
-            let pat = format!("\"{key}\":");
-            let rest = &chunk[chunk.find(&pat)? + pat.len()..];
-            let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-            digits.parse().ok()
-        };
-        let (Some(mean_ns), Some(p50_ns), Some(p99_ns), Some(samples)) = (
-            field("mean_ns"),
-            field("p50_ns"),
-            field("p99_ns"),
-            field("samples"),
-        ) else {
-            continue;
-        };
-        // Reports written before the gate existed carry no `min_ns`;
-        // fall back to the mean so old files still merge.
-        let min_ns = field("min_ns").unwrap_or(mean_ns);
-        out.push(BenchStat {
-            name,
-            mean_ns,
-            min_ns,
-            p50_ns,
-            p99_ns,
-            samples,
-        });
-    }
-    out
-}
-
-/// Writes (or updates) the JSON report at [`json_report_path`] with
-/// every stat recorded in this process. Entries from earlier bench
-/// binaries sharing the file are kept; same-name entries are replaced,
-/// so `cargo bench` across several `[[bench]]` targets accumulates one
-/// merged `BENCH_repro.json`.
-pub fn write_json_report() {
+/// Writes every stat recorded in this process to the JSON report at
+/// [`json_report_path`], replacing any earlier report. A run whose
+/// filter matched nothing writes nothing.
+pub fn write_json_report() -> std::io::Result<()> {
     let stats = RESULTS
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
     if stats.is_empty() {
-        return;
+        return Ok(());
     }
     let path = json_report_path();
-    let mut merged = std::fs::read_to_string(&path)
-        .map(|doc| parse_json(&doc))
-        .unwrap_or_default();
-    merged.retain(|old| !stats.iter().any(|s| s.name == old.name));
-    merged.extend(stats);
-    if let Err(e) = std::fs::write(&path, render_json(&merged)) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("bench report written to {}", path.display());
-    }
+    std::fs::write(&path, render_json(&stats))
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    println!("bench report written to {}", path.display());
+    Ok(())
 }
 
 /// Declares a bench group function, mirroring criterion's macro.
@@ -278,24 +197,18 @@ macro_rules! criterion_group {
             $( $target(&mut criterion); )+
         }
     };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group!(
-            name = $name;
-            config = $crate::criterion::Criterion::default();
-            targets = $($target),+
-        );
-    };
 }
 
 /// Declares the bench binary's `main`, mirroring criterion's macro.
 /// On exit the collected stats are flushed to `BENCH_repro.json`
-/// (see [`criterion::write_json_report`](crate::criterion::write_json_report)).
+/// (see [`criterion::write_json_report`](crate::criterion::write_json_report));
+/// a failed write fails the run, so the gate never reads a stale report.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
-        fn main() {
+        fn main() -> std::io::Result<()> {
             $( $group(); )+
-            $crate::criterion::write_json_report();
+            $crate::criterion::write_json_report()
         }
     };
 }
@@ -348,51 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_and_merges() {
-        let a = BenchStat {
-            name: "grp/a".into(),
-            mean_ns: 120,
-            min_ns: 100,
-            p50_ns: 110,
-            p99_ns: 300,
-            samples: 10,
-        };
-        let b = BenchStat {
-            name: "grp/\"quoted\"".into(),
-            mean_ns: 7,
-            min_ns: 5,
-            p50_ns: 6,
-            p99_ns: 9,
-            samples: 3,
-        };
-        let doc = render_json(&[b.clone(), a.clone()]);
-        assert!(doc.starts_with("{\"benchmarks\":["));
-        let parsed = parse_json(&doc);
-        // render_json sorts by name; '"' < 'a'.
-        assert_eq!(parsed, vec![b, a]);
-        // Garbage input degrades to empty rather than panicking.
-        assert!(parse_json("not json at all").is_empty());
-        assert!(parse_json("{\"benchmarks\":[]}").is_empty());
-        // Pre-`min_ns` reports fall back to the mean.
-        let legacy = parse_json(
-            "{\"benchmarks\":[{\"name\":\"old/one\",\"mean_ns\":50,\
-             \"p50_ns\":49,\"p99_ns\":60,\"samples\":4}]}",
-        );
-        assert_eq!((legacy.len(), legacy[0].min_ns), (1, 50));
-    }
-
-    #[test]
-    fn groups_prefix_names() {
-        let mut c = Criterion {
-            sample_size: 1,
-            filter: Some("grp/inner".into()),
-        };
-        let mut ran = false;
-        {
-            let mut g = c.benchmark_group("grp");
-            g.bench_function("inner", |b| b.iter(|| ran = true));
-            g.finish();
-        }
-        assert!(ran);
+    fn report_lands_at_the_workspace_root() {
+        let path = json_report_path();
+        assert!(path.is_absolute());
+        assert!(path.with_file_name("Cargo.lock").is_file());
     }
 }

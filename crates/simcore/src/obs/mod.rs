@@ -714,4 +714,13 @@ mod tests {
         assert_eq!(h.buckets, vec![(0, 1), (7, 2)]);
         assert!(snap.render().contains("counter a.first=5"));
     }
+
+    /// The attribution and telemetry summaries are plain data whose
+    /// defaults are empty, not absent.
+    #[test]
+    fn default_summaries_are_empty() {
+        assert_eq!(crate::EnergySummary::default().measured_total_uj(), 0);
+        assert_eq!(crate::FlightSummary::default().total, 0);
+        assert!(crate::Timeline::default().is_empty());
+    }
 }
