@@ -859,26 +859,23 @@ impl Testbed {
         // recomputes the modal overrides (ITR, ring clamp, DVFS
         // padding, load factor, stuck-mask release); periodic and
         // one-shot kinds start their own chains at the scope start.
-        if tb.faults.is_active() {
-            let specs: Vec<FaultSpec> = tb.faults.specs().to_vec();
-            for spec in specs {
-                let scope = spec.scope;
-                sim.schedule_at(scope.start, TestbedEvent::FaultBoundary);
-                if scope.end < SimTime::MAX {
-                    sim.schedule_at(scope.end, TestbedEvent::FaultBoundary);
+        for &spec in tb.faults.specs() {
+            let scope = spec.scope;
+            sim.schedule_at(scope.start, TestbedEvent::FaultBoundary);
+            if scope.end < SimTime::MAX {
+                sim.schedule_at(scope.end, TestbedEvent::FaultBoundary);
+            }
+            match spec.kind {
+                FaultKind::SpuriousIrq { .. } | FaultKind::NapiSignalStuck { .. } => {
+                    sim.schedule_at(scope.start, TestbedEvent::FaultTick(spec));
                 }
-                match spec.kind {
-                    FaultKind::SpuriousIrq { .. } | FaultKind::NapiSignalStuck { .. } => {
-                        sim.schedule_at(scope.start, TestbedEvent::FaultTick(spec));
-                    }
-                    FaultKind::IncastBurst { requests } => {
-                        sim.schedule_at(scope.start, TestbedEvent::FaultIncast { requests });
-                    }
-                    FaultKind::ConnectionChurn { shift } => {
-                        sim.schedule_at(scope.start, TestbedEvent::FaultChurn { shift });
-                    }
-                    _ => {}
+                FaultKind::IncastBurst { requests } => {
+                    sim.schedule_at(scope.start, TestbedEvent::FaultIncast { requests });
                 }
+                FaultKind::ConnectionChurn { shift } => {
+                    sim.schedule_at(scope.start, TestbedEvent::FaultChurn { shift });
+                }
+                _ => {}
             }
         }
         Ok(tb)
@@ -1745,7 +1742,7 @@ impl Testbed {
             if self.governor.core_degraded(core) {
                 flags |= simcore::obs::timeseries::FLAG_DEGRADED;
             }
-            if self.fault_scope_active(now, i) {
+            if self.faults.covers(now, i) {
                 flags |= simcore::obs::timeseries::FLAG_FAULT_ACTIVE;
             }
             row.extend_from_slice(&[
@@ -1771,15 +1768,6 @@ impl Testbed {
         self.actions = actions;
         let tick = self.timeline.interval();
         sim.schedule_in(tick, TestbedEvent::TimelineTick);
-    }
-
-    /// True if any configured fault scope covers `core` at `now`
-    /// (the timeline's fault-active flag).
-    fn fault_scope_active(&self, now: SimTime, core: usize) -> bool {
-        self.faults
-            .specs()
-            .iter()
-            .any(|s| s.scope.covers(now, Some(core)))
     }
 
     /// Per-sample energy bookkeeping: one RAPL interval read (clamped
@@ -2008,13 +1996,7 @@ impl Testbed {
         // A stuck mask releases when its scope ends: the unmask write
         // finally lands, and buffered ring work re-arms the vector.
         for qi in 0..self.stuck_masked.len() {
-            if !self.stuck_masked[qi] {
-                continue;
-            }
-            let still_stuck = self.faults.specs().iter().any(|s| {
-                matches!(s.kind, FaultKind::StuckIrqMask) && s.scope.covers(now, Some(qi))
-            });
-            if still_stuck {
+            if !self.stuck_masked[qi] || self.faults.irq_mask_held(now, qi) {
                 continue;
             }
             self.stuck_masked[qi] = false;
@@ -2134,9 +2116,7 @@ impl Testbed {
     /// back-to-back at the scope start and reach the NIC together.
     fn ev_fault_incast(&mut self, sim: &mut Simulator<Testbed>, requests: u32) {
         let now = sim.now();
-        for _ in 0..requests {
-            self.faults.note_incast_request(now);
-        }
+        self.faults.note_incast_burst(now, requests);
         sim.schedule_in(
             self.request_delay,
             TestbedEvent::ClientSendAt {

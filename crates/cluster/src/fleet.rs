@@ -1544,7 +1544,7 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
         )
     });
 
-    // Fleet metrics (no-op snapshot without `obs`).
+    // Fleet metrics.
     let crashes_sum: u64 = world.servers.iter().map(|s| s.crashes).sum();
     let mut reg = MetricsRegistry::new();
     reg.set_counter("fleet.requests.admitted", c.admitted);
