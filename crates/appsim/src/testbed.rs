@@ -35,10 +35,9 @@ use napisim::{
 use netsim::{LinkModel, Nic, NicConfig, Packet, QueueId};
 use simcore::audit::{Account, AuditReport, ConservationLedger};
 use simcore::{
-    AttribTracker, BusyRole, ChainMarks, CoreEnergySummary, DecisionTrigger, EnergyBreakdown,
-    EnergySummary, EventLog, FaultInjector, FaultKind, FaultPlan, FaultSpec, FlightRecorder,
-    FlightSummary, GovDecision, ModeEnergy, RngStream, SimDuration, SimTime, Simulator,
-    SloWatchdog, Stage, WatchdogEvent, World,
+    AttribTracker, BusyRole, ChainMarks, DecisionTrigger, EnergySummary, EventLog, FaultInjector,
+    FaultKind, FaultPlan, FaultSpec, FlightRecorder, FlightSummary, GovDecision, RngStream,
+    SimDuration, SimTime, Simulator, SloWatchdog, Stage, WatchdogEvent, World,
 };
 use std::collections::VecDeque;
 use workload::{ArrivalProcess, BurstyArrivals, Client, LoadSpec};
@@ -658,27 +657,14 @@ pub struct Testbed {
     /// ledger accounts (credits happen at sample boundaries).
     energy_credited_measured_uj: u64,
     energy_credited_attributed_uj: u64,
-    /// Per-core measured-µJ anchor at the last mode-energy flush.
-    mode_anchor_measured_uj: Vec<u64>,
-    /// Per-core wake-transition-µJ anchor at the last flush.
-    mode_anchor_wake_uj: Vec<u64>,
-    /// Core energy burned in interrupt / polling mode, and in
-    /// C-state wake transitions, cumulative from time zero. The
-    /// three partition the cores' measured µJ exactly (audited).
-    mode_interrupt_uj: u64,
-    mode_polling_uj: u64,
-    mode_transition_uj: u64,
     /// The configured admission policy bounding the app queues.
     admission: AdmissionPolicy,
     /// Requests shed by the admission policy, per core (sums to the
     /// [`Account::PacketsShed`] ledger balance).
     shed: Vec<u64>,
-    /// Integer-µJ snapshots at `begin_measurement`, windowing the
-    /// [`energy_summary`](Testbed::energy_summary).
-    measure_start_core_uj: Vec<u64>,
-    measure_start_core_breakdown: Vec<EnergyBreakdown>,
-    measure_start_uncore_uj: u64,
-    measure_start_mode: ModeEnergy,
+    /// Cumulative integer-µJ totals at `begin_measurement`, windowing
+    /// the [`energy_summary`](Testbed::energy_summary).
+    measure_start_uj: EnergySummary,
 }
 
 impl World for Testbed {
@@ -827,17 +813,9 @@ impl Testbed {
             old_freqs: Vec::with_capacity(cores),
             energy_credited_measured_uj: 0,
             energy_credited_attributed_uj: 0,
-            mode_anchor_measured_uj: vec![0; cores],
-            mode_anchor_wake_uj: vec![0; cores],
-            mode_interrupt_uj: 0,
-            mode_polling_uj: 0,
-            mode_transition_uj: 0,
             admission: config.admission,
             shed: vec![0; cores],
-            measure_start_core_uj: vec![0; cores],
-            measure_start_core_breakdown: vec![EnergyBreakdown::default(); cores],
-            measure_start_uncore_uj: 0,
-            measure_start_mode: ModeEnergy::default(),
+            measure_start_uj: EnergySummary::default(),
         };
         // All cores start idle under the sleep policy.
         for i in 0..cores {
@@ -898,48 +876,7 @@ impl Testbed {
         self.measure_start = now;
         self.measure_start_energy = self.processor.package_energy_joules(now);
         self.measure_start_samples = self.ledger.balance(Account::LatencySamples);
-        // Close the open mode-energy windows against the warm-up
-        // buckets, then snapshot every integer cursor so the
-        // summary can report the measured window alone.
-        for i in 0..self.processor.num_cores() {
-            let mode = self.napi[i].mode();
-            self.flush_mode_energy(i, now, mode);
-        }
-        for i in 0..self.processor.num_cores() {
-            let c = self.processor.core_mut(CoreId(i));
-            self.measure_start_core_uj[i] = c.energy_uj(now, &self.profile);
-            self.measure_start_core_breakdown[i] = c.energy_breakdown(now, &self.profile);
-        }
-        self.measure_start_uncore_uj = self.processor.uncore_uj(now);
-        self.measure_start_mode = ModeEnergy {
-            interrupt_uj: self.mode_interrupt_uj,
-            polling_uj: self.mode_polling_uj,
-            transition_uj: self.mode_transition_uj,
-        };
-    }
-
-    /// Folds the core's meter deltas since the last flush into the
-    /// per-mode energy buckets, charging non-transition burn to
-    /// `mode` (the NAPI mode the window belonged to) and the
-    /// wake-transition component to the transition bucket.
-    fn flush_mode_energy(&mut self, core: usize, now: SimTime, mode: NapiMode) {
-        let c = self.processor.core_mut(CoreId(core));
-        let measured = c.energy_uj(now, &self.profile);
-        let wake = c
-            .energy_breakdown(now, &self.profile)
-            .get_uj(simcore::EnergyComponent::WakeC0);
-        let d_measured = measured.saturating_sub(self.mode_anchor_measured_uj[core]);
-        let d_wake = wake.saturating_sub(self.mode_anchor_wake_uj[core]);
-        self.mode_anchor_measured_uj[core] = measured;
-        self.mode_anchor_wake_uj[core] = wake;
-        // WakeC0 is one component of the measured total, so the
-        // subtraction cannot underflow; saturate anyway.
-        let d_mode = d_measured.saturating_sub(d_wake);
-        match mode {
-            NapiMode::Interrupt => self.mode_interrupt_uj += d_mode,
-            NapiMode::Polling => self.mode_polling_uj += d_mode,
-        }
-        self.mode_transition_uj += d_wake;
+        self.measure_start_uj = self.processor.energy_totals(now);
     }
 
     /// Integer-exact energy attribution over the measured interval:
@@ -947,43 +884,12 @@ impl Testbed {
     /// package uncore term, the same energy split by packet-processing
     /// mode, and the RAPL clamp count.
     pub fn energy_summary(&mut self, end: SimTime) -> EnergySummary {
-        for i in 0..self.processor.num_cores() {
-            let mode = self.napi[i].mode();
-            self.flush_mode_energy(i, end, mode);
-        }
-        let mut cores = Vec::with_capacity(self.processor.num_cores());
-        for i in 0..self.processor.num_cores() {
-            let c = self.processor.core_mut(CoreId(i));
-            let measured = c
-                .energy_uj(end, &self.profile)
-                .saturating_sub(self.measure_start_core_uj[i]);
-            let breakdown = c
-                .energy_breakdown(end, &self.profile)
-                .since(&self.measure_start_core_breakdown[i]);
-            cores.push(CoreEnergySummary {
-                core: i as u32,
-                measured_uj: measured,
-                breakdown,
-            });
-        }
         EnergySummary {
-            cores,
-            uncore_uj: self
-                .processor
-                .uncore_uj(end)
-                .saturating_sub(self.measure_start_uncore_uj),
-            modes: ModeEnergy {
-                interrupt_uj: self
-                    .mode_interrupt_uj
-                    .saturating_sub(self.measure_start_mode.interrupt_uj),
-                polling_uj: self
-                    .mode_polling_uj
-                    .saturating_sub(self.measure_start_mode.polling_uj),
-                transition_uj: self
-                    .mode_transition_uj
-                    .saturating_sub(self.measure_start_mode.transition_uj),
-            },
             rapl_clamps: self.rapl.clamp_events(),
+            ..self
+                .processor
+                .energy_totals(end)
+                .since(&self.measure_start_uj)
         }
     }
 
@@ -1451,10 +1357,15 @@ impl Testbed {
         let mode_before = self.napi[core.0].mode();
         let outcome = self.napi[core.0].record_poll(rx_n, tx_n, drained, resched, ctx, now);
         // `record_poll` is the only place the packet-processing mode
-        // can flip: close the energy window under the mode it
-        // belonged to, so joules-per-mode stays exact.
-        if self.napi[core.0].mode() != mode_before {
-            self.flush_mode_energy(core.0, now, mode_before);
+        // can flip: retag the core's energy meter at the flip, so
+        // joules-per-mode stays exact.
+        let mode = self.napi[core.0].mode();
+        if mode != mode_before {
+            self.processor.core_mut(core).set_polling(
+                mode == NapiMode::Polling,
+                now,
+                &self.profile,
+            );
         }
         if let Some(observer) = self.poll_observer.as_mut() {
             observer(core, outcome.class, rx_n as u64, now);
@@ -1778,8 +1689,9 @@ impl Testbed {
     /// zero-length segment — bit-exact on the energy fixtures.
     fn account_energy(&mut self, now: SimTime) {
         let _ = self.rapl.read_interval(&mut self.processor, now);
-        let measured = self.processor.package_energy_uj(now);
-        let attributed = self.processor.attributed_package_energy_uj(now);
+        let totals = self.processor.energy_totals(now);
+        let measured = totals.measured_total_uj();
+        let attributed = totals.attributed_total_uj();
         self.ledger.credit(
             Account::EnergyMeasuredUj,
             measured.saturating_sub(self.energy_credited_measured_uj),
@@ -1791,17 +1703,13 @@ impl Testbed {
         self.energy_credited_measured_uj = measured;
         self.energy_credited_attributed_uj = attributed;
         if self.trace.is_recording() {
-            for i in 0..self.processor.num_cores() {
-                let uj = self
-                    .processor
-                    .core_mut(CoreId(i))
-                    .energy_uj(now, &self.profile);
+            for c in &totals.cores {
                 self.trace.counter(
                     now,
                     simcore::TraceCategory::Energy,
-                    i as u32,
+                    c.core,
                     "energy-uj",
-                    uj as i64,
+                    c.measured_uj as i64,
                 );
             }
         }
@@ -2385,34 +2293,24 @@ impl Testbed {
         // Integer-exact energy attribution: every measured microjoule
         // lands in exactly one component, on every core, and the
         // packet-processing-mode split partitions the same total.
-        for i in 0..self.processor.num_cores() {
-            let mode = self.napi[i].mode();
-            self.flush_mode_energy(i, now, mode);
-        }
-        let mut core_measured = 0u64;
-        let mut core_attributed = 0u64;
-        for i in 0..self.processor.num_cores() {
-            let c = self.processor.core_mut(CoreId(i));
-            let uj = c.energy_uj(now, &self.profile);
-            let total = c.energy_breakdown(now, &self.profile).total_uj();
+        let totals = self.processor.energy_totals(now);
+        for c in &totals.cores {
             report.check_exact(
-                &format!("energy: core {i} measured µJ == attributed µJ"),
-                uj,
-                total,
+                &format!("energy: core {} measured µJ == attributed µJ", c.core),
+                c.measured_uj,
+                c.breakdown.total_uj(),
             );
-            core_measured += uj;
-            core_attributed += total;
         }
-        let uncore = self.processor.uncore_uj(now);
+        let package_measured = totals.measured_total_uj();
         report.check_exact(
             "energy: package measured µJ == attributed µJ",
-            core_measured + uncore,
-            core_attributed + uncore,
+            package_measured,
+            totals.attributed_total_uj(),
         );
         report.check_exact(
             "energy: interrupt + polling + transition µJ == core measured µJ",
-            self.mode_interrupt_uj + self.mode_polling_uj + self.mode_transition_uj,
-            core_measured,
+            totals.modes.total_uj(),
+            package_measured - totals.uncore_uj,
         );
         // The ledger totals lag the live cursors by at most one
         // sampling window; settle them before comparing.
@@ -2425,7 +2323,7 @@ impl Testbed {
         report.check_exact(
             "energy: ledger measured µJ == package measured µJ",
             self.ledger.balance(Account::EnergyMeasuredUj),
-            core_measured + uncore,
+            package_measured,
         );
         // The integer meter and the f64 integral are independent
         // accumulations of the same power model; the meters carry
@@ -2440,7 +2338,7 @@ impl Testbed {
         let tolerance = (slack_uj / f64_uj.max(1.0)).max(1e-6);
         report.check_close(
             "energy: integer µJ integral tracks the f64 integral",
-            (core_measured + uncore) as f64,
+            package_measured as f64,
             f64_uj,
             tolerance,
         );
@@ -2479,16 +2377,12 @@ impl Testbed {
         // End-of-run energy attribution totals: one counter per
         // component per core on the `energy` track (the live stream
         // already carries the cumulative per-core µJ counters).
-        for i in 0..self.processor.num_cores() {
-            let b = self
-                .processor
-                .core_mut(CoreId(i))
-                .energy_breakdown(end, &self.profile);
-            for (component, uj) in b.iter() {
+        for c in &self.processor.energy_totals(end).cores {
+            for (component, uj) in c.breakdown.iter() {
                 buf.counter(
                     end,
                     TraceCategory::Energy,
-                    i as u32,
+                    c.core,
                     component.label(),
                     uj as i64,
                 );
@@ -2581,22 +2475,14 @@ impl Testbed {
         m.set_counter("attrib.mismatches", self.attrib.mismatches());
         m.set_counter("attrib.pending", self.attrib.pending());
         self.attrib.record_metrics(&mut m);
-        let mut package = simcore::EnergyBreakdown::default();
-        let mut measured = 0u64;
-        for i in 0..self.processor.num_cores() {
-            let c = self.processor.core_mut(CoreId(i));
-            measured += c.energy_uj(now, &self.profile);
-            package = package.merged(&c.energy_breakdown(now, &self.profile));
+        let energy = self.processor.energy_totals(now);
+        m.set_counter("energy.measured_uj", energy.measured_total_uj());
+        for component in simcore::EnergyComponent::ALL {
+            m.set_counter(component.metric_key(), energy.component_uj(component));
         }
-        let uncore = self.processor.uncore_uj(now);
-        package.add_uj(simcore::EnergyComponent::Uncore, uncore);
-        m.set_counter("energy.measured_uj", measured + uncore);
-        for (component, uj) in package.iter() {
-            m.set_counter(component.metric_key(), uj);
-        }
-        m.set_counter("energy.mode_interrupt_uj", self.mode_interrupt_uj);
-        m.set_counter("energy.mode_polling_uj", self.mode_polling_uj);
-        m.set_counter("energy.mode_transition_uj", self.mode_transition_uj);
+        m.set_counter("energy.mode_interrupt_uj", energy.modes.interrupt_uj);
+        m.set_counter("energy.mode_polling_uj", energy.modes.polling_uj);
+        m.set_counter("energy.mode_transition_uj", energy.modes.transition_uj);
         m.set_counter("gov.decisions", self.flight.total());
         m.set_counter("gov.decisions_evicted", self.flight.evicted());
         m.set_counter("rapl.clamp_events", self.rapl.clamp_events());

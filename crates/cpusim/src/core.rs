@@ -8,10 +8,7 @@ use crate::dvfs::{CompletionResult, CoreDvfs, TransitionOutcome};
 use crate::power::CoreActivity;
 use crate::profiles::ProcessorProfile;
 use crate::pstate::PState;
-use simcore::{
-    BusyRole, CoreEnergyMeter, EnergyBreakdown, EventLog, MeterClass, RngStream, SimDuration,
-    SimTime,
-};
+use simcore::{BusyRole, CoreEnergyMeter, EventLog, MeterClass, RngStream, SimDuration, SimTime};
 
 /// Index of a core within its processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -226,7 +223,7 @@ impl Core {
 
     /// Advances only the fixed-point attribution meter to `now`,
     /// leaving the `f64` integral untouched — observability hooks
-    /// (role changes, mode-boundary snapshots) use this so golden
+    /// (role changes, NAPI mode flips, energy reads) use this so golden
     /// energy fixtures cannot drift.
     #[inline]
     pub fn obs_account(&mut self, now: SimTime, profile: &ProcessorProfile) {
@@ -365,6 +362,15 @@ impl Core {
         self.obs_energy.set_role(role);
     }
 
+    /// Tags the attribution meter with the core's NAPI mode (polling
+    /// if `polling`, else interrupt) from `now` on, advancing the
+    /// meter to the mode flip first.
+    #[inline]
+    pub fn set_polling(&mut self, polling: bool, now: SimTime, profile: &ProcessorProfile) {
+        self.obs_account(now, profile);
+        self.obs_energy.set_polling(polling);
+    }
+
     /// Requests a P-state change on this core's own DVFS domain
     /// (per-core DVFS mode).
     pub fn request_pstate(
@@ -456,21 +462,17 @@ impl Core {
     /// Total microjoules measured by the fixed-point attribution
     /// meter through `now`.
     pub fn energy_uj(&mut self, now: SimTime, profile: &ProcessorProfile) -> u64 {
-        self.obs_account(now, profile);
-        self.obs_energy.measured_uj()
+        self.energy_meter(now, profile).measured_uj()
     }
 
-    /// The attribution meter's component decomposition through `now`.
-    /// Sums to
-    /// [`energy_uj`](Self::energy_uj) exactly — the per-core energy
-    /// conservation identity.
-    pub fn energy_breakdown(
+    /// The attribution meter advanced through `now`.
+    pub(crate) fn energy_meter(
         &mut self,
         now: SimTime,
         profile: &ProcessorProfile,
-    ) -> EnergyBreakdown {
+    ) -> &CoreEnergyMeter {
         self.obs_account(now, profile);
-        self.obs_energy.breakdown()
+        &self.obs_energy
     }
 
     /// Recomputes this core's energy from the residency ledger —
@@ -755,13 +757,18 @@ mod tests {
         c.set_busy(true, SimTime::ZERO, &p);
         c.set_busy(false, SimTime::from_millis(2), &p);
         c.set_busy_role(BusyRole::App, SimTime::from_millis(2), &p);
+        c.set_polling(true, SimTime::from_millis(2), &p);
         c.enter_sleep(CState::C6, SimTime::from_millis(3), &p);
         c.wake(SimTime::from_millis(5), &p, &mut rng);
         c.set_busy(true, SimTime::from_millis(6), &p);
         let t = SimTime::from_millis(10);
         let uj = c.energy_uj(t, &p);
-        let b = c.energy_breakdown(t, &p);
+        let b = c.energy_meter(t, &p).breakdown();
+        let modes = c.energy_meter(t, &p).modes();
         assert_eq!(uj, b.total_uj(), "per-core conservation identity");
+        assert_eq!(uj, modes.total_uj(), "modes partition the same total");
+        assert!(modes.interrupt_uj > 0 && modes.polling_uj > 0);
+        assert_eq!(modes.transition_uj, b.get_uj(EnergyComponent::WakeC0));
         assert!(b.get_uj(EnergyComponent::Irq) > 0, "irq-role busy burn");
         assert!(b.get_uj(EnergyComponent::BusyPmin) > 0, "app busy at Pmin");
         assert!(b.get_uj(EnergyComponent::SleepC6) > 0, "C6 residency");

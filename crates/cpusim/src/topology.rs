@@ -13,7 +13,8 @@ use crate::core::{Core, CoreId};
 use crate::dvfs::{CompletionResult, CoreDvfs, TransitionOutcome};
 use crate::profiles::ProcessorProfile;
 use crate::pstate::PState;
-use simcore::{RngStream, SimTime};
+use simcore::obs::energy::segment_uj;
+use simcore::{CoreEnergySummary, EnergySummary, RngStream, SimTime};
 
 /// Which cores share a DVFS domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -158,49 +159,45 @@ impl Processor {
     /// Package energy (all cores + uncore) through `now`, in joules —
     /// what the RAPL package counter reports.
     pub fn package_energy_joules(&mut self, now: SimTime) -> f64 {
-        let core_energy: f64 = {
-            let profile = self.profile.clone();
-            self.cores
-                .iter_mut()
-                .map(|c| c.energy_joules(now, &profile))
-                .sum()
+        let profile = &self.profile;
+        let core_energy: f64 = self
+            .cores
+            .iter_mut()
+            .map(|c| c.energy_joules(now, profile))
+            .sum();
+        core_energy + profile.power.uncore_w * now.as_secs_f64()
+    }
+
+    /// Cumulative fixed-point energy totals through `now`: every
+    /// core's measured µJ, component breakdown and mode split, plus
+    /// the uncore term (`rapl_clamps` is 0; the RAPL counter lives
+    /// outside the processor). Advances only the attribution meters;
+    /// the `f64` integral is untouched. Window two totals with
+    /// [`EnergySummary::since`].
+    pub fn energy_totals(&mut self, now: SimTime) -> EnergySummary {
+        let mut totals = EnergySummary {
+            cores: Vec::with_capacity(self.cores.len()),
+            // A pure function of absolute time, so window deltas are
+            // exact integer subtractions.
+            uncore_uj: segment_uj(
+                self.profile.power.uncore_w,
+                now.saturating_since(SimTime::ZERO),
+            ),
+            ..EnergySummary::default()
         };
-        core_energy + self.profile.power.uncore_w * now.as_secs_f64()
-    }
-
-    /// Package uncore energy through `now` in whole microjoules — a
-    /// deterministic pure function of absolute time, so window deltas
-    /// are exact integer subtractions.
-    pub fn uncore_uj(&self, now: SimTime) -> u64 {
-        let uj = self.profile.power.uncore_w * now.as_nanos() as f64 / 1000.0;
-        if uj <= 0.0 {
-            0
-        } else {
-            uj.round() as u64
+        for (i, c) in self.cores.iter_mut().enumerate() {
+            let meter = c.energy_meter(now, &self.profile);
+            let m = meter.modes();
+            totals.modes.interrupt_uj += m.interrupt_uj;
+            totals.modes.polling_uj += m.polling_uj;
+            totals.modes.transition_uj += m.transition_uj;
+            totals.cores.push(CoreEnergySummary {
+                core: i as u32,
+                measured_uj: meter.measured_uj(),
+                breakdown: meter.breakdown(),
+            });
         }
-    }
-
-    /// Package energy through `now` as measured by the fixed-point
-    /// attribution meters (cores + uncore), in microjoules. Advances
-    /// only the meters; the `f64` integral is untouched.
-    pub fn package_energy_uj(&mut self, now: SimTime) -> u64 {
-        let profile = self.profile.clone();
-        let core_uj = self.cores.iter_mut().fold(0u64, |acc, c| {
-            acc.saturating_add(c.energy_uj(now, &profile))
-        });
-        core_uj.saturating_add(self.uncore_uj(now))
-    }
-
-    /// Package energy attributed to components by the fixed-point
-    /// meters (component sums + uncore), in microjoules. Must equal
-    /// [`package_energy_uj`](Self::package_energy_uj) exactly — the
-    /// package-level conservation identity.
-    pub fn attributed_package_energy_uj(&mut self, now: SimTime) -> u64 {
-        let profile = self.profile.clone();
-        let core_uj = self.cores.iter_mut().fold(0u64, |acc, c| {
-            acc.saturating_add(c.energy_breakdown(now, &profile).total_uj())
-        });
-        core_uj.saturating_add(self.uncore_uj(now))
+        totals
     }
 
     /// Package energy recomputed from every core's residency ledger
@@ -208,10 +205,10 @@ impl Processor {
     /// conservation audit compares against
     /// [`package_energy_joules`](Self::package_energy_joules).
     pub fn audited_package_energy_joules(&mut self, now: SimTime) -> f64 {
-        let profile = self.profile.clone();
+        let profile = &self.profile;
         let mut core_energy = 0.0;
         for c in &mut self.cores {
-            core_energy += c.audited_energy_joules(now, &profile);
+            core_energy += c.audited_energy_joules(now, profile);
         }
         core_energy + profile.power.uncore_w * now.as_secs_f64()
     }
@@ -402,9 +399,14 @@ mod tests {
             p.complete_pstate(CoreId(1), token, completes_at, &mut rng);
         }
         let now = SimTime::from_millis(50);
-        let measured = p.package_energy_uj(now);
-        let attributed = p.attributed_package_energy_uj(now);
-        assert_eq!(measured, attributed, "package conservation identity");
+        let totals = p.energy_totals(now);
+        let measured = totals.measured_total_uj();
+        assert_eq!(
+            measured,
+            totals.attributed_total_uj(),
+            "package conservation identity"
+        );
+        assert_eq!(totals.modes.total_uj(), measured - totals.uncore_uj);
         let f64_uj = p.package_energy_joules(now) * 1e6;
         assert!(
             (measured as f64 - f64_uj).abs() < 64.0,

@@ -12,7 +12,7 @@
 //!
 //! One JSON object per line (JSONL):
 //!
-//! * `{"kind":"header","version":7}` — first line of a fresh file;
+//! * `{"kind":"header","version":8}` — first line of a fresh file;
 //! * `{"kind":"cell","key":<u64>,"result":{...}}` — one completed
 //!   cell, floats as IEEE-754 bit patterns for exact round-trips;
 //! * `{"kind":"quarantine","record":{"key":<u64>,"governor":...,
@@ -57,13 +57,15 @@ use std::path::Path;
 /// integers; version 6 dropped the quarantine record's attempt count
 /// (a cell runs once); version 7 marks results simulated with the
 /// request's link hop folded into its arrival event, which moved
-/// same-nanosecond event ties. Older files simply re-run their cells.
+/// same-nanosecond event ties; version 8 marks results whose
+/// `energy.mode_*_uj` metrics counters run to the end of the run.
+/// Older files simply re-run their cells.
 ///
 /// Cell keys hash only the config, so a change that moves simulated
 /// outputs bumps the version too: otherwise a checkpoint written by
 /// the older code would serve its results beside fresh ones in one
 /// artifact.
-pub const CHECKPOINT_VERSION: u64 = 7;
+pub const CHECKPOINT_VERSION: u64 = 8;
 
 /// Stable content key for a sweep cell: FNV-1a 64 over the config's
 /// `Debug` rendering. Any field change — seed, load, governor,

@@ -236,14 +236,22 @@ impl EnergyBreakdown {
 /// accounting segment calls [`advance`](Self::advance) with the
 /// segment's instantaneous power and activity class. The meter keeps
 /// its own cursor, so observability-only advancement points (role
-/// changes, mode-boundary snapshots) never perturb the `f64` path.
+/// changes, NAPI mode flips, window reads) never perturb the `f64`
+/// path.
+///
+/// Each segment's rounded microjoules are credited twice: once to a
+/// component and once to a [`ModeEnergy`] bucket — `transition` for
+/// [`EnergyComponent::WakeC0`], otherwise the NAPI mode the meter is
+/// tagged with (interrupt until [`set_polling`](Self::set_polling)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreEnergyMeter {
     last: SimTime,
     wake_until: SimTime,
     role: BusyRole,
+    polling: bool,
     measured_uj: u64,
     breakdown: EnergyBreakdown,
+    modes: ModeEnergy,
     /// Sub-microjoule remainder carried between segments. Many
     /// segments repeat the exact same power×duration product (fixed
     /// hardirq cost at a fixed frequency), so independent per-segment
@@ -267,6 +275,12 @@ impl CoreEnergyMeter {
         self.carry = acc - uj as f64;
         self.measured_uj = self.measured_uj.saturating_add(uj);
         self.breakdown.add_uj(component, uj);
+        let mode = match (component, self.polling) {
+            (EnergyComponent::WakeC0, _) => &mut self.modes.transition_uj,
+            (_, true) => &mut self.modes.polling_uj,
+            (_, false) => &mut self.modes.interrupt_uj,
+        };
+        *mode = mode.saturating_add(uj);
     }
 
     /// Advances the meter's cursor to `now`, attributing the elapsed
@@ -320,9 +334,12 @@ impl CoreEnergyMeter {
         self.role = role;
     }
 
-    /// The current busy-attribution role.
-    pub fn role(&self) -> BusyRole {
-        self.role
+    /// Tags segments from here on with the NAPI mode: polling if
+    /// `polling`, else interrupt. Callers must advance the meter to
+    /// the mode-flip time first.
+    #[inline]
+    pub fn set_polling(&mut self, polling: bool) {
+        self.polling = polling;
     }
 
     /// Declares a C-state exit in progress until `until`: CC0 idle
@@ -341,6 +358,12 @@ impl CoreEnergyMeter {
     /// The component decomposition so far.
     pub fn breakdown(&self) -> EnergyBreakdown {
         self.breakdown
+    }
+
+    /// The packet-processing-mode split so far (sums to
+    /// [`measured_uj`](Self::measured_uj)).
+    pub fn modes(&self) -> ModeEnergy {
+        self.modes
     }
 }
 
@@ -559,6 +582,37 @@ pub struct EnergySummary {
 }
 
 impl EnergySummary {
+    /// The window `self − earlier` between two cumulative summaries of
+    /// the same package, field by field (saturating at 0; every field
+    /// grows monotonically). A core missing from `earlier` counts
+    /// from zero.
+    pub fn since(&self, earlier: &EnergySummary) -> EnergySummary {
+        let cores = self
+            .cores
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let e = earlier.cores.get(i).copied().unwrap_or_default();
+                CoreEnergySummary {
+                    core: c.core,
+                    measured_uj: c.measured_uj.saturating_sub(e.measured_uj),
+                    breakdown: c.breakdown.since(&e.breakdown),
+                }
+            })
+            .collect();
+        let (m, e) = (&self.modes, &earlier.modes);
+        EnergySummary {
+            cores,
+            uncore_uj: self.uncore_uj.saturating_sub(earlier.uncore_uj),
+            modes: ModeEnergy {
+                interrupt_uj: m.interrupt_uj.saturating_sub(e.interrupt_uj),
+                polling_uj: m.polling_uj.saturating_sub(e.polling_uj),
+                transition_uj: m.transition_uj.saturating_sub(e.transition_uj),
+            },
+            rapl_clamps: self.rapl_clamps.saturating_sub(earlier.rapl_clamps),
+        }
+    }
+
     /// Measured package microjoules: cores plus uncore.
     pub fn measured_total_uj(&self) -> u64 {
         self.cores
@@ -632,11 +686,13 @@ mod tests {
         // Wake window until 14 µs; 10–14 idle burn is transition.
         m.note_wake(t(14));
         m.advance(t(14), 5.0, MeterClass::IdleC0);
-        // 14–20: IRQ-role busy.
+        // 14–20: IRQ-role busy, still in interrupt mode.
         m.set_role(BusyRole::Irq);
         m.advance(t(20), 30.0, MeterClass::Busy { index: 0, len: 16 });
-        // 20–40: app busy at P0, then 40–50 at Pmin.
+        // 20–40: app busy at P0, then 40–50 at Pmin, polling from 20
+        // µs on.
         m.set_role(BusyRole::App);
+        m.set_polling(true);
         m.advance(t(40), 30.0, MeterClass::Busy { index: 0, len: 16 });
         m.advance(t(50), 8.0, MeterClass::Busy { index: 15, len: 16 });
         // 50–60: plain idle (wake window long past).
@@ -650,6 +706,15 @@ mod tests {
         assert_eq!(b.get_uj(EnergyComponent::IdleC0), 50); // 5 W × 10 µs
         assert_eq!(m.measured_uj(), b.total_uj(), "conservation");
         assert_eq!(m.measured_uj(), 931);
+        // The flip at 20 µs leaves 0–20 in interrupt mode, except the
+        // wake window's burn, which is transition in any mode.
+        let modes = ModeEnergy {
+            interrupt_uj: 1 + 180,
+            polling_uj: 600 + 80 + 50,
+            transition_uj: 20,
+        };
+        assert_eq!(m.modes(), modes);
+        assert_eq!(modes.total_uj(), m.measured_uj(), "modes partition");
     }
 
     #[test]
@@ -674,6 +739,31 @@ mod tests {
         m.advance(t(10), 5.0, MeterClass::IdleC0);
         m.advance(t(5), 50.0, MeterClass::Busy { index: 0, len: 16 });
         assert_eq!(m.measured_uj(), before);
+    }
+
+    #[test]
+    fn summary_since_windows_two_cumulative_totals() {
+        let snap = |m: &CoreEnergyMeter, uncore_uj| EnergySummary {
+            cores: vec![CoreEnergySummary {
+                core: 3,
+                measured_uj: m.measured_uj(),
+                breakdown: m.breakdown(),
+            }],
+            uncore_uj,
+            modes: m.modes(),
+            rapl_clamps: 0,
+        };
+        let mut m = CoreEnergyMeter::new();
+        m.advance(t(10), 5.0, MeterClass::IdleC0);
+        let early = snap(&m, 100);
+        m.set_polling(true);
+        m.advance(t(20), 30.0, MeterClass::Busy { index: 0, len: 16 });
+        let late = snap(&m, 250);
+        let mut window = CoreEnergyMeter::new();
+        window.set_polling(true);
+        window.advance(t(10), 30.0, MeterClass::Busy { index: 0, len: 16 });
+        assert_eq!(late.since(&early), snap(&window, 150));
+        assert_eq!(late.since(&EnergySummary::default()), late);
     }
 
     #[test]

@@ -174,11 +174,6 @@ pub struct TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// A disabled buffer (capacity zero): every record is skipped.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
     /// A buffer that records up to `capacity` events, then counts
     /// drops.
     pub fn with_capacity(capacity: usize) -> Self {
@@ -638,7 +633,7 @@ mod tests {
 
     #[test]
     fn disabled_buffer_never_records_or_counts() {
-        let mut buf = TraceBuffer::disabled();
+        let mut buf = TraceBuffer::with_capacity(0);
         assert!(!buf.is_recording());
         buf.record(ev(1, "a"));
         assert_eq!(buf.len(), 0);

@@ -230,11 +230,6 @@ pub struct TimeSeriesSampler {
 }
 
 impl TimeSeriesSampler {
-    /// A disabled sampler: every record is skipped.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
     /// A sampler over `cores` cores with the given config. An odd
     /// `cap` is rounded down to the nearest even value (a cap of 1
     /// therefore disables sampling) so decimation preserves uniform

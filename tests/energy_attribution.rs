@@ -94,6 +94,16 @@ fn assert_conserving(label: &str, r: &RunResult) {
         core_total,
         "{label}: interrupt + polling + transition must partition core energy"
     );
+    // The run-end metrics carry the same partition over the whole
+    // run (warm-up included).
+    let n = |key: &str| r.metrics.counter(key).expect(key);
+    assert_eq!(
+        n("energy.mode_interrupt_uj")
+            + n("energy.mode_polling_uj")
+            + n("energy.mode_transition_uj"),
+        n("energy.measured_uj") - n("energy.uncore"),
+        "{label}: metrics mode counters must partition core energy"
+    );
     assert_eq!(e.rapl_clamps, 0, "{label}: power integral regressed");
     assert!(
         e.uncore_uj > 0,
