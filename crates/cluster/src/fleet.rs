@@ -380,7 +380,7 @@ impl FleetConfig {
 }
 
 /// Per-server slice of a [`FleetResult`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerReport {
     /// Attempts the LB steered here (including ones that failed
     /// instantly against a crashed/partitioned server).
@@ -405,7 +405,7 @@ pub struct ServerReport {
 }
 
 /// The outcome of one fleet run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetResult {
     /// Governor label (same on every server).
     pub governor: String,
@@ -1643,20 +1643,11 @@ fn extract(mut world: FleetWorld, end: SimTime) -> Result<FleetResult, SimError>
     })
 }
 
-/// Runs many fleet configs across worker threads, preserving input
-/// order in the output. The sweep already keeps the CPUs busy, so each
-/// fleet advances its servers inline (a zero-worker pool) rather than
-/// adding threads of its own; a single config runs like [`run_fleet`].
-pub fn run_fleet_many(configs: Vec<FleetConfig>) -> Vec<FleetResult> {
-    let lone = configs.len() == 1;
-    simcore::par::map_ordered(configs, |cfg| {
-        let workers = if lone {
-            pool::default_workers(cfg.servers)
-        } else {
-            0
-        };
-        run_on_pool(cfg, &StepBudget::unlimited(), workers).expect("invalid FleetConfig")
-    })
+/// [`try_run_fleet`] with every server advanced inline, in server
+/// order (a zero-worker pool): the entry point for a fleet that is one
+/// cell of a sweep, whose fan-out already keeps the CPUs busy.
+pub fn try_run_fleet_inline(cfg: FleetConfig) -> Result<FleetResult, SimError> {
+    run_on_pool(cfg, &StepBudget::unlimited(), 0)
 }
 
 #[cfg(test)]
@@ -1916,16 +1907,5 @@ mod tests {
             harvested > 8,
             "the servers must answer: {harvested} harvests"
         );
-    }
-
-    #[test]
-    fn run_fleet_many_matches_serial() {
-        let cfgs = vec![
-            quick(2, GovernorKind::Ondemand),
-            quick(2, GovernorKind::Performance),
-        ];
-        let parallel = run_fleet_many(cfgs.clone());
-        let serial: Vec<FleetResult> = cfgs.into_iter().map(run_fleet).collect();
-        assert_eq!(parallel, serial);
     }
 }

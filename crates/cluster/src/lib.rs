@@ -48,8 +48,8 @@ pub mod overload;
 pub mod ring;
 
 pub use fleet::{
-    run_fleet, run_fleet_many, try_run_fleet, try_run_fleet_budgeted, FleetConfig, FleetResult,
-    HedgePolicy, ProbePolicy, RetryPolicy, ServerReport,
+    run_fleet, try_run_fleet, try_run_fleet_budgeted, try_run_fleet_inline, FleetConfig,
+    FleetResult, HedgePolicy, ProbePolicy, RetryPolicy, ServerReport,
 };
 pub use health::{HealthTracker, HealthTransition};
 pub use kinds::{build_policies, GovernorKind, SleepKind};

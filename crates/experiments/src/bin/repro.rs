@@ -177,7 +177,7 @@ fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
 /// truncated timeline is never mistaken for a quiet one.
 fn dump_trace(id: &str, scale: Scale, dir: &str) {
     let Some(cfg) = figures::representative_cell(id, scale) else {
-        eprintln!("note: {id} has no underlying simulation; no trace written");
+        eprintln!("note: {id} has no single-box cell to trace; no trace written");
         return;
     };
     let result = run(cfg);

@@ -1,8 +1,8 @@
 //! The sweep supervisor's outcome table, optionally backed by a
 //! crash-safe checkpoint file.
 //!
-//! A [`Checkpoint`] maps each concluded cell, keyed by a content hash
-//! of its [`RunConfig`], to its result or its quarantine record.
+//! A [`Checkpoint`] maps each concluded [`Cell`], keyed by a content
+//! hash of its config, to its result or its quarantine record.
 //! [`Checkpoint::default`] keeps the table in memory only;
 //! [`Checkpoint::open`] loads an append-only `checkpoint.jsonl` and
 //! streams every later outcome to it, so a re-invoked sweep skips
@@ -12,7 +12,8 @@
 //!
 //! One JSON object per line (JSONL):
 //!
-//! * `{"kind":"header","version":8}` — first line of a fresh file;
+//! * `{"kind":"header","version":9,"model":<u64>}` — first line of a
+//!   fresh file; `model` fingerprints the build that wrote it;
 //! * `{"kind":"cell","key":<u64>,"result":{...}}` — one completed
 //!   cell, floats as IEEE-754 bit patterns for exact round-trips;
 //! * `{"kind":"quarantine","record":{"key":<u64>,"governor":...,
@@ -23,56 +24,57 @@
 //! and decoding.
 //!
 //! A header gates the lines after it: cell and quarantine lines count
-//! only under a header of the current [`CHECKPOINT_VERSION`]. Lines
-//! after a stale header are skipped, so an older file re-runs its
+//! only under a header of the current [`CHECKPOINT_VERSION`] whose
+//! `model` is this executable's FNV-1a hash. Lines after a stale
+//! header are skipped, so a file written by another build re-runs its
 //! cells, and opening a file whose last header is stale appends a
 //! fresh one.
 //!
 //! Loading tolerates torn tails and corrupt lines: anything that is
-//! not UTF-8 or fails to parse or decode is skipped (and counted),
-//! because a crash mid-append must not invalidate the finished
-//! prefix. Results of cells that collect traces are never stored —
-//! traces are too large to keep and re-run deterministically anyway.
+//! not UTF-8 or fails to parse is skipped (and counted), because a
+//! crash mid-append must not invalidate the finished prefix; a cell
+//! line is decoded on its first lookup and re-runs if that fails.
+//! Results of cells that collect traces are never stored — traces are
+//! too large to keep and re-run deterministically anyway.
 
 use crate::json::{self, Value};
-use crate::runner::{RunConfig, RunResult};
+use crate::runner::RunResult;
+use crate::supervisor::Cell;
+use cluster::{FleetResult, ServerReport};
 use governors::DegradationStats;
 use simcore::{
-    AttribSummary, CoreEnergySummary, DecisionTrigger, EnergyBreakdown, EnergyComponent,
-    EnergySummary, FaultStats, FlightSummary, GovDecision, HistogramSnapshot, MetricsSnapshot,
-    ModeEnergy, RecoverySummary, SimDuration, SimTime, Stage, StageSummary, Timeline,
-    WatchdogReport,
+    AttribSummary, AuditCheck, AuditReport, CoreEnergySummary, DecisionTrigger, EnergyBreakdown,
+    EnergyComponent, EnergySummary, FaultStats, FlightSummary, GovDecision, HistogramSnapshot,
+    MetricsSnapshot, ModeEnergy, RecoverySummary, SimDuration, SimTime, Stage, StageSummary,
+    Timeline, WatchdogReport,
 };
+use std::any::Any;
 use std::collections::HashMap;
+use std::fmt::Debug;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
-/// Current checkpoint format version. Version 2 added the energy
-/// attribution and flight-recorder summaries to each cell; version 3
-/// added the telemetry timeline (per-core gauge samples); version 4
-/// widened the timeline stride with the saturation gauge and added
-/// admission-bypass fault stats; version 5 made every struct field's
-/// name its JSON key (one schema per type) and stored cell keys as
-/// integers; version 6 dropped the quarantine record's attempt count
-/// (a cell runs once); version 7 marks results simulated with the
-/// request's link hop folded into its arrival event, which moved
-/// same-nanosecond event ties; version 8 marks results whose
-/// `energy.mode_*_uj` metrics counters run to the end of the run.
-/// Older files simply re-run their cells.
-///
-/// Cell keys hash only the config, so a change that moves simulated
-/// outputs bumps the version too: otherwise a checkpoint written by
-/// the older code would serve its results beside fresh ones in one
-/// artifact.
-pub const CHECKPOINT_VERSION: u64 = 8;
+/// Current checkpoint format version, bumped only when the line
+/// format changes. A change in simulated outputs needs no bump: it
+/// changes the executable, so the header's `model` no longer matches.
+pub const CHECKPOINT_VERSION: u64 = 9;
 
 /// Stable content key for a sweep cell: FNV-1a 64 over the config's
 /// `Debug` rendering. Any field change — seed, load, governor,
 /// thresholds, fault plan — changes the key, so a stale checkpoint
-/// can never satisfy an edited sweep.
-pub fn cell_key(cfg: &RunConfig) -> u64 {
+/// can never satisfy an edited sweep. The rendering starts with the
+/// config's type name, so a fleet key never collides with a box key.
+pub fn cell_key(cfg: &impl Debug) -> u64 {
     simcore::hash::fnv1a(format!("{cfg:?}").into_bytes())
+}
+
+/// FNV-1a 64 over the running executable: a checkpoint written by any
+/// other build does not match it.
+fn model() -> std::io::Result<u64> {
+    Ok(simcore::hash::fnv1a(std::fs::read(
+        std::env::current_exe()?
+    )?))
 }
 
 /// Whether the file at `path` is empty or ends with a newline — i.e.
@@ -121,8 +123,10 @@ impl std::fmt::Display for DecodeError {
 
 /// How one type travels in a checkpoint line. Decoding checks every
 /// shape and range, because the input comes from disk.
-trait Codec: Sized {
+pub trait Codec: Sized {
+    /// The JSON value stored for `self`.
     fn enc(&self) -> Value;
+    /// Rebuilds a value from its stored JSON.
     fn dec(v: &Value) -> Result<Self, DecodeError>;
 }
 
@@ -329,16 +333,18 @@ codec! {
     }
     DegradationStats { degradations, recoveries, degraded_cores }
     QuarantineRecord { key, governor, error }
-}
-
-/// Encodes a trace-free [`RunResult`] for a checkpoint line.
-pub fn encode_result(r: &RunResult) -> Value {
-    r.enc()
-}
-
-/// Decodes a checkpointed [`RunResult`] (always trace-free).
-pub fn decode_result(v: &Value) -> Result<RunResult, DecodeError> {
-    RunResult::dec(v)
+    FleetResult {
+        governor, sleep, servers, admitted, completed, timed_out, in_flight_at_end, dispatched,
+        attempts_completed, attempts_failed, suppressed, attempts_in_flight_at_end, retries, hedges,
+        failovers, ejections, readmissions, shed, attempts_shed, retry_budget_spent,
+        retry_budget_denied, breaker_opens, breaker_closes, breaker_half_opens,
+        breaker_short_circuits, p99, p50, availability, energy_j, duration, metrics, faults, audit,
+    }
+    ServerReport {
+        dispatched, delivered, won, crashes, ejected_at_end, p99_internal, energy_j, degradation,
+    }
+    AuditReport { checks }
+    AuditCheck { name, lhs, rhs, rel_tolerance }
 }
 
 // ---------------------------------------------------------------------
@@ -355,10 +361,14 @@ pub fn decode_result(v: &Value) -> Result<RunResult, DecodeError> {
 pub struct Checkpoint {
     /// The attached file, if any.
     file: Option<File>,
-    cells: HashMap<u64, RunResult>,
+    /// Each cell's typed `Output`, or its [`Unread`] file line.
+    cells: HashMap<u64, Box<dyn Any + Send>>,
     quarantined: HashMap<u64, QuarantineRecord>,
     skipped_lines: usize,
 }
+
+/// A `cell` line loaded from the file, decoded on its first lookup.
+struct Unread(String);
 
 impl Checkpoint {
     /// Opens (or creates) the checkpoint at `path`, loading every
@@ -367,11 +377,12 @@ impl Checkpoint {
     /// [`skipped_lines`](Self::skipped_lines).
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Checkpoint> {
         let path = path.as_ref();
-        let mut cells = HashMap::new();
+        let mut cells: HashMap<u64, Box<dyn Any + Send>> = HashMap::new();
         let mut quarantined = HashMap::new();
         let mut skipped = 0usize;
-        // Whether the most recent header carries this version: it
-        // gates every cell and quarantine line that follows it.
+        let model = model()?;
+        // Whether the most recent header carries this version and
+        // model: it gates every cell and quarantine line after it.
         let mut current = false;
         if let Ok(existing) = File::open(path) {
             for line in BufReader::new(existing).split(b'\n') {
@@ -383,17 +394,16 @@ impl Checkpoint {
                 if line.trim().is_empty() {
                     continue;
                 }
-                match Self::load_line(line) {
-                    Ok(Line::Header(v)) if v == CHECKPOINT_VERSION => current = true,
-                    Ok(Line::Cell(key, result)) if current => {
-                        cells.insert(key, *result);
+                match Self::load_line(line, model) {
+                    Ok(Line::Header(is_current)) => {
+                        current = is_current;
+                        skipped += usize::from(!is_current);
+                    }
+                    Ok(Line::Cell(key)) if current => {
+                        cells.insert(key, Box::new(Unread(line.to_string())));
                     }
                     Ok(Line::Quarantine(record)) if current => {
                         quarantined.insert(record.key, record);
-                    }
-                    Ok(Line::Header(_)) => {
-                        current = false;
-                        skipped += 1;
                     }
                     _ => skipped += 1,
                 }
@@ -414,19 +424,22 @@ impl Checkpoint {
             skipped_lines: skipped,
         };
         if !current {
-            ck.append("header", vec![("version", CHECKPOINT_VERSION.enc())])?;
+            let header = vec![
+                ("version", CHECKPOINT_VERSION.enc()),
+                ("model", model.enc()),
+            ];
+            ck.append("header", header)?;
         }
         Ok(ck)
     }
 
-    fn load_line(line: &str) -> Result<Line, DecodeError> {
+    fn load_line(line: &str, model: u64) -> Result<Line, DecodeError> {
         let v = json::parse(line).map_err(|_| DecodeError("parse"))?;
         match field::<String>(&v, "kind")?.as_str() {
-            "header" => Ok(Line::Header(field(&v, "version")?)),
-            "cell" => Ok(Line::Cell(
-                field(&v, "key")?,
-                Box::new(field(&v, "result")?),
+            "header" => Ok(Line::Header(
+                field(&v, "version") == Ok(CHECKPOINT_VERSION) && field(&v, "model") == Ok(model),
             )),
+            "cell" => Ok(Line::Cell(field(&v, "key")?)),
             "quarantine" => Ok(Line::Quarantine(field(&v, "record")?)),
             _ => Err(DecodeError("kind")),
         }
@@ -437,8 +450,8 @@ impl Checkpoint {
         self.file.is_some()
     }
 
-    /// Lines skipped while loading (torn tail, corruption, stale
-    /// version).
+    /// Lines skipped while loading (torn tail, corruption, a stale
+    /// header and the lines under it).
     pub fn skipped_lines(&self) -> usize {
         self.skipped_lines
     }
@@ -453,18 +466,24 @@ impl Checkpoint {
         self.cells.is_empty()
     }
 
-    /// The stored result for `cfg`, if this exact config finished
-    /// earlier. Trace-collecting cells never hit.
-    pub fn lookup(&self, cfg: &RunConfig) -> Option<&RunResult> {
-        if cfg.collect_traces {
+    /// The stored result for `cell`, if this exact config finished
+    /// earlier. Cells that are not [stored](Cell::stored) never hit,
+    /// and neither does a loaded line that does not decode.
+    pub fn lookup<C: Cell>(&mut self, cell: &C) -> Option<&C::Output> {
+        if !cell.stored() {
             return None;
         }
-        self.cells.get(&cell_key(cfg))
+        let slot = self.cells.get_mut(&cell_key(cell))?;
+        if let Some(Unread(line)) = slot.downcast_ref() {
+            let v = json::parse(line).ok()?;
+            *slot = Box::new(field::<C::Output>(&v, "result").ok()?);
+        }
+        slot.downcast_ref()
     }
 
-    /// The quarantine record for `cfg`, if it was given up on.
-    pub fn lookup_quarantine(&self, cfg: &RunConfig) -> Option<&QuarantineRecord> {
-        self.quarantined.get(&cell_key(cfg))
+    /// The quarantine record for `cell`, if it was given up on.
+    pub fn lookup_quarantine(&self, cell: &impl Cell) -> Option<&QuarantineRecord> {
+        self.quarantined.get(&cell_key(cell))
     }
 
     /// All quarantine records, key-ascending.
@@ -475,23 +494,24 @@ impl Checkpoint {
     }
 
     /// Stores one completed cell, streaming it to the file (append +
-    /// flush) when one is attached. Cells with traces are skipped
-    /// silently — they always re-run.
-    pub fn record(&mut self, cfg: &RunConfig, result: &RunResult) -> std::io::Result<()> {
-        if cfg.collect_traces {
+    /// flush) when one is attached. Cells that are not
+    /// [stored](Cell::stored) are skipped silently — they always
+    /// re-run.
+    pub fn record<C: Cell>(&mut self, cell: &C, result: &C::Output) -> std::io::Result<()> {
+        if !cell.stored() {
             return Ok(());
         }
-        let key = cell_key(cfg);
-        self.cells.insert(key, result.clone());
+        let key = cell_key(cell);
+        self.cells.insert(key, Box::new(result.clone()));
         self.append("cell", vec![("key", key.enc()), ("result", result.enc())])
     }
 
     /// Stores one quarantine decision, streaming it to the file
     /// (append + flush) when one is attached.
-    pub fn record_quarantine(&mut self, cfg: &RunConfig, error: &str) -> std::io::Result<()> {
+    pub fn record_quarantine(&mut self, cell: &impl Cell, error: &str) -> std::io::Result<()> {
         let record = QuarantineRecord {
-            key: cell_key(cfg),
-            governor: cfg.governor.label().to_string(),
+            key: cell_key(cell),
+            governor: cell.label().to_string(),
             error: error.to_string(),
         };
         let line = vec![("record", record.enc())];
@@ -512,8 +532,9 @@ impl Checkpoint {
 }
 
 enum Line {
-    Header(u64),
-    Cell(u64, Box<RunResult>),
+    /// Whether the header is current (this version and model).
+    Header(bool),
+    Cell(u64),
     Quarantine(QuarantineRecord),
 }
 
@@ -521,6 +542,7 @@ enum Line {
 mod tests {
     use super::*;
     use crate::runner::{self, GovernorKind, RunConfig, Scale};
+    use cluster::FleetConfig;
     use simcore::SimDuration;
     use workload::{AppKind, LoadSpec};
 
@@ -560,8 +582,29 @@ mod tests {
     #[test]
     fn run_result_round_trips_exactly() {
         let result = runner::run(tiny(7));
-        let decoded = decode_result(&encode_result(&result)).expect("decodes");
+        let decoded = RunResult::dec(&result.enc()).expect("decodes");
         assert_eq!(decoded, result, "codec must be lossless");
+    }
+
+    /// A fleet under the fleet artifact's chaos plan (which pins
+    /// server 3, so the fleet has 4) fills every server report, fault
+    /// counter and audit check; all of it must survive the codec.
+    #[test]
+    fn fleet_result_round_trips_exactly() {
+        let (_, chaos) = crate::figures::fleet::plans()
+            .pop()
+            .expect("the chaos plan");
+        let cfg = FleetConfig::new(4, AppKind::Memcached, 8_000.0, GovernorKind::Ondemand)
+            .with_window(SimDuration::from_millis(100), SimDuration::from_millis(250))
+            .with_fault_plan(chaos);
+        let result = cluster::run_fleet(cfg);
+        assert_eq!(result.servers.len(), 4);
+        assert!(result.faults.server_crashes > 0, "the chaos plan fired");
+        assert!(!result.audit.checks.is_empty());
+        let encoded = result.enc();
+        let decoded = FleetResult::dec(&encoded).expect("decodes");
+        assert_eq!(decoded, result, "codec must be lossless");
+        assert_eq!(decoded.enc().to_json(), encoded.to_json());
     }
 
     /// A result whose every scalar and element is distinct and
@@ -723,15 +766,15 @@ mod tests {
     #[test]
     fn distinct_values_round_trip_exactly() {
         let result = distinct_result();
-        let encoded = encode_result(&result);
-        let decoded = decode_result(&encoded).expect("decodes");
+        let encoded = result.enc();
+        let decoded = RunResult::dec(&encoded).expect("decodes");
         assert_eq!(decoded, result, "codec must be lossless");
         assert!(
             decoded.frac_above_slo.is_sign_negative(),
             "-0.0 keeps its sign"
         );
         assert_eq!(
-            encode_result(&decoded).to_json(),
+            decoded.enc().to_json(),
             encoded.to_json(),
             "re-encoding is byte-identical"
         );
@@ -748,7 +791,7 @@ mod tests {
             assert!(ck.lookup(&cfg).is_none());
             ck.record(&cfg, &result).expect("record");
         }
-        let ck = Checkpoint::open(&path).expect("reopen");
+        let mut ck = Checkpoint::open(&path).expect("reopen");
         assert_eq!(ck.skipped_lines(), 0);
         assert_eq!(ck.lookup(&cfg), Some(&result));
         // A different seed is a different key.
@@ -770,7 +813,7 @@ mod tests {
         let mut text = std::fs::read_to_string(&path).expect("read");
         text.push_str("{\"kind\":\"cell\",\"key\":\"00000000000000ff\",\"result\":{\"gov");
         std::fs::write(&path, text).expect("write");
-        let ck = Checkpoint::open(&path).expect("reopen");
+        let mut ck = Checkpoint::open(&path).expect("reopen");
         assert_eq!(ck.skipped_lines(), 1, "torn line skipped");
         assert_eq!(ck.lookup(&cfg), Some(&result), "intact prefix kept");
         let _ = std::fs::remove_file(&path);
@@ -797,7 +840,7 @@ mod tests {
             let mut ck = Checkpoint::open(&path).expect("reopen");
             ck.record(&second, &second_result).expect("record");
         }
-        let ck = Checkpoint::open(&path).expect("reopen again");
+        let mut ck = Checkpoint::open(&path).expect("reopen again");
         assert_eq!(ck.skipped_lines(), 1, "only the torn line is lost");
         assert_eq!(ck.lookup(&first), Some(&first_result));
         assert_eq!(ck.lookup(&second), Some(&second_result));
@@ -825,7 +868,7 @@ mod tests {
             assert_eq!(ck.lookup(&first), Some(&first_result));
             ck.record(&second, &second_result).expect("record");
         }
-        let ck = Checkpoint::open(&path).expect("reopen again");
+        let mut ck = Checkpoint::open(&path).expect("reopen again");
         assert_eq!(ck.skipped_lines(), 1, "only the corrupt line is lost");
         assert_eq!(ck.lookup(&first), Some(&first_result));
         assert_eq!(ck.lookup(&second), Some(&second_result));
@@ -853,9 +896,34 @@ mod tests {
             ck.record(&cfg, &result).expect("record");
         }
         // The resumed process wrote a fresh header before its cell.
-        let ck = Checkpoint::open(&path).expect("reopen again");
+        let mut ck = Checkpoint::open(&path).expect("reopen again");
         assert_eq!(ck.skipped_lines(), 2);
         assert_eq!(ck.lookup(&cfg), Some(&result));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cells_under_another_models_header_re_run() {
+        let path = tmp("other-model");
+        let _ = std::fs::remove_file(&path);
+        let cfg = tiny(16);
+        let result = runner::run(cfg.clone());
+        {
+            let mut ck = Checkpoint::open(&path).expect("open");
+            ck.record(&cfg, &result).expect("record");
+        }
+        let text = std::fs::read_to_string(&path).expect("read");
+        let model = model().expect("fingerprint");
+        let current = format!("\"model\":{model}");
+        assert!(text.contains(&current));
+        let other = format!("\"model\":{}", model ^ 1);
+        std::fs::write(&path, text.replacen(&current, &other, 1)).expect("write");
+        let mut ck = Checkpoint::open(&path).expect("reopen");
+        assert_eq!(ck.skipped_lines(), 2, "foreign header and its cell");
+        assert!(
+            ck.lookup(&cfg).is_none(),
+            "another build's cell must re-run"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

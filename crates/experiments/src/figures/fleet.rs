@@ -12,14 +12,6 @@
 //!   health view, a link-latency spike, a partition, and hash-skew,
 //!   exercising ejection/readmission, retry, hedging, and the exact
 //!   cross-server conservation roll-up.
-//!
-//! Unlike the single-box sweeps, the fleet cells run through
-//! [`cluster::run_fleet_many`] directly rather than through the
-//! [`crate::supervisor::Supervisor`]: the supervisor's checkpoint
-//! cells are keyed and serialized around [`crate::RunConfig`] /
-//! [`crate::RunResult`], and a fleet run is a different shape (its
-//! own config, its own conservation roll-up). The sweep is 8 cells
-//! of quick fleets, so retry/quarantine adds nothing here.
 
 use cluster::{FleetConfig, FleetResult, GovernorKind, HedgePolicy, ProbePolicy, RetryPolicy};
 use simcore::fault::{FaultKind, FaultPlan, FaultScope};
@@ -28,7 +20,7 @@ use workload::AppKind;
 
 use crate::report::{self, FigureReport};
 use crate::thresholds;
-use crate::Scale;
+use crate::{Scale, Supervisor};
 
 fn ms(v: u64) -> SimTime {
     SimTime::from_millis(v)
@@ -120,16 +112,15 @@ fn config(scale: Scale, gov: GovernorKind, plan: FaultPlan) -> FleetConfig {
         .with_fault_plan(plan)
 }
 
-/// The sweep: plan-major, 2 schedules × 4 governors, through the
-/// fleet worker pool.
-pub fn sweep(scale: Scale) -> Vec<FleetResult> {
+/// The sweep: plan-major, 2 schedules × 4 governors, through `sup`.
+pub fn sweep(scale: Scale, sup: &Supervisor) -> Vec<FleetResult> {
     let mut configs = Vec::new();
     for (_, plan) in plans() {
         for (_, gov) in fleet_governors() {
             configs.push(config(scale, gov, plan.clone()));
         }
     }
-    cluster::run_fleet_many(configs)
+    sup.run_many(configs)
 }
 
 /// Renders the artifact from a completed sweep (separated from
@@ -229,8 +220,8 @@ pub fn render(results: &[FleetResult]) -> FigureReport {
 }
 
 /// Builds the artifact: 2 cluster schedules × 4 governors.
-pub fn fleet(scale: Scale) -> FigureReport {
-    render(&sweep(scale))
+pub fn fleet(scale: Scale, sup: &Supervisor) -> FigureReport {
+    render(&sweep(scale, sup))
 }
 
 #[cfg(test)]

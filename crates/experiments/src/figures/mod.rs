@@ -84,18 +84,18 @@ pub fn all_ids() -> Vec<&'static str> {
 /// along with any siblings computed for free).
 ///
 /// Runs under an ephemeral [`Supervisor`] (no checkpoint); use
-/// [`generate_with`] to supply one that checkpoints or budgets the
-/// sweep cells.
+/// [`generate_with`] to supply one that checkpoints the sweep cells.
 pub fn generate(id: &str, scale: Scale) -> Vec<FigureReport> {
     generate_with(id, scale, &Supervisor::new())
 }
 
-/// [`generate`], with every multi-cell sweep driven through `sup` —
-/// each distinct cell runs once, a failing one is quarantined, and
-/// cells `sup` already holds (from its checkpoint, or an earlier
-/// sweep sharing the config) are not run again. Trace-collecting single-cell figures
-/// (fig2-4, fig7, fig9-11, fig16) run directly: their results embed
-/// full event traces, which are never checkpointed.
+/// [`generate`], with every multi-cell sweep, box or fleet, driven
+/// through `sup` — each distinct cell runs once, a failing one is
+/// quarantined, and cells `sup` already holds (from its checkpoint, or
+/// an earlier sweep sharing the config) are not run again.
+/// Trace-collecting single-cell figures (fig2-4, fig7, fig9-11, fig16)
+/// run directly: their results embed full event traces, which are
+/// never checkpointed.
 pub fn generate_with(id: &str, scale: Scale, sup: &Supervisor) -> Vec<FigureReport> {
     match id {
         "fig2" => vec![motivation::fig2(scale)],
@@ -123,14 +123,8 @@ pub fn generate_with(id: &str, scale: Scale, sup: &Supervisor) -> Vec<FigureRepo
         "energy" => vec![energy::energy(scale, sup)],
         "timeline" => vec![timeline::timeline(scale, sup)],
         "chaos" => vec![chaos::chaos(scale, sup)],
-        // The fleet tier has its own config/result shape and runs
-        // through `cluster::run_fleet_many` directly (see the module
-        // docs for why it bypasses the supervisor's checkpoint cells).
-        "fleet" => vec![fleet::fleet(scale)],
-        // Like `fleet`, the overload dichotomy runs its cells through
-        // `cluster::run_fleet_many` directly — fleet results have
-        // their own shape and never checkpoint.
-        "overload" => vec![overload::overload(scale)],
+        "fleet" => vec![fleet::fleet(scale, sup)],
+        "overload" => vec![overload::overload(scale, sup)],
         _ => Vec::new(),
     }
 }
@@ -138,7 +132,8 @@ pub fn generate_with(id: &str, scale: Scale, sup: &Supervisor) -> Vec<FigureRepo
 /// The single most representative simulation cell behind an artifact,
 /// configured for trace collection — what `repro --trace-out` runs to
 /// dump a Perfetto timeline for that figure. Pure tables (`table1`,
-/// `table2`) have no underlying simulation and return `None`.
+/// `table2`) and the fleet artifacts (`fleet`, `overload`) have no
+/// single-box cell and return `None`.
 pub fn representative_cell(id: &str, scale: Scale) -> Option<RunConfig> {
     let app = AppKind::Memcached;
     let gov = match id {

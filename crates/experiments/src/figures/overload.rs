@@ -33,7 +33,7 @@ use workload::AppKind;
 
 use crate::report::{self, FigureReport};
 use crate::thresholds;
-use crate::Scale;
+use crate::{Scale, Supervisor};
 
 /// When the metastable trigger (spike + crash) engages.
 pub const TRIGGER_START_MS: u64 = 150;
@@ -193,8 +193,9 @@ impl Outcome {
     }
 }
 
-/// Runs the 2×2 sweep: {control on, off} × {full window, tail probe}.
-pub fn dichotomy(scale: Scale) -> Outcome {
+/// Runs the 2×2 sweep through `sup`: {control on, off} × {full
+/// window, tail probe}.
+pub fn dichotomy(scale: Scale, sup: &Supervisor) -> Outcome {
     let tail = tail_start();
     let (_, _, warmup, _) = geometry(scale);
     let configs = vec![
@@ -203,7 +204,7 @@ pub fn dichotomy(scale: Scale) -> Outcome {
         cell(scale, false, warmup),
         cell(scale, false, tail),
     ];
-    let mut results = cluster::run_fleet_many(configs);
+    let mut results = sup.run_many(configs);
     let off_tail = results.pop().expect("4 cells");
     let off_full = results.pop().expect("4 cells");
     let on_tail = results.pop().expect("4 cells");
@@ -304,8 +305,8 @@ pub fn render(outcome: &Outcome) -> FigureReport {
 }
 
 /// Builds the artifact: the metastable dichotomy at `scale`.
-pub fn overload(scale: Scale) -> FigureReport {
-    render(&dichotomy(scale))
+pub fn overload(scale: Scale, sup: &Supervisor) -> FigureReport {
+    render(&dichotomy(scale, sup))
 }
 
 #[cfg(test)]

@@ -39,4 +39,4 @@ pub use runner::{
     run, run_many, run_profiled, try_run, try_run_budgeted, GovernorKind, ProfileKind, RunConfig,
     RunProfile, RunResult, RunTraces, Scale, SleepKind,
 };
-pub use supervisor::{CellOutcome, Supervisor};
+pub use supervisor::{Cell, CellOutcome, Supervisor};

@@ -383,9 +383,8 @@ pub fn try_run(cfg: RunConfig) -> Result<RunResult, SimError> {
 
 /// Like [`try_run`], but aborts the cell with
 /// [`SimError::BudgetExceeded`] once `budget` is exhausted — a
-/// runaway-cell guard (hand it to
-/// [`Supervisor::with_runner`](crate::Supervisor::with_runner) to
-/// hold a sweep to it). The budget spans warm-up plus the measured
+/// runaway-cell guard (call it from a [`Cell`](crate::Cell)'s `run`
+/// to hold a sweep to it). The budget spans warm-up plus the measured
 /// window.
 pub fn try_run_budgeted(cfg: RunConfig, budget: &StepBudget) -> Result<RunResult, SimError> {
     let (result, _tb, _profile) = run_inner(cfg, budget, |_, _| {})?;

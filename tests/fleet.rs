@@ -2,8 +2,8 @@
 //! contract end to end.
 //!
 //! * determinism — every governor's fleet reproduces bit-identically
-//!   on re-run, and `run_fleet_many` (fleets in parallel, each one's
-//!   servers advanced inline) matches `run_fleet` (one fleet, its
+//!   on re-run, and `Supervisor::run_many` (fleets in parallel, each
+//!   one's servers advanced inline) matches `run_fleet` (one fleet, its
 //!   servers advanced on the fleet's worker pool) exactly;
 //! * zero silent loss — under a server-crash schedule every admitted
 //!   request is completed, shed, timed out, or accounted in flight, and
@@ -16,8 +16,9 @@
 
 mod common;
 
-use cluster::{run_fleet, run_fleet_many, FleetConfig, GovernorKind};
+use cluster::{run_fleet, FleetConfig, GovernorKind};
 use experiments::figures::chaos::all_governors;
+use experiments::Supervisor;
 use simcore::SimDuration;
 use workload::AppKind;
 
@@ -46,13 +47,13 @@ fn assert_conserved(r: &cluster::FleetResult, label: &str) {
 }
 
 /// Every governor the single-box harness knows also runs as a fleet,
-/// deterministically: serial == serial rerun == `run_fleet_many`.
+/// deterministically: serial == serial rerun == `Supervisor::run_many`.
 #[test]
 fn all_governors_fleet_serial_matches_parallel() {
     let governors = all_governors(AppKind::Memcached);
     assert_eq!(governors.len(), 13, "governor roster drifted");
     let configs: Vec<FleetConfig> = governors.iter().map(|&(_, gov)| small(gov)).collect();
-    let parallel = run_fleet_many(configs.clone());
+    let parallel = Supervisor::new().run_many(configs.clone());
     for ((label, _), (cfg, par)) in governors.iter().zip(configs.into_iter().zip(&parallel)) {
         let serial = run_fleet(cfg.clone());
         let again = run_fleet(cfg);
@@ -160,11 +161,13 @@ mod crashes {
 
     /// The crash schedule itself is deterministic through the worker
     /// pool — the plan travels with the config into worker threads.
+    /// (The same config twice: a supervisor would serve the second
+    /// copy from its table, so this fans out without one.)
     #[test]
     fn crash_fleet_deterministic_serial_and_parallel() {
         let serial = run_fleet(crash_cfg());
-        let many = run_fleet_many(vec![crash_cfg(), crash_cfg()]);
-        assert_eq!(many[0], serial, "run_fleet_many must match serial");
+        let many = simcore::par::map_ordered(vec![crash_cfg(), crash_cfg()], run_fleet);
+        assert_eq!(many[0], serial, "parallel fleets must match serial");
         assert_eq!(many[1], serial);
     }
 }
@@ -178,6 +181,6 @@ mod crashes {
 fn fleet_artifact_matches_golden_fixture() {
     use experiments::figures::fleet::{render, sweep};
     use experiments::Scale;
-    let rendered = render(&sweep(Scale::Quick)).to_string();
+    let rendered = render(&sweep(Scale::Quick, &Supervisor::new())).to_string();
     common::assert_golden("fleet", &rendered, "cargo test --test fleet");
 }

@@ -22,8 +22,9 @@
 mod common;
 
 use appsim::AdmissionPolicy;
-use cluster::{run_fleet, run_fleet_many, FleetConfig, GovernorKind, RetryPolicy};
+use cluster::{run_fleet, FleetConfig, GovernorKind, RetryPolicy};
 use experiments::figures::chaos::all_governors;
+use experiments::Supervisor;
 use simcore::fault::{FaultKind, FaultPlan, FaultScope};
 use simcore::{SimDuration, SimTime};
 use workload::AppKind;
@@ -98,8 +99,8 @@ fn shed_retry_lands_in_failed_not_suppressed() {
 
 /// The full overload-control stack (sojourn admission, retry
 /// budgets, breakers, brownout) stays deterministic for every
-/// governor the harness knows: serial == serial rerun ==
-/// `run_fleet_many`, and conservation holds with the shed terms.
+/// governor the harness knows: serial == `Supervisor::run_many`, and
+/// conservation holds with the shed terms.
 #[test]
 fn all_governors_overload_fleet_serial_matches_parallel() {
     let governors = all_governors(AppKind::Memcached);
@@ -115,7 +116,7 @@ fn all_governors_overload_fleet_serial_matches_parallel() {
             ))
     };
     let configs: Vec<FleetConfig> = governors.iter().map(|&(_, gov)| small(gov)).collect();
-    let parallel = run_fleet_many(configs.clone());
+    let parallel = Supervisor::new().run_many(configs.clone());
     for ((label, _), (cfg, par)) in governors.iter().zip(configs.into_iter().zip(&parallel)) {
         let serial = run_fleet(cfg);
         assert_eq!(
@@ -137,7 +138,7 @@ fn all_governors_overload_fleet_serial_matches_parallel() {
 fn metastable_dichotomy_holds_and_matches_golden() {
     use experiments::figures::overload::{dichotomy, render};
     use experiments::Scale;
-    let outcome = dichotomy(Scale::Quick);
+    let outcome = dichotomy(Scale::Quick, &Supervisor::new());
     outcome
         .check()
         .expect("overload control must recover inside the bound and its absence must not");

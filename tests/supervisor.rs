@@ -3,17 +3,19 @@
 //! * an interrupted sweep (half its cells checkpointed, torn tail
 //!   bytes on the file) resumes without re-running finished cells and
 //!   produces a byte-identical artifact;
-//! * a per-cell event budget, imposed through the runner seam, aborts
-//!   runaway cells with a typed error and quarantines them, while the
-//!   rest of the sweep completes;
+//! * a per-cell event budget, imposed by a cell that runs its config
+//!   budgeted, aborts runaway cells with a typed error and quarantines
+//!   them, while the rest of the sweep completes;
 //! * quarantined cells surface placeholder rows, never panics.
 //!
 //! The real process-kill rehearsal (SIGTERM on `repro --checkpoint`,
 //! resume, `diff` the artifacts) runs in CI — see
 //! `.github/workflows/ci.yml`.
 
-use experiments::{cell_key, try_run_budgeted, GovernorKind, RunConfig, Scale, Supervisor};
-use simcore::{SimDuration, StepBudget};
+use experiments::{
+    cell_key, try_run_budgeted, Cell, GovernorKind, RunConfig, RunResult, Scale, Supervisor,
+};
+use simcore::{SimDuration, SimError, StepBudget};
 use std::io::Write;
 use workload::{AppKind, LoadSpec};
 
@@ -106,18 +108,34 @@ fn interrupted_sweep_resumes_byte_identically() {
     let _ = std::fs::remove_file(&ckpt);
 }
 
+/// A box cell held to 500 events: far too few for even a Quick
+/// window, so every run exceeds the budget.
+#[derive(Debug)]
+struct Budgeted(RunConfig);
+
+impl Cell for Budgeted {
+    type Output = RunResult;
+    fn run(&self) -> Result<RunResult, SimError> {
+        let budget = StepBudget::unlimited().with_max_events(500);
+        try_run_budgeted(self.0.clone(), &budget)
+    }
+    fn placeholder(&self) -> RunResult {
+        self.0.placeholder()
+    }
+    fn label(&self) -> &str {
+        self.0.label()
+    }
+}
+
 /// A per-cell event budget aborts runaway cells with a typed
 /// `BudgetExceeded` and quarantines them; the sweep still completes
 /// with placeholder rows.
 #[test]
 fn event_budget_quarantines_runaway_cells_but_sweep_completes() {
-    let configs = sweep_configs();
-    let n = configs.len();
-    // Far too few events for even a Quick window: every cell exceeds
-    // the budget.
-    let budget = StepBudget::unlimited().with_max_events(500);
-    let sup = Supervisor::new().with_runner(move |cfg| try_run_budgeted(cfg.clone(), &budget));
-    let results = sup.run_many(configs);
+    let cells: Vec<Budgeted> = sweep_configs().into_iter().map(Budgeted).collect();
+    let n = cells.len();
+    let sup = Supervisor::new();
+    let results = sup.run_many(cells);
     assert_eq!(results.len(), n, "sweep must complete around quarantines");
     let quarantined = sup.quarantined();
     assert_eq!(quarantined.len(), n, "every cell overran the budget");
